@@ -2,9 +2,9 @@
 
 The package splits into five layers: `mdp` (environments and exact
 classical solvers), `emulator` (state-vector primitives, measurement,
-noise, scalar readout), `engine` (the iteration loop with control-variate
-variance reduction and query accounting), `experiments` (seeded studies
-and summaries), and `cli` (the command line front end).
+noise, scalar readout), `engine` (the iteration loop, one readout per
+iteration, and query accounting), `experiments` (seeded studies and
+summaries), and `cli` (the command line front end).
 """
 
 __version__ = "0.1.0"
@@ -29,12 +29,9 @@ from .engine import (
     QPolicyConfig,
     encode_qtable,
     decode_qtable,
-    estimate_lambda,
     policy_improve,
     quantum_bellman_update,
     run_qpolicy,
-    update_baseline,
-    variance_reduce,
     verify_convergence_bound,
     verify_stability,
 )
@@ -48,7 +45,6 @@ from .experiments import (
     run_ablation,
     run_noise_comparison,
     run_query_complexity_study,
-    run_update_rule_ablation,
     summarize,
 )
 from .mdp import (

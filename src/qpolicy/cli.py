@@ -40,8 +40,8 @@ SUMMARY_COLUMNS = ("arm", "iteration", "mean", "std", "ci95_low", "ci95_high", "
 
 # Keys accepted in a --config JSON file; anything else is rejected.
 CONFIG_KEYS = {
-    "environment", "mode", "epsilon", "shots", "c_ae", "noise_p", "beta", "eta",
-    "lambda_mode", "iters", "tol", "gamma", "seed", "seeds", "out",
+    "environment", "mode", "epsilon", "shots", "c_ae", "noise_p",
+    "iters", "tol", "gamma", "seed", "seeds", "out",
     "mc_budget", "epsilons", "shot_counts", "p_values", "kappa",
     "c_gate", "c_overhead",
 }
@@ -186,9 +186,6 @@ def _engine_config(args, file_cfg: dict, seed: int, iterations: int) -> QPolicyC
         return QPolicyConfig(
             epsilon=epsilon,
             estimator=estimator,
-            beta=float(_setting(args, file_cfg, "beta", 0.0)),
-            eta=float(_setting(args, file_cfg, "eta", 0.1)),
-            lambda_mode=_setting(args, file_cfg, "lambda_mode", "fixed_beta"),
             max_iterations=iterations,
             convergence_tol=float(_setting(args, file_cfg, "tol", 1e-12)),
             gamma=_setting(args, file_cfg, "gamma", None),
@@ -438,10 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shots", type=int)
         p.add_argument("--c-ae", dest="c_ae", type=float)
         p.add_argument("--noise-p", dest="noise_p", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--eta", type=float)
-        p.add_argument("--lambda-mode", dest="lambda_mode",
-                       choices=["fixed_beta", "auto_lambda"])
         p.add_argument("--iters", type=int)
         p.add_argument("--tol", type=float)
         p.add_argument("--gamma", type=float)

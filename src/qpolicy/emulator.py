@@ -126,19 +126,24 @@ def amplitude_encode(values) -> tuple[StateVector, float, int]:
 
     Pads with zeros to the next power of two and divides by the L2 norm.
     Returns (state, scale, pad_len) where scale is the norm divided out and
-    pad_len the number of zeros appended, so callers can decode.
+    pad_len the number of zeros appended, so callers can decode. The norm is
+    taken of the vector divided by its largest entry, so it neither
+    underflows for tiny entries nor overflows for huge ones.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expected a nonempty 1-D vector")
     if np.any(values < 0):
         raise ValueError("negative entry: shift the vector before encoding")
-    scale = float(np.linalg.norm(values))
-    if scale == 0.0:
+    peak = float(values.max())
+    if peak == 0.0:
         raise ValueError("all-zero vector has no normalized encoding")
+    unit = values / peak
+    norm = float(np.linalg.norm(unit))
+    scale = peak * norm
     dim = next_power_of_two(values.size)
     amps = np.zeros(dim)
-    amps[: values.size] = values / scale
+    amps[: values.size] = unit / norm
     n = dim.bit_length() - 1
     return StateVector(amps.astype(complex), n), scale, dim - values.size
 
@@ -275,6 +280,20 @@ def readout_batch(values: np.ndarray, config: EstimatorConfig,
         return noisy + rng.uniform(-config.epsilon, config.epsilon, size=values.shape)
     counts = rng.binomial(config.shots, noisy)
     return counts / config.shots
+
+
+def readout_variance(values: np.ndarray, config: EstimatorConfig) -> np.ndarray:
+    """Variance of readout_batch's estimate of each value, in closed form.
+
+    ae_oracle: the uniform error on [-epsilon, +epsilon] has variance
+    epsilon^2 / 3. shot_sampling: a binomial mean over `shots` draws of the
+    depolarized value p~ has variance p~ (1 - p~) / shots.
+    """
+    values = np.asarray(values, dtype=float)
+    if config.mode == AE_ORACLE:
+        return np.full(values.shape, config.epsilon ** 2 / 3.0)
+    noisy = depolarized_value(values, config.noise.depolarizing_p)
+    return noisy * (1.0 - noisy) / config.shots
 
 
 def amplitude_estimate(true_value: float, config: EstimatorConfig) -> tuple[float, int]:

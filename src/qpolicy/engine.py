@@ -3,11 +3,11 @@
 Each iteration flattens the Q table through the (s, a) index bijection,
 computes exact one-step backup targets from the model (the action the
 Bellman unitary would implement), maps the targets affinely into [0, 1],
-reads every entry back through the configured estimator, applies the
-control-variate correction against an EMA baseline, and improves the policy
-greedily. Query accounting covers every estimator invocation; rows whose
-targets are known exactly (terminal states pinned at zero) can be skipped
-at zero cost.
+reads every entry back once through the configured estimator, and improves
+the policy greedily on the read-out table. Query accounting covers every
+estimator invocation; rows whose targets are known exactly (terminal states
+pinned at zero) can be skipped at zero cost. The reported readout variance
+is the estimator's expected variance, in closed form.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .emulator import (
     amplitude_encode,
     decode_amplitudes,
     readout_batch,
+    readout_variance,
     shift_for_encoding,
 )
 from .mdp import (
@@ -38,8 +39,9 @@ from .mdp import (
 )
 from .rng import stream
 
-# Stream keys: one namespace per consumer so draws are order independent.
-_READOUT, _VARIANCE = 1, 2
+# Stream key of the readout draws; other consumers use other keys, so draws
+# are order independent.
+_READOUT = 1
 
 
 @dataclass(frozen=True)
@@ -74,31 +76,21 @@ class QPolicyConfig:
 
     epsilon: float = 0.01
     estimator: EstimatorConfig | None = None
-    beta: float = 0.0
-    eta: float = 0.1
-    lambda_mode: str = "fixed_beta"  # or "auto_lambda"
     max_iterations: int = 100
     convergence_tol: float = 1e-8
     gamma: float | None = None
     seed: int = 0
     skip_terminal_rows: bool = True
-    variance_readouts: int = 10
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError("eta must lie in [0, 1]")
-        if self.lambda_mode not in ("fixed_beta", "auto_lambda"):
-            raise ValueError(f"unknown lambda_mode {self.lambda_mode!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
         if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma override must lie in [0, 1)")
-        if self.variance_readouts < 2:
-            raise ValueError("variance_readouts must be >= 2")
         if self.estimator is None:
             self.estimator = EstimatorConfig(
                 mode=AE_ORACLE, epsilon=self.epsilon, seed=self.seed
@@ -178,6 +170,28 @@ def _normalize_targets(targets: QTable):
     return (targets.reshape(-1) - lo) / span, lo, span
 
 
+def _read_out(targets: QTable, mask: np.ndarray, estimator: EstimatorConfig,
+              rng: np.random.Generator):
+    """Read the masked target entries out once; returns (q_tilde, queries,
+    q_variance).
+
+    Entries outside the mask keep their exact targets at zero cost.
+    q_variance is the expected variance of one readout of q_tilde, averaged
+    over all (s, a) entries, unmasked ones counting zero.
+    """
+    normalized, lo, span = _normalize_targets(targets)
+    if normalized is None:
+        return targets.copy(), 0, 0.0
+    values = normalized[mask]
+    flat = targets.reshape(-1).copy()
+    flat[mask] = lo + span * readout_batch(values, estimator, rng)
+    queries = int(mask.sum()) * ae_query_cost(estimator)
+    # span * (span * v) keeps q_variance 0, not inf * 0, when every read
+    # is exact and span * span overflows
+    q_variance = span * (span * float(readout_variance(values, estimator).sum()) / mask.size)
+    return flat.reshape(targets.shape), queries, q_variance
+
+
 def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
                            config: QPolicyConfig,
                            rng: np.random.Generator | None = None):
@@ -193,67 +207,9 @@ def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
     if rng is None:
         rng = stream(config.seed, _READOUT, 0)
     targets = bellman_backup(mdp, q, policy)
-    normalized, lo, span = _normalize_targets(targets)
-    if normalized is None:
-        return targets.copy(), 0
     mask = _readout_mask(mdp, config.skip_terminal_rows)
-    estimates = readout_batch(normalized[mask], config.estimator, rng)
-    flat = targets.reshape(-1).copy()
-    flat[mask] = lo + span * estimates
-    queries = int(mask.sum()) * ae_query_cost(config.estimator)
-    return flat.reshape(targets.shape), queries
-
-
-def _q_variance(normalized: np.ndarray | None, span: float, mask: np.ndarray,
-                config: QPolicyConfig, rng: np.random.Generator) -> float:
-    """Estimator noise: variance over repeated readouts, averaged over (s, a)."""
-    if normalized is None:
-        return 0.0
-    reads = np.stack([
-        span * readout_batch(normalized[mask], config.estimator, rng)
-        for _ in range(config.variance_readouts)
-    ])
-    per_entry = reads.var(axis=0, ddof=1)
-    return float(per_entry.sum() / mask.size)
-
-
-# ---------------------------------------------------------------------------
-# Variance reduction
-# ---------------------------------------------------------------------------
-
-def variance_reduce(q_tilde: QTable, baseline: np.ndarray, beta: float) -> QTable:
-    """Control-variate correction q_hat = q_tilde + beta * (f - mean f)."""
-    q_tilde = np.asarray(q_tilde, dtype=float)
-    baseline = np.asarray(baseline, dtype=float)
-    if q_tilde.shape != baseline.shape:
-        raise ValueError("baseline shape does not match the table")
-    if beta == 0.0:
-        return q_tilde.copy()
-    return q_tilde + beta * (baseline - baseline.mean())
-
-
-def estimate_lambda(ae_samples, cv_samples) -> float:
-    """Variance-minimizing coefficient -Cov(ae, cv) / Var(cv)."""
-    ae = np.asarray(ae_samples, dtype=float)
-    cv = np.asarray(cv_samples, dtype=float)
-    if ae.shape != cv.shape or ae.ndim != 1 or ae.size < 2:
-        raise ValueError("need two equal-length sample vectors of size >= 2")
-    var_cv = cv.var(ddof=1)
-    if var_cv == 0.0:
-        raise ValueError("cv_samples are constant; lambda is undefined")
-    cov = np.cov(ae, cv, ddof=1)[0, 1]
-    return float(-cov / var_cv)
-
-
-def update_baseline(baseline: np.ndarray, q_hat: QTable, eta: float) -> np.ndarray:
-    """Elementwise EMA step f <- (1 - eta) f + eta q_hat."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("eta must lie in [0, 1]")
-    if eta == 0.0:
-        return np.array(baseline, dtype=float)
-    if eta == 1.0:
-        return np.array(q_hat, dtype=float)
-    return (1.0 - eta) * np.asarray(baseline, float) + eta * np.asarray(q_hat, float)
+    q_tilde, queries, _ = _read_out(targets, mask, config.estimator, rng)
+    return q_tilde, queries
 
 
 def policy_improve(q: QTable) -> Policy:
@@ -271,48 +227,25 @@ def policy_improve(q: QTable) -> Policy:
 def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     """Execute up to K iterations; returns (records, final_policy).
 
-    Stops early when max |q_hat - q| drops below convergence_tol. Bellman
-    error is tracked as max/mean of |V_{k+1} - V_k| with V the greedy value
-    of the table.
+    Iteration k is quantum_bellman_update with the readout stream of key k,
+    followed by greedy improvement. Stops early when max |q_tilde - q| drops
+    below convergence_tol. Bellman error is tracked as max/mean of
+    |V_{k+1} - V_k| with V the greedy value of the table.
     """
     mdp_eff = mdp.with_gamma(config.gamma) if config.gamma is not None else mdp
-    imap = IndexMap(mdp_eff.num_states, mdp_eff.num_actions)
     q = np.zeros((mdp_eff.num_states, mdp_eff.num_actions))
-    baseline = np.zeros_like(q)
     policy = policy_improve(q)
     records: list[IterationRecord] = []
     cumulative = 0
     mask = _readout_mask(mdp_eff, config.skip_terminal_rows)
-    cost = ae_query_cost(config.estimator)
 
     for k in range(config.max_iterations):
-        encode_qtable(q, imap)  # state preparation step of the pipeline
         targets = bellman_backup(mdp_eff, q, policy)
-        normalized, lo, span = _normalize_targets(targets)
-        if normalized is None:
-            q_tilde, queries = targets.copy(), 0
-        else:
-            rng = stream(config.seed, _READOUT, k)
-            estimates = readout_batch(normalized[mask], config.estimator, rng)
-            q_tilde = targets.reshape(-1).copy()
-            q_tilde[mask] = lo + span * estimates
-            q_tilde = q_tilde.reshape(targets.shape)
-            queries = int(mask.sum()) * cost
+        q_tilde, queries, q_var = _read_out(
+            targets, mask, config.estimator, stream(config.seed, _READOUT, k))
+        policy = policy_improve(q_tilde)
 
-        if config.lambda_mode == "auto_lambda":
-            coeff = 0.0 if np.ptp(baseline) == 0.0 else estimate_lambda(
-                q_tilde.reshape(-1), baseline.reshape(-1))
-        else:
-            coeff = config.beta
-        q_hat = variance_reduce(q_tilde, baseline, coeff)
-        baseline = update_baseline(baseline, q_hat, config.eta)
-        policy = policy_improve(q_hat)
-
-        q_var = _q_variance(normalized, span, mask, config,
-                            stream(config.seed, _VARIANCE, k))
-        v_prev = q.max(axis=1)
-        v_next = q_hat.max(axis=1)
-        diff = np.abs(v_next - v_prev)
+        diff = np.abs(q_tilde.max(axis=1) - q.max(axis=1))
         cumulative += queries
         records.append(IterationRecord(
             iteration=k,
@@ -323,8 +256,8 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
             queries_cumulative=cumulative,
             policy_actions=policy.actions.copy(),
         ))
-        table_shift = float(np.max(np.abs(q_hat - q)))
-        q = q_hat
+        table_shift = float(np.max(np.abs(q_tilde - q)))
+        q = q_tilde
         if table_shift < config.convergence_tol:
             break
     return records, policy

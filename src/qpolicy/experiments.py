@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
-from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel, ae_query_cost
+from .emulator import AE_ORACLE, EstimatorConfig, NoiseModel, ae_query_cost
 from .engine import IterationRecord, QPolicyConfig, policy_improve, run_qpolicy
 from .mdp import TabularMDP, mc_policy_evaluation
 from .rng import child_seed, stream
@@ -113,7 +113,7 @@ def summarize(series_across_seeds: Sequence[Sequence[float]]) -> list[SummarySta
     n = data.shape[0]
     mean = data.mean(axis=0)
     std = data.std(axis=0, ddof=1)
-    half = stats.t.ppf(0.975, n - 1) * std / math.sqrt(n)
+    half = stdtrit(n - 1, 0.975) * std / math.sqrt(n)
     return [
         SummaryStats(float(m), float(s), float(m - h), float(m + h), n)
         for m, s, h in zip(mean, std, half)
@@ -314,40 +314,6 @@ def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
         float(p): [StudyRun(seed=seed, records=done[(float(p), seed)]) for seed in seeds]
         for p in p_values
     }
-
-
-UPDATE_RULE_VARIANTS = ("full", "no_control_variate", "no_ema", "ae_oracle_mode", "shot_mode")
-
-
-def _variant_config(base: QPolicyConfig, variant: str, seed: int) -> QPolicyConfig:
-    cfg = _cell_config(base, seed=seed)
-    if variant == "full":
-        return cfg
-    if variant == "no_control_variate":
-        return replace(cfg, beta=0.0, lambda_mode="fixed_beta")
-    if variant == "no_ema":
-        return replace(cfg, eta=1.0)
-    if variant == "ae_oracle_mode":
-        return replace(cfg, estimator=replace(cfg.estimator, mode=AE_ORACLE))
-    if variant == "shot_mode":
-        return replace(cfg, estimator=replace(cfg.estimator, mode=SHOT_SAMPLING))
-    raise ValueError(f"unknown variant {variant!r}, expected one of {UPDATE_RULE_VARIANTS}")
-
-
-def run_update_rule_ablation(mdp: TabularMDP, config: QPolicyConfig,
-                             variants: Sequence[str],
-                             seeds: Sequence[int] | None = None) -> dict:
-    """Run the named update-rule variants under matched seeds and budget."""
-    seeds = [config.seed] if seeds is None else list(seeds)
-    out = {}
-    for variant in variants:
-        runs = []
-        for seed in seeds:
-            cfg = _variant_config(config, variant, seed)
-            records, _ = run_qpolicy(mdp, cfg)
-            runs.append(StudyRun(seed=seed, records=records))
-        out[variant] = runs
-    return out
 
 
 # ---------------------------------------------------------------------------

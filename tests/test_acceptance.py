@@ -28,8 +28,8 @@ from qpolicy.emulator import (
     expected_index,
     measure,
 )
-from qpolicy.engine import QPolicyConfig, estimate_lambda, run_qpolicy, variance_reduce, \
-    verify_convergence_bound, verify_stability
+from qpolicy.engine import QPolicyConfig, run_qpolicy, verify_convergence_bound, \
+    verify_stability
 from qpolicy.experiments import (
     AblationGrid,
     calibrated_query_config,
@@ -38,7 +38,6 @@ from qpolicy.experiments import (
     query_summary,
     run_noise_comparison,
     run_query_complexity_study,
-    run_update_rule_ablation,
 )
 from qpolicy.mdp import build_frozenlake, build_gridworld, value_iteration
 
@@ -158,47 +157,6 @@ def test_c07_uniform_encoding_example():
     assert expected_index(exact) == 1.5
     _report(7, f"uniform state encodes exactly, {passes}/100 seeds pass the "
                f"uniformity test, exact readout expectation is 1.5")
-
-
-def test_c08_variance_reduction():
-    rng = np.random.default_rng(42)
-    rho, trials, cells = 0.8, 1000, 64
-    truth = rng.normal(size=cells)
-    raw, corrected = [], []
-    for _ in range(trials):
-        z1, z2 = rng.normal(size=cells), rng.normal(size=cells)
-        noise = z1
-        f = rho * z1 + np.sqrt(1 - rho ** 2) * z2
-        q_hat = variance_reduce((truth + noise).reshape(8, 8), f.reshape(8, 8), -rho)
-        raw.append(noise)
-        corrected.append(q_hat.reshape(-1) - truth)
-    assert np.var(np.concatenate(corrected)) <= 0.5 * np.var(np.concatenate(raw))
-
-    n, corr, s_ae, s_cv = 100_000, 0.6, 2.0, 1.0
-    z1, z2 = rng.normal(size=n), rng.normal(size=n)
-    lam = estimate_lambda(s_ae * z1, s_cv * (corr * z1 + np.sqrt(1 - corr ** 2) * z2))
-    lam_true = -corr * s_ae / s_cv
-    assert abs(lam - lam_true) <= 0.1 * abs(lam_true)
-
-    grid = build_gridworld(4, 4, 0.2, (3, 3), 0.95)
-    base = QPolicyConfig(
-        epsilon=0.01, beta=0.7, eta=0.2,
-        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=5),
-        seed=5, max_iterations=10, convergence_tol=1e-12,
-    )
-    variant = run_update_rule_ablation(grid, base, ["no_control_variate"], seeds=[5])
-    explicit_cfg = QPolicyConfig(
-        epsilon=0.01, beta=0.0, eta=0.2,
-        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=5),
-        seed=5, max_iterations=10, convergence_tol=1e-12,
-    )
-    explicit, _ = run_qpolicy(grid, explicit_cfg)
-    for ra, rb in zip(variant["no_control_variate"][0].records, explicit):
-        assert ra.bellman_error_max == rb.bellman_error_max
-        assert ra.q_variance == rb.q_variance
-        assert np.array_equal(ra.policy_actions, rb.policy_actions)
-    _report(8, f"correlated baseline halves error variance, lambda estimate "
-               f"{lam:.3f} vs optimum {lam_true:.1f}, variant equals beta=0 bitwise")
 
 
 def test_c09_stability_bound(grid):

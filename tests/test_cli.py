@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import qpolicy
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpolicy.mdp import load_mdp
 
@@ -91,6 +92,19 @@ class TestConfigFile:
         assert code == EXIT_CONFIG
         assert "bogus" in capsys.readouterr().err
 
+    def test_control_variate_key_rejected(self, grid_env, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta": 0.7}))
+        code = main(["run", "--env", grid_env, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "unknown config keys" in capsys.readouterr().err
+
+    def test_control_variate_flag_rejected(self, grid_env, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--env", grid_env, "--beta", "0.7", "--out", str(tmp_path / "o")])
+        assert exc.value.code == EXIT_CONFIG
+
     def test_flag_overrides_file(self, grid_env, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epsilon": 0.05, "iters": 7, "seed": 2}))
@@ -173,3 +187,17 @@ class TestThreadDeterminism:
         assert files_1.keys() == files_8.keys()
         for name in files_1:
             assert files_1[name] == files_8[name]
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats alone takes most of the CLI's start-up time
+    src = os.path.dirname(os.path.dirname(qpolicy.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qpolicy.cli; print('scipy.stats' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

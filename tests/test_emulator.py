@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qpolicy.emulator import (
     AE_ORACLE,
@@ -54,6 +54,15 @@ class TestAmplitudeEncode:
         with pytest.raises(ValueError):
             amplitude_encode([1.0, -0.1])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values", [[0.0, 5.35e-176], [5e-324], [1e200, 2e200]])
+    def test_extreme_magnitudes(self, values):
+        state, scale, pad = amplitude_encode(values)
+        assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-12
+        assert np.isfinite(scale) and scale > 0.0
+        assert np.abs(decode_amplitudes(state, scale, 0.0, len(values))
+                      - values).max() <= 1e-12 * max(values)
+
     def test_single_entry_is_zero_qubits(self):
         state, scale, pad = amplitude_encode([2.5])
         assert state.num_qubits == 0
@@ -87,6 +96,9 @@ class TestShift:
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40))
+@example([0.0, 5.35e-176])
+@example([0.0, 5e-324])
+@example([1e200, 2e200])
 def test_shift_encode_decode_roundtrip(values):
     values = np.asarray(values)
     shifted, offset = shift_for_encoding(values)

@@ -6,13 +6,12 @@ from qpolicy.engine import (
     IndexMap,
     QPolicyConfig,
     decode_qtable,
+    _read_out,
+    _readout_mask,
     encode_qtable,
-    estimate_lambda,
     policy_improve,
     quantum_bellman_update,
     run_qpolicy,
-    update_baseline,
-    variance_reduce,
     verify_convergence_bound,
     verify_stability,
 )
@@ -128,113 +127,88 @@ class TestQuantumBellmanUpdate:
         assert np.array_equal(q_tilde, np.zeros((1, 1)))
 
 
-class TestVarianceReduce:
-    def test_beta_zero_bitwise(self):
-        rng = np.random.default_rng(2)
-        q = rng.normal(size=(4, 3))
-        f = rng.normal(size=(4, 3))
-        out = variance_reduce(q, f, 0.0)
-        assert np.array_equal(out, q)
-        assert out is not q
-
-    def test_constant_baseline_vanishes(self):
-        q = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = variance_reduce(q, np.full((2, 2), 0.5), 0.8)
-        assert np.array_equal(out, q)  # 0.5 sums exactly, so the correction is 0
-        out2 = variance_reduce(q, np.full((2, 2), 0.1), 0.8)
-        assert np.abs(out2 - q).max() <= 1e-15
-
-    def test_correlated_baseline_halves_variance(self):
-        # noise and baseline jointly Gaussian with correlation 0.8
-        rng = np.random.default_rng(5)
-        rho, trials, cells = 0.8, 1000, 64
-        truth = rng.normal(size=cells)
-        raw_errors, cv_errors = [], []
-        for _ in range(trials):
-            z1 = rng.normal(size=cells)
-            z2 = rng.normal(size=cells)
-            noise = z1
-            f = rho * z1 + np.sqrt(1 - rho ** 2) * z2
-            beta = -rho  # analytic optimum for unit variances
-            q_tilde = truth + noise
-            q_hat = variance_reduce(q_tilde.reshape(8, 8), f.reshape(8, 8), beta)
-            raw_errors.append(noise)
-            cv_errors.append(q_hat.reshape(-1) - truth)
-        var_raw = np.var(np.concatenate(raw_errors))
-        var_cv = np.var(np.concatenate(cv_errors))
-        assert var_cv <= 0.5 * var_raw
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            variance_reduce(np.zeros((2, 2)), np.zeros((3, 2)), 0.5)
+    def test_shot_readout_stays_within_reward_bound(self, grid4):
+        # a shot readout lands inside the span of its targets, so iterating
+        # the update keeps every table within the reward bound over 1 - gamma
+        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512))
+        lo = min(0.0, grid4.rewards.min()) / (1.0 - grid4.gamma)
+        hi = max(0.0, grid4.rewards.max()) / (1.0 - grid4.gamma)
+        rng = np.random.default_rng(0)
+        q = np.zeros((16, 4))
+        policy = policy_improve(q)
+        for k in range(3000):
+            q, _ = quantum_bellman_update(grid4, q, policy, cfg, rng)
+            policy = policy_improve(q)
+            assert lo - 1e-9 <= q.min() and q.max() <= hi + 1e-9, k
 
 
-class TestEstimateLambda:
-    def test_independent_samples_near_zero(self):
-        rng = np.random.default_rng(8)
-        ae = rng.normal(size=10_000)
-        cv = rng.normal(size=10_000)
-        assert abs(estimate_lambda(ae, cv)) <= 0.1
+class TestReadoutVariance:
+    """The closed-form q_variance against the sample variance of repeated
+    readouts of fixed targets.
 
-    def test_perfect_control_variate(self):
-        rng = np.random.default_rng(9)
-        ae = rng.normal(size=500)
-        lam = estimate_lambda(ae, ae)
-        assert lam == pytest.approx(-1.0, abs=1e-12)
-        residual = ae + lam * (ae - ae.mean())
-        assert np.var(residual) <= 1e-20
+    With 2000 draws one entry's sample variance has a relative standard
+    error of about sqrt(2 / 2000) = 3.2% (a 256-shot binomial mean is close
+    to Gaussian, and a uniform error has lighter tails); averaged over 64
+    independent entries that drops to about 0.5%, so rtol = 0.03 is about
+    six standard errors.
+    """
 
-    def test_gaussian_closed_form(self):
-        rng = np.random.default_rng(10)
-        n, rho, s_ae, s_cv = 100_000, 0.6, 2.0, 1.0
-        z1 = rng.normal(size=n)
-        z2 = rng.normal(size=n)
-        ae = s_ae * z1
-        cv = s_cv * (rho * z1 + np.sqrt(1 - rho ** 2) * z2)
-        lam = estimate_lambda(ae, cv)
-        assert lam == pytest.approx(-rho * s_ae / s_cv, abs=0.1)  # -1.2
+    DRAWS = 2000
 
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            estimate_lambda([1.0, 2.0], [3.0, 3.0])  # constant
-        with pytest.raises(ValueError):
-            estimate_lambda([1.0], [2.0])  # too short
-        with pytest.raises(ValueError):
-            estimate_lambda([1.0, 2.0, 3.0], [1.0, 2.0])  # length mismatch
+    @staticmethod
+    def _targets():
+        return np.random.default_rng(3).uniform(-1.0, 2.0, size=(16, 4))
 
+    def _sampled(self, targets, mask, estimator):
+        rng = np.random.default_rng(0)
+        draws = [_read_out(targets, mask, estimator, rng)[0] for _ in range(self.DRAWS)]
+        return np.stack(draws).var(axis=0, ddof=1).sum() / targets.size, draws
 
-class TestUpdateBaseline:
-    def test_eta_one_replaces(self):
-        f = np.zeros((2, 2))
-        q = np.array([[1.0, -2.0], [0.25, 4.0]])
-        assert np.array_equal(update_baseline(f, q, 1.0), q)
+    @pytest.mark.parametrize("estimator", [
+        EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
+        EstimatorConfig(mode=SHOT_SAMPLING, shots=256, noise=NoiseModel(0.05)),
+        EstimatorConfig(mode=AE_ORACLE, epsilon=0.05),
+    ], ids=["shots", "shots_p0.05", "ae_oracle"])
+    def test_matches_sampled_variance(self, estimator):
+        targets = self._targets()
+        mask = np.ones(targets.size, dtype=bool)
+        _, _, closed = _read_out(targets, mask, estimator, np.random.default_rng(1))
+        sampled, _ = self._sampled(targets, mask, estimator)
+        assert closed == pytest.approx(sampled, rel=0.03)
 
-    def test_eta_zero_keeps(self):
-        f = np.array([[1.0, 2.0]])
-        assert np.array_equal(update_baseline(f, np.array([[9.0, 9.0]]), 0.0), f)
+    def test_terminal_rows_count_zero(self, grid4):
+        targets = bellman_backup(grid4, self._targets(), Policy.uniform(16, 4))
+        mask = _readout_mask(grid4, skip_terminal=True)
+        assert mask.sum() == 60
+        est = EstimatorConfig(mode=SHOT_SAMPLING, shots=256)
+        _, _, closed = _read_out(targets, mask, est, np.random.default_rng(1))
+        sampled, draws = self._sampled(targets, mask, est)
+        assert closed == pytest.approx(sampled, rel=0.03)
+        goal = sorted(grid4.terminal_states)[0]
+        for q_tilde in draws:
+            assert np.array_equal(q_tilde[goal], targets[goal])
+        full = np.ones(64, dtype=bool)
+        _, _, closed_full = _read_out(targets, full, est, np.random.default_rng(1))
+        assert closed < closed_full
 
-    def test_geometric_convergence_exact(self):
-        # halving is exact in binary, so the closed form holds bitwise
-        f = np.array([[1.0, -3.0], [0.5, 8.0]])
-        target = np.zeros((2, 2))
-        for t in range(1, 30):
-            f = update_baseline(f, target, 0.5)
-            expected = np.array([[1.0, -3.0], [0.5, 8.0]]) *  0.5 ** t
-            assert np.array_equal(f, expected)
+    @pytest.mark.filterwarnings("error")
+    def test_exact_reads_give_zero_at_huge_span(self):
+        # values 0 and 1 read out exactly under shots, whatever span * span is
+        targets = np.array([[0.0, 1e300], [1e300, 0.0]])
+        est = EstimatorConfig(mode=SHOT_SAMPLING, shots=64)
+        q_tilde, _, closed = _read_out(targets, np.ones(4, dtype=bool), est,
+                                       np.random.default_rng(1))
+        assert closed == 0.0
+        assert np.array_equal(q_tilde, targets)
 
-    def test_geometric_rate_generic(self):
-        eta = 0.3
-        f0 = np.array([[2.0, -1.0]])
-        target = np.array([[0.7, 0.7]])
-        f = f0.copy()
-        for t in range(1, 40):
-            f = update_baseline(f, target, eta)
-            expected_gap = (1 - eta) ** t * np.abs(f0 - target).max()
-            assert np.abs(f - target).max() == pytest.approx(expected_gap, rel=1e-9)
-
-    def test_rejects_bad_eta(self):
-        with pytest.raises(ValueError):
-            update_baseline(np.zeros((1, 1)), np.zeros((1, 1)), 1.5)
+    def test_constant_targets_give_zero(self):
+        targets = np.full((4, 2), 1.5)
+        for est in (EstimatorConfig(mode=SHOT_SAMPLING, shots=64),
+                    EstimatorConfig(mode=AE_ORACLE, epsilon=0.1)):
+            q_tilde, queries, closed = _read_out(
+                targets, np.ones(8, dtype=bool), est, np.random.default_rng(1))
+            assert (queries, closed) == (0, 0.0)
+            assert np.array_equal(q_tilde, targets)
 
 
 class TestPolicyImprove:
@@ -377,24 +351,9 @@ class TestRunQPolicy:
         assert records[0].bellman_error_max == pytest.approx(
             np.abs(q_tilde.max(axis=1)).max(), abs=0)
 
-    def test_auto_lambda_smoke(self, grid4):
-        cfg = QPolicyConfig(
-            epsilon=0.05,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=3),
-            seed=3, lambda_mode="auto_lambda", eta=0.3, max_iterations=15,
-            convergence_tol=1e-12,
-        )
-        records, policy = run_qpolicy(grid4, cfg)
-        assert len(records) == 15
-        assert np.isfinite([r.bellman_error_max for r in records]).all()
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            QPolicyConfig(eta=1.5)
-        with pytest.raises(ValueError):
             QPolicyConfig(convergence_tol=0.0)
-        with pytest.raises(ValueError):
-            QPolicyConfig(lambda_mode="other")
         with pytest.raises(ValueError):
             QPolicyConfig(epsilon=-1.0)
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
 from qpolicy.engine import QPolicyConfig, run_qpolicy
@@ -15,7 +17,6 @@ from qpolicy.experiments import (
     run_ablation,
     run_noise_comparison,
     run_query_complexity_study,
-    run_update_rule_ablation,
     summarize,
 )
 from qpolicy.mdp import Policy, bellman_backup
@@ -90,6 +91,14 @@ class TestSummarize:
     def test_requires_two_series(self):
         with pytest.raises(ValueError):
             summarize([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("n", [2, 5, 10, 50])
+    def test_half_width_uses_t_quantile(self, n):
+        data = np.random.default_rng(n).normal(size=(n, 3))
+        std = data.std(axis=0, ddof=1)
+        want = scipy_stats.t.ppf(0.975, n - 1) * std / np.sqrt(n)
+        for st, w in zip(summarize(data), want):
+            assert st.ci95_high - st.mean == pytest.approx(w, rel=1e-12)
 
     def test_coverage_of_t_interval(self):
         rng = np.random.default_rng(0)
@@ -242,31 +251,6 @@ class TestNoiseComparison:
 
 
 class TestUpdateRuleAblation:
-    def test_no_cv_is_beta_zero(self, grid4):
-        cfg = shot_config(iters=15, beta=0.4, eta=0.2)
-        out = run_update_rule_ablation(grid4, cfg, ["no_control_variate"], seeds=[7])
-        explicit = QPolicyConfig(
-            epsilon=0.01, beta=0.0, eta=0.2,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=7),
-            seed=7, max_iterations=15, convergence_tol=1e-12,
-        )
-        direct, _ = run_qpolicy(grid4, explicit)
-        assert records_equal(out["no_control_variate"][0].records, direct)
-
-    def test_unknown_variant_rejected(self, grid4):
-        with pytest.raises(ValueError):
-            run_update_rule_ablation(grid4, shot_config(), ["bogus"])
-
-    def test_auto_lambda_reduces_readout_variance(self, grid4):
-        cfg = shot_config(iters=40, lambda_mode="auto_lambda", eta=0.1)
-        out = run_update_rule_ablation(
-            grid4, cfg, ["full", "no_control_variate"], seeds=range(30))
-
-        def mean_qvar(runs):
-            return np.mean([np.mean([r.q_variance for r in run.records]) for run in runs])
-
-        assert mean_qvar(out["full"]) <= mean_qvar(out["no_control_variate"])
-
     def test_oracle_beats_shots_at_matched_budget(self, grid4):
         # ceil(1/epsilon) = 512 queries per readout on both arms
         eps = 1.0 / 512
@@ -275,12 +259,14 @@ class TestUpdateRuleAblation:
             estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, epsilon=eps),
             max_iterations=40, convergence_tol=1e-12,
         )
-        out = run_update_rule_ablation(
-            grid4, cfg, ["ae_oracle_mode", "shot_mode"], seeds=range(30))
 
-        def mean_err(runs):
-            return np.mean([run.records[-1].bellman_error_max for run in runs])
+        def runs(mode):
+            return [run_qpolicy(grid4, replace(cfg, seed=seed, estimator=replace(
+                cfg.estimator, mode=mode, seed=seed)))[0] for seed in range(30)]
 
-        ae_arm, shot_arm = out["ae_oracle_mode"], out["shot_mode"]
-        assert ae_arm[0].records[0].queries_iteration == shot_arm[0].records[0].queries_iteration
+        def mean_err(arm):
+            return np.mean([records[-1].bellman_error_max for records in arm])
+
+        ae_arm, shot_arm = runs(AE_ORACLE), runs(SHOT_SAMPLING)
+        assert ae_arm[0][0].queries_iteration == shot_arm[0][0].queries_iteration
         assert mean_err(ae_arm) < mean_err(shot_arm)

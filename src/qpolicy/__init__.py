@@ -24,6 +24,7 @@ from .emulator import (
     shift_for_encoding,
 )
 from .engine import (
+    DivergenceError,
     IndexMap,
     IterationRecord,
     QPolicyConfig,

@@ -44,6 +44,10 @@ from .rng import stream
 _READOUT = 1
 
 
+class DivergenceError(RuntimeError):
+    """The backup targets of an iteration left the finite float range."""
+
+
 @dataclass(frozen=True)
 class IndexMap:
     """Bijection between (s, a) pairs and flat indices idx = s * A + a."""
@@ -161,25 +165,34 @@ def _readout_mask(mdp: TabularMDP, skip_terminal: bool) -> np.ndarray:
     return mask.reshape(-1)
 
 
-def _normalize_targets(targets: QTable):
-    """Affine map of the target table onto [0, 1] plus its span."""
+def _normalize_targets(targets: QTable, iteration: int):
+    """Affine map of the target table onto [0, 1] plus its span.
+
+    A target that is not finite, or a span that overflows, leaves the map
+    without meaning: that raises DivergenceError naming the iteration.
+    """
     lo = float(targets.min())
     span = float(targets.max()) - lo
+    if not math.isfinite(span):
+        raise DivergenceError(
+            f"iteration {iteration}: backup targets are not finite or span more "
+            f"than the float range (min {lo!r}, span {span!r})")
     if span == 0.0:
         return None, lo, 0.0
     return (targets.reshape(-1) - lo) / span, lo, span
 
 
 def _read_out(targets: QTable, mask: np.ndarray, estimator: EstimatorConfig,
-              rng: np.random.Generator):
+              rng: np.random.Generator, iteration: int = 0):
     """Read the masked target entries out once; returns (q_tilde, queries,
     q_variance).
 
     Entries outside the mask keep their exact targets at zero cost.
     q_variance is the expected variance of one readout of q_tilde, averaged
-    over all (s, a) entries, unmasked ones counting zero.
+    over all (s, a) entries, unmasked ones counting zero. A lone update
+    counts as iteration 0, the readout stream key it draws from by default.
     """
-    normalized, lo, span = _normalize_targets(targets)
+    normalized, lo, span = _normalize_targets(targets, iteration)
     if normalized is None:
         return targets.copy(), 0, 0.0
     values = normalized[mask]
@@ -230,7 +243,9 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     Iteration k is quantum_bellman_update with the readout stream of key k,
     followed by greedy improvement. Stops early when max |q_tilde - q| drops
     below convergence_tol. Bellman error is tracked as max/mean of
-    |V_{k+1} - V_k| with V the greedy value of the table.
+    |V_{k+1} - V_k| with V the greedy value of the table. Raises
+    DivergenceError when an iteration's backup targets leave the finite
+    float range.
     """
     mdp_eff = mdp.with_gamma(config.gamma) if config.gamma is not None else mdp
     q = np.zeros((mdp_eff.num_states, mdp_eff.num_actions))
@@ -242,7 +257,7 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     for k in range(config.max_iterations):
         targets = bellman_backup(mdp_eff, q, policy)
         q_tilde, queries, q_var = _read_out(
-            targets, mask, config.estimator, stream(config.seed, _READOUT, k))
+            targets, mask, config.estimator, stream(config.seed, _READOUT, k), k)
         policy = policy_improve(q_tilde)
 
         diff = np.abs(q_tilde.max(axis=1) - q.max(axis=1))

@@ -2,10 +2,13 @@
 
 States and actions are integer indexed. Transition rows are stored sparsely
 as (next_state, probability) lists and rewards are expected immediate
-rewards r(s, a). Terminal states self-loop with zero reward so value
-recursions need no special casing. Everything here is deterministic given
-its inputs; the only stochastic operation, Monte Carlo evaluation, takes an
-explicit seed.
+rewards r(s, a). The backup, the solvers and the Monte Carlo sampler read
+the rows through one padded operator built at construction, (S*A, d) arrays
+of next states and probabilities with d the widest row, so memory and time
+per backup grow with S*A*d rather than with the S*A*S of a dense tensor.
+Terminal states self-loop with zero reward so value recursions need no
+special casing. Everything here is deterministic given its inputs; the only
+stochastic operation, Monte Carlo evaluation, takes an explicit seed.
 """
 from __future__ import annotations
 
@@ -30,7 +33,12 @@ QTable = np.ndarray  # dense (num_states, num_actions) float array
 
 @dataclass
 class TabularMDP:
-    """Finite MDP (S, A, P, r, gamma) with sparse per-(s, a) transition rows."""
+    """Finite MDP (S, A, P, r, gamma) with sparse per-(s, a) transition rows.
+
+    Row s * A + a of the read-only operator (next_states, next_probs) holds
+    the row of (s, a) sorted by next state, with repeated next states merged
+    and the tail padded with probability 0 on the row's last next state.
+    """
 
     num_states: int
     num_actions: int
@@ -40,6 +48,8 @@ class TabularMDP:
     terminal_states: frozenset = frozenset()
     start_state: int = 0
     sparsity_d: int = field(init=False)
+    next_states: np.ndarray = field(init=False, repr=False, compare=False)  # (S*A, d) intp
+    next_probs: np.ndarray = field(init=False, repr=False, compare=False)  # (S*A, d) float
 
     def __post_init__(self):
         if self.num_states < 1 or self.num_actions < 1:
@@ -54,7 +64,7 @@ class TabularMDP:
         self.terminal_states = frozenset(int(t) for t in self.terminal_states)
         if len(self.transitions) != self.num_states:
             raise ValueError("transitions must have one row list per state")
-        support = 0
+        rows = []
         for s in range(self.num_states):
             if len(self.transitions[s]) != self.num_actions:
                 raise ValueError(f"state {s} must have one transition row per action")
@@ -71,27 +81,34 @@ class TabularMDP:
                     total += p
                 if abs(total - 1.0) > PROB_TOL:
                     raise ValueError(f"row ({s}, {a}) sums to {total}, not 1")
-                support = max(support, sum(1 for _, p in row if p > 0))
                 if s in self.terminal_states:
                     if row != [(s, 1.0)] or self.rewards[s, a] != 0.0:
                         raise ValueError(f"terminal state {s} must self-loop with reward 0")
-        self.sparsity_d = support
+                rows.append(row)
         if not 0 <= self.start_state < self.num_states:
             raise ValueError("start_state out of range")
         self.rewards.flags.writeable = False
-        self._dense = None
+        self.next_states, self.next_probs = _padded_operator(rows)
+        # distinct next states of positive probability in the widest row
+        self.sparsity_d = int(np.count_nonzero(self.next_probs > 0, axis=1).max())
+
+    def expect(self, v: np.ndarray) -> np.ndarray:
+        """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s')."""
+        # padding reads the row's own last next state, so an infinite value
+        # elsewhere in v cannot turn a row into 0 * inf
+        rows = (self.next_probs * v[self.next_states]).sum(axis=1)
+        return rows.reshape(self.num_states, self.num_actions)
 
     def transition_matrix(self) -> np.ndarray:
-        """Dense (S, A, S) transition tensor, built lazily and cached."""
-        if self._dense is None:
-            dense = np.zeros((self.num_states, self.num_actions, self.num_states))
-            for s in range(self.num_states):
-                for a in range(self.num_actions):
-                    for s_next, p in self.transitions[s][a]:
-                        dense[s, a, s_next] += p
-            dense.flags.writeable = False
-            self._dense = dense
-        return self._dense
+        """Dense (S, A, S) tensor of the operator, built on every call.
+
+        For oracles and small demos only: it takes S*A*S floats, and no
+        solver or sampler in the library uses it.
+        """
+        dense = np.zeros((self.num_states * self.num_actions, self.num_states))
+        rows = np.arange(len(dense))[:, None]
+        np.add.at(dense, (rows, self.next_states), self.next_probs)
+        return dense.reshape(self.num_states, self.num_actions, self.num_states)
 
     def with_gamma(self, gamma: float) -> "TabularMDP":
         """Copy of this MDP with a different discount factor."""
@@ -101,6 +118,37 @@ class TabularMDP:
 
     def is_terminal(self, s: int) -> bool:
         return s in self.terminal_states
+
+
+def _padded_operator(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (len(rows), d) next-state and probability arrays.
+
+    Each row is sorted by next state, repeated next states are summed in
+    row order, and the tail is padded with probability 0 on the row's last
+    next state; d is the widest merged row.
+    """
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    entries = [entry for row in rows for entry in row]
+    states = np.array([s_next for s_next, _ in entries], dtype=np.intp)
+    probs = np.array([p for _, p in entries], dtype=float)
+    row_of = np.repeat(np.arange(len(rows)), lengths)
+    order = np.lexsort((states, row_of))  # stable, so duplicates keep row order
+    row_of, states, probs = row_of[order], states[order], probs[order]
+    first = np.ones(len(states), dtype=bool)
+    first[1:] = (row_of[1:] != row_of[:-1]) | (states[1:] != states[:-1])
+    starts = np.flatnonzero(first)
+    probs = np.add.reduceat(probs, starts)
+    states, row_of = states[starts], row_of[starts]
+    widths = np.bincount(row_of, minlength=len(rows))
+    row_start = np.cumsum(widths) - widths
+    column = np.arange(len(states)) - row_start[row_of]
+    next_states = np.repeat(states[row_start + widths - 1][:, None], widths.max(), axis=1)
+    next_states[row_of, column] = states
+    next_probs = np.zeros(next_states.shape)
+    next_probs[row_of, column] = probs
+    next_states.flags.writeable = False
+    next_probs.flags.writeable = False
+    return next_states, next_probs
 
 
 @dataclass
@@ -313,7 +361,7 @@ def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
     if q.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError(f"q table shape {q.shape} does not match the MDP")
     v = (policy.matrix(mdp.num_actions) * q).sum(axis=1)
-    return mdp.rewards + mdp.gamma * mdp.transition_matrix().dot(v)
+    return mdp.rewards + mdp.gamma * mdp.expect(v)
 
 
 def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
@@ -341,10 +389,9 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]
     if tol <= 0:
         raise ValueError("tol must be positive")
     threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    p = mdp.transition_matrix()
     q = np.zeros((mdp.num_states, mdp.num_actions))
     for _ in range(_MAX_SWEEPS):
-        q_next = mdp.rewards + mdp.gamma * p.dot(q.max(axis=1))
+        q_next = mdp.rewards + mdp.gamma * mdp.expect(q.max(axis=1))
         delta = np.max(np.abs(q_next - q))
         q = q_next
         if delta < threshold:
@@ -367,7 +414,10 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
         raise ValueError("horizon must be >= 1")
     s_count, a_count = mdp.num_states, mdp.num_actions
     rng = stream(seed, 0)
-    cum_p = np.cumsum(mdp.transition_matrix(), axis=2)
+    # per-row CDFs over the padded operator; a draw above a row's rounded
+    # total lands on the row's last support state
+    cum_p = np.cumsum(mdp.next_probs, axis=1)
+    last = cum_p.shape[1] - 1
     pi_matrix = policy.matrix(a_count)
     cum_pi = np.cumsum(pi_matrix, axis=1)
     deterministic = policy.kind == "deterministic"
@@ -384,8 +434,9 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
         visit_a[:, t] = actions
         step_r[:, t] = mdp.rewards[states, actions]
         u = rng.random(n)
-        rows = cum_p[states, actions]
-        states = np.minimum((rows < u[:, None]).sum(axis=1), s_count - 1)
+        rows = states * a_count + actions
+        column = np.minimum((cum_p[rows] < u[:, None]).sum(axis=1), last)
+        states = mdp.next_states[rows, column]
         if deterministic:
             actions = policy.actions[states]
         else:

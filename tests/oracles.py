@@ -1,8 +1,10 @@
 """Independent oracles used to derive expected test values.
 
-Everything here deliberately avoids the library's iterative code paths:
-policy values come from a direct linear solve, channel statistics from a
-density matrix, optimal policies from exhaustive enumeration, and grid
+Everything here deliberately avoids the library's iterative code paths
+and its sparse transition operator: transition tensors are accumulated
+densely from the raw rows, policy values come from a direct linear solve,
+Monte Carlo rollouts from CDFs over all S columns, channel statistics from
+a density matrix, optimal policies from exhaustive enumeration, and grid
 transition rows from explicit enumeration of the slip outcomes.
 """
 from __future__ import annotations
@@ -12,16 +14,74 @@ import itertools
 import numpy as np
 
 from qpolicy.mdp import Policy, TabularMDP
+from qpolicy.rng import stream
+
+
+def dense_transitions(mdp: TabularMDP) -> np.ndarray:
+    """(S, A, S) tensor accumulated entry by entry from mdp.transitions."""
+    dense = np.zeros((mdp.num_states, mdp.num_actions, mdp.num_states))
+    for s in range(mdp.num_states):
+        for a in range(mdp.num_actions):
+            for s_next, p in mdp.transitions[s][a]:
+                dense[s, a, s_next] += p
+    return dense
 
 
 def linear_solve_q(mdp: TabularMDP, policy: Policy) -> np.ndarray:
     """Q_pi from solving (I - gamma P_pi) V = r_pi directly."""
-    p = mdp.transition_matrix()
+    p = dense_transitions(mdp)
     w = policy.matrix(mdp.num_actions)
     p_pi = np.einsum("sa,sax->sx", w, p)
     r_pi = (w * mdp.rewards).sum(axis=1)
     v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
     return mdp.rewards + mdp.gamma * p.dot(v)
+
+
+def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, policy: Policy,
+                                   num_trajectories: int, horizon: int,
+                                   seed: int) -> np.ndarray:
+    """First-visit Monte Carlo Q_pi with exploring starts, each step drawn
+    by comparing one uniform against the CDF over all S next states.
+
+    Draws the same stream as mdp.mc_policy_evaluation in the same order and
+    accumulates returns in the same order, so the two agree bit for bit
+    wherever the draws pick the same next states.
+    """
+    s_count, a_count = mdp.num_states, mdp.num_actions
+    rng = stream(seed, 0)
+    cum_p = np.cumsum(dense_transitions(mdp), axis=2)
+    cum_pi = np.cumsum(policy.matrix(a_count), axis=1)
+    n = num_trajectories
+    start = rng.integers(0, s_count * a_count, size=n)
+    states, actions = start // a_count, start % a_count
+    visit_s = np.empty((n, horizon), dtype=int)
+    visit_a = np.empty((n, horizon), dtype=int)
+    step_r = np.empty((n, horizon))
+    for t in range(horizon):
+        visit_s[:, t], visit_a[:, t] = states, actions
+        step_r[:, t] = mdp.rewards[states, actions]
+        u = rng.random(n)
+        states = np.minimum((cum_p[states, actions] < u[:, None]).sum(axis=1), s_count - 1)
+        if policy.kind == "deterministic":
+            actions = policy.actions[states]
+        else:
+            u2 = rng.random(n)
+            actions = np.minimum((cum_pi[states] < u2[:, None]).sum(axis=1), a_count - 1)
+    returns = np.zeros((n, horizon + 1))
+    for t in range(horizon - 1, -1, -1):
+        returns[:, t] = step_r[:, t] + mdp.gamma * returns[:, t + 1]
+    sums = np.zeros(s_count * a_count)
+    counts = np.zeros(s_count * a_count, dtype=int)
+    seen = [set() for _ in range(n)]
+    for t in range(horizon):
+        for traj in range(n):
+            pair = int(visit_s[traj, t]) * a_count + int(visit_a[traj, t])
+            if pair not in seen[traj]:
+                seen[traj].add(pair)
+                sums[pair] += returns[traj, t]
+                counts[pair] += 1
+    estimate = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return estimate.reshape(s_count, a_count)
 
 
 def enumerate_optimal_values(mdp: TabularMDP) -> np.ndarray:

@@ -72,6 +72,19 @@ class TestRun:
                      "--out", str(blocker / "sub")])
         assert code == EXIT_RUNTIME
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["shot_sampling", "ae_oracle"])
+    def test_overflowing_run_exits_1(self, grid_env, tmp_path, capsys, mode):
+        # every positive reward at 1.7e308 overflows the second backup
+        doc = json.loads(open(grid_env, encoding="utf-8").read())
+        doc["rewards"] = [[1.7e308 if r > 0 else r for r in row] for row in doc["rewards"]]
+        env = tmp_path / "huge.json"
+        env.write_text(json.dumps(doc))
+        code = main(["run", "--env", str(env), "--mode", mode, "--iters", "5",
+                     "--out", str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        assert "iteration 1:" in capsys.readouterr().err
+
     def test_missing_env_exits_2(self, tmp_path, capsys):
         code = main(["run", "--iters", "2", "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
@@ -189,15 +202,25 @@ class TestThreadDeterminism:
             assert files_1[name] == files_8[name]
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats alone takes most of the CLI's start-up time
+def _loaded_by_cli_import(module: str) -> bool:
     src = os.path.dirname(os.path.dirname(qpolicy.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qpolicy.cli; print('scipy.stats' in sys.modules)"],
+         f"import sys, qpolicy.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats alone takes most of the CLI's start-up time
+    assert not _loaded_by_cli_import("scipy.stats")
+
+
+def test_import_leaves_scipy_sparse_out():
+    # the model's operator is plain numpy; scipy.sparse.linalg would add
+    # about 8 MiB and 0.1 s to every command's start-up
+    assert not _loaded_by_cli_import("scipy.sparse")

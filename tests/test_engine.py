@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
 from qpolicy.engine import (
+    DivergenceError,
     IndexMap,
     QPolicyConfig,
     decode_qtable,
@@ -350,6 +353,17 @@ class TestRunQPolicy:
         q_tilde, _ = quantum_bellman_update(grid4, q0, policy_improve(q0), cfg)
         assert records[0].bellman_error_max == pytest.approx(
             np.abs(q_tilde.max(axis=1)).max(), abs=0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("estimator", [
+        EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
+        EstimatorConfig(mode=AE_ORACLE, epsilon=0.01),
+    ], ids=["shots", "ae_oracle"])
+    def test_overflowing_backup_raises_divergence(self, grid4, estimator):
+        # rewards near the float maximum overflow the second backup
+        huge = replace(grid4, rewards=np.where(grid4.rewards > 0, 1.7e308, 0.0))
+        with pytest.raises(DivergenceError, match="iteration 1:"):
+            run_qpolicy(huge, QPolicyConfig(estimator=estimator, max_iterations=5))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qpolicy.emulator import SHOT_SAMPLING, EstimatorConfig
+from qpolicy.engine import QPolicyConfig, run_qpolicy
 from qpolicy.mdp import (
     Policy,
     TabularMDP,
@@ -20,6 +23,8 @@ from qpolicy.mdp import (
 
 from oracles import (
     absorbing_single,
+    dense_cdf_mc_policy_evaluation,
+    dense_transitions,
     enumerate_optimal_values,
     grid_row_oracle,
     linear_solve_q,
@@ -266,6 +271,91 @@ def test_greedy_improvement_monotone(grid4):
 
 
 # ---------------------------------------------------------------------------
+# The sparse operator against the dense oracle
+# ---------------------------------------------------------------------------
+
+def scrambled_random_mdp(num_states, num_actions, gamma, seed, branching, dup_row):
+    """random_mdp with every row reversed, so unsorted, and in row dup_row
+    the first entry split in two parts with the second moved to the end."""
+    base = random_mdp(num_states, num_actions, gamma, seed, branching)
+    transitions = [[list(reversed(row)) for row in rows] for rows in base.transitions]
+    s, a = divmod(dup_row % (num_states * num_actions), num_actions)
+    row = transitions[s][a]
+    s_next, p = row[0]
+    row[0] = (s_next, 0.3 * p)
+    row.append((s_next, p - 0.3 * p))
+    return TabularMDP(num_states, num_actions, transitions, base.rewards, gamma)
+
+
+def check_against_dense(mdp, seed):
+    """expect, the backup and both solvers against the dense oracle."""
+    dense = dense_transitions(mdp)
+    assert np.array_equal(mdp.transition_matrix(), dense)
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, size=mdp.num_states)
+    assert np.abs(mdp.expect(v) - dense.dot(v)).max() <= 1e-12
+    policy = Policy.stochastic(rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states))
+    q = rng.uniform(-1, 1, size=(mdp.num_states, mdp.num_actions))
+    expected = mdp.rewards + mdp.gamma * dense.dot(policy_values(mdp, policy, q))
+    assert np.abs(bellman_backup(mdp, q, policy) - expected).max() <= 1e-12
+    q_pi = exact_policy_evaluation(mdp, policy, 1e-13)
+    assert np.abs(q_pi - linear_solve_q(mdp, policy)).max() <= 1e-12
+    q_star, _ = value_iteration(mdp, 1e-13)
+    residual = mdp.rewards + mdp.gamma * dense.dot(q_star.max(axis=1)) - q_star
+    assert np.abs(residual).max() <= 1e-12
+
+
+class TestOperator:
+    def test_rows_sorted_merged_and_padded(self):
+        mdp = TabularMDP(2, 2, [[[(1, 0.5), (0, 0.25), (1, 0.25)], [(0, 1.0)]],
+                                [[(1, 1.0)], [(1, 0.5), (0, 0.5)]]],
+                         np.zeros((2, 2)), 0.9)
+        assert mdp.next_states.tolist() == [[0, 1], [0, 0], [1, 1], [0, 1]]
+        assert mdp.next_probs.tolist() == [[0.25, 0.75], [1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
+        assert mdp.sparsity_d == 2  # the repeated next state counts once
+        assert not mdp.next_states.flags.writeable
+        assert not mdp.next_probs.flags.writeable
+
+    def test_padding_reads_only_the_row_support(self):
+        # an infinite value outside a row's support must not reach it as 0 * inf
+        mdp = TabularMDP(3, 1, [[[(1, 1.0)]], [[(2, 0.5), (1, 0.5)]], [[(2, 1.0)]]],
+                         np.zeros((3, 1)), 0.9)
+        with np.errstate(all="raise"):
+            out = mdp.expect(np.array([np.inf, 1.0, 2.0]))
+        assert out[:, 0].tolist() == [1.0, 1.5, 2.0]
+
+    @pytest.mark.parametrize("name", ["grid4", "frozen8"])
+    def test_matches_dense_oracle(self, name, request):
+        check_against_dense(request.getfixturevalue(name), seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(num_states=st.integers(1, 12), num_actions=st.integers(1, 4),
+           gamma=st.floats(0.0, 0.8), seed=st.integers(0, 2**32 - 1),
+           branching=st.integers(1, 4), dup_row=st.integers(0, 47))
+    def test_matches_dense_oracle_on_scrambled_rows(self, num_states, num_actions, gamma,
+                                                    seed, branching, dup_row):
+        mdp = scrambled_random_mdp(num_states, num_actions, gamma, seed, branching, dup_row)
+        check_against_dense(mdp, seed)
+
+
+def test_100x100_grid_needs_no_dense_tensor(monkeypatch):
+    # the dense (S, A, S) tensor of this grid would take 3.2 GB
+    def refuse(self):
+        raise AssertionError("transition_matrix() called")
+    monkeypatch.setattr(TabularMDP, "transition_matrix", refuse)
+    mdp = build_gridworld(100, 100, 0.2, (99, 99), 0.95)
+    q_star, greedy = value_iteration(mdp, 1e-6)
+    q_pi = exact_policy_evaluation(mdp, greedy, 1e-6)
+    assert np.abs(q_pi - q_star).max() < 1e-5
+    q_mc, queries = mc_policy_evaluation(mdp, greedy, 200, horizon=20, seed=0)
+    assert queries == 200 and np.all(np.isfinite(q_mc))
+    config = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, seed=0),
+                           max_iterations=3, seed=0)
+    records, _ = run_qpolicy(mdp, config)
+    assert len(records) == 3
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 # ---------------------------------------------------------------------------
 
@@ -310,6 +400,15 @@ class TestMonteCarlo:
         se = tables.std(axis=0, ddof=1) / np.sqrt(50)
         truncation = mdp.gamma ** horizon / (1 - mdp.gamma)
         assert np.all(np.abs(mean - q_exact) <= 3 * se + truncation + 1e-12)
+
+    @pytest.mark.parametrize("name", ["grid4", "frozen8"])
+    def test_bitwise_equal_to_dense_cdf_sampler(self, name, request):
+        mdp = request.getfixturevalue(name)
+        _, greedy = value_iteration(mdp, 1e-8)
+        for seed, policy in enumerate([greedy, Policy.uniform(mdp.num_states, 4)]):
+            q_mc, _ = mc_policy_evaluation(mdp, policy, 300, horizon=40, seed=seed)
+            q_ref = dense_cdf_mc_policy_evaluation(mdp, policy, 300, 40, seed)
+            assert q_mc.tobytes() == q_ref.tobytes()
 
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):

@@ -270,14 +270,18 @@ def readout_batch(values: np.ndarray, config: EstimatorConfig,
     """Estimate a batch of values in [0, 1], one readout each.
 
     Elementwise independent draws in index order, so results do not depend
-    on how callers partition the batch.
+    on how callers partition the batch. Every estimate lies in [0, 1]: an
+    ae_oracle read is clipped there, as no amplitude estimator can return a
+    value outside it, and the clipped read stays within epsilon of its
+    depolarized value.
     """
     values = np.asarray(values, dtype=float)
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise ValueError("readout values must lie in [0, 1]")
     noisy = depolarized_value(values, config.noise.depolarizing_p)
     if config.mode == AE_ORACLE:
-        return noisy + rng.uniform(-config.epsilon, config.epsilon, size=values.shape)
+        error = rng.uniform(-config.epsilon, config.epsilon, size=values.shape)
+        return np.clip(noisy + error, 0.0, 1.0)
     counts = rng.binomial(config.shots, noisy)
     return counts / config.shots
 
@@ -285,24 +289,37 @@ def readout_batch(values: np.ndarray, config: EstimatorConfig,
 def readout_variance(values: np.ndarray, config: EstimatorConfig) -> np.ndarray:
     """Variance of readout_batch's estimate of each value, in closed form.
 
-    ae_oracle: the uniform error on [-epsilon, +epsilon] has variance
-    epsilon^2 / 3. shot_sampling: a binomial mean over `shots` draws of the
-    depolarized value p~ has variance p~ (1 - p~) / shots.
+    ae_oracle: the depolarized value p~ plus a uniform error on
+    [-epsilon, +epsilon], clipped to [0, 1]; epsilon^2 / 3 wherever the
+    clip cannot act. shot_sampling: a binomial mean over `shots` draws of
+    p~ has variance p~ (1 - p~) / shots.
     """
-    values = np.asarray(values, dtype=float)
+    noisy = depolarized_value(np.asarray(values, dtype=float), config.noise.depolarizing_p)
     if config.mode == AE_ORACLE:
-        return np.full(values.shape, config.epsilon ** 2 / 3.0)
-    noisy = depolarized_value(values, config.noise.depolarizing_p)
+        return _clipped_uniform_variance(noisy, config.epsilon)
     return noisy * (1.0 - noisy) / config.shots
+
+
+def _clipped_uniform_variance(center: np.ndarray, epsilon: float) -> np.ndarray:
+    """Variance of clip(center + U, 0, 1) for U uniform on [-epsilon, epsilon]."""
+    # the clip bounds relative to center; the mass of U beyond them sits on them
+    lo = -np.minimum(epsilon, center)
+    hi = np.minimum(epsilon, 1.0 - center)
+    width = 2.0 * epsilon
+    mean = ((hi ** 2 - lo ** 2) / 2.0 + lo * (epsilon + lo) + hi * (epsilon - hi)) / width
+    second = ((hi ** 3 - lo ** 3) / 3.0 + lo ** 2 * (epsilon + lo)
+              + hi ** 2 * (epsilon - hi)) / width
+    return second - mean ** 2
 
 
 def amplitude_estimate(true_value: float, config: EstimatorConfig) -> tuple[float, int]:
     """Estimate one probability amplitude; returns (estimate, queries).
 
-    ae_oracle: true value plus uniform error on [-epsilon, +epsilon], cost
-    ceil(c_ae / epsilon). shot_sampling: empirical mean of `shots` Bernoulli
-    draws, cost shots. Deterministic given config.seed. With noise, the
-    estimate targets the depolarized value (the state actually measured).
+    ae_oracle: true value plus uniform error on [-epsilon, +epsilon],
+    clipped to [0, 1], cost ceil(c_ae / epsilon). shot_sampling: empirical
+    mean of `shots` Bernoulli draws, cost shots. Deterministic given
+    config.seed. With noise, the estimate targets the depolarized value (the
+    state actually measured).
     """
     if not 0.0 <= true_value <= 1.0:
         raise ValueError("true_value must lie in [0, 1]")

@@ -1,10 +1,12 @@
 """Policy iteration with emulated quantum readout.
 
-Each iteration flattens the Q table through the (s, a) index bijection,
-computes exact one-step backup targets from the model (the action the
-Bellman unitary would implement), maps the targets affinely into [0, 1],
-reads every entry back once through the configured estimator, and improves
-the policy greedily on the read-out table. Query accounting covers every
+Each iteration computes exact one-step backup targets from the model (the
+action the Bellman unitary would implement), maps the target table affinely
+into [0, 1], reads every entry back once through the configured estimator,
+and improves the policy greedily on the read-out table. Each read lies in
+[0, 1], so the read-out table stays within the hull of its targets and
+hence within the reward bound over 1 - gamma; a run whose table leaves that
+bound stops with DivergenceError. Query accounting covers every
 estimator invocation; rows whose targets are known exactly (terminal states
 pinned at zero) can be skipped at zero cost. The reported readout variance
 is the estimator's expected variance, in closed form.
@@ -44,8 +46,14 @@ from .rng import stream
 _READOUT = 1
 
 
+# Relative slack of the reward-bound check, for the rounding of
+# lo + span * read at the ends of the bound.
+_BOUND_RTOL = 1e-9
+
+
 class DivergenceError(RuntimeError):
-    """The backup targets of an iteration left the finite float range."""
+    """An iteration's backup targets left the finite float range, or its
+    read-out table left the reward bound over 1 - gamma."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,19 @@ def decode_qtable(state: StateVector | None, scale: float, offset: float,
 # Quantum-emulated Bellman evaluation
 # ---------------------------------------------------------------------------
 
+def _value_bound(mdp: TabularMDP) -> tuple[float, float]:
+    """[min(r_min, 0), max(r_max, 0)] / (1 - gamma).
+
+    Every Q_pi lies within it, and so does every table of a run from q = 0
+    whose reads stay in the hull of their targets, since the backup maps
+    the interval into itself. The 0 only matters for an MDP without a
+    terminal state, whose rewards may all have one sign.
+    """
+    scale = 1.0 / (1.0 - mdp.gamma)
+    return (min(float(mdp.rewards.min()), 0.0) * scale,
+            max(float(mdp.rewards.max()), 0.0) * scale)
+
+
 def _readout_mask(mdp: TabularMDP, skip_terminal: bool) -> np.ndarray:
     """Flat boolean mask of (s, a) entries that go through the estimator."""
     mask = np.ones((mdp.num_states, mdp.num_actions), dtype=bool)
@@ -245,7 +266,7 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     below convergence_tol. Bellman error is tracked as max/mean of
     |V_{k+1} - V_k| with V the greedy value of the table. Raises
     DivergenceError when an iteration's backup targets leave the finite
-    float range.
+    float range or its read-out table leaves the reward bound.
     """
     mdp_eff = mdp.with_gamma(config.gamma) if config.gamma is not None else mdp
     q = np.zeros((mdp_eff.num_states, mdp_eff.num_actions))
@@ -253,28 +274,39 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     records: list[IterationRecord] = []
     cumulative = 0
     mask = _readout_mask(mdp_eff, config.skip_terminal_rows)
+    lo, hi = _value_bound(mdp_eff)
+    slack = _BOUND_RTOL * max(-lo, hi)
 
-    for k in range(config.max_iterations):
-        targets = bellman_backup(mdp_eff, q, policy)
-        q_tilde, queries, q_var = _read_out(
-            targets, mask, config.estimator, stream(config.seed, _READOUT, k), k)
-        policy = policy_improve(q_tilde)
+    # tables near the float limit read inf in the bookkeeping below; a
+    # diverging run is reported by DivergenceError alone
+    with np.errstate(over="ignore"):
+        for k in range(config.max_iterations):
+            targets = bellman_backup(mdp_eff, q, policy)
+            q_tilde, queries, q_var = _read_out(
+                targets, mask, config.estimator, stream(config.seed, _READOUT, k), k)
+            v_next = q_tilde.max(axis=1)
+            q_min, q_max = float(q_tilde.min()), float(v_next.max())
+            if q_min < lo - slack or q_max > hi + slack:
+                raise DivergenceError(
+                    f"iteration {k}: the read-out table spans [{q_min!r}, {q_max!r}], "
+                    f"outside the reward bound [{lo!r}, {hi!r}]")
+            policy = policy_improve(q_tilde)
 
-        diff = np.abs(q_tilde.max(axis=1) - q.max(axis=1))
-        cumulative += queries
-        records.append(IterationRecord(
-            iteration=k,
-            bellman_error_max=float(diff.max()),
-            bellman_error_mean=float(diff.mean()),
-            q_variance=q_var,
-            queries_iteration=queries,
-            queries_cumulative=cumulative,
-            policy_actions=policy.actions.copy(),
-        ))
-        table_shift = float(np.max(np.abs(q_tilde - q)))
-        q = q_tilde
-        if table_shift < config.convergence_tol:
-            break
+            diff = np.abs(v_next - q.max(axis=1))
+            cumulative += queries
+            records.append(IterationRecord(
+                iteration=k,
+                bellman_error_max=float(diff.max()),
+                bellman_error_mean=float(diff.mean()),
+                q_variance=q_var,
+                queries_iteration=queries,
+                queries_cumulative=cumulative,
+                policy_actions=policy.actions.copy(),
+            ))
+            table_shift = float(np.max(np.abs(q_tilde - q)))
+            q = q_tilde
+            if table_shift < config.convergence_tol:
+                break
     return records, policy
 
 

@@ -95,8 +95,10 @@ class TabularMDP:
     def expect(self, v: np.ndarray) -> np.ndarray:
         """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s')."""
         # padding reads the row's own last next state, so an infinite value
-        # elsewhere in v cannot turn a row into 0 * inf
-        rows = (self.next_probs * v[self.next_states]).sum(axis=1)
+        # elsewhere in v cannot turn a row into 0 * inf; a diverging caller
+        # reports the overflow itself, so numpy stays quiet about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = (self.next_probs * v[self.next_states]).sum(axis=1)
         return rows.reshape(self.num_states, self.num_actions)
 
     def transition_matrix(self) -> np.ndarray:
@@ -361,7 +363,8 @@ def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
     if q.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError(f"q table shape {q.shape} does not match the MDP")
     v = (policy.matrix(mdp.num_actions) * q).sum(axis=1)
-    return mdp.rewards + mdp.gamma * mdp.expect(v)
+    with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
+        return mdp.rewards + mdp.gamma * mdp.expect(v)
 
 
 def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
@@ -407,56 +410,86 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
     the policy for `horizon` steps. Discounted returns from the first visit
     of each pair are averaged; pairs never visited estimate 0. The query
     count is one per trajectory (a rollout is one environment query).
+
+    A trajectory that reaches a terminal state is absorbed: from there on it
+    earns 0 and visits only terminal pairs, whose estimate is 0 however
+    often they are visited, so it leaves the live set, and the loop ends
+    once no trajectory is live. The estimates are those of stepping every
+    trajectory to the horizon, bit for bit. Each step still draws its
+    uniforms for every trajectory, live or not, so the random stream does
+    not depend on when trajectories are absorbed. First visits are found by
+    sorting (trajectory, pair, step) keys and summed in time-major,
+    trajectory-ascending order, so memory is O(n * horizon) with no S*A
+    term.
     """
     if num_trajectories < 1:
         raise ValueError("num_trajectories must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     s_count, a_count = mdp.num_states, mdp.num_actions
+    pair_count = s_count * a_count
     rng = stream(seed, 0)
     # per-row CDFs over the padded operator; a draw above a row's rounded
     # total lands on the row's last support state
     cum_p = np.cumsum(mdp.next_probs, axis=1)
     last = cum_p.shape[1] - 1
-    pi_matrix = policy.matrix(a_count)
-    cum_pi = np.cumsum(pi_matrix, axis=1)
+    cum_pi = np.cumsum(policy.matrix(a_count), axis=1)
     deterministic = policy.kind == "deterministic"
+    terminal = np.zeros(s_count, dtype=bool)
+    terminal[sorted(mdp.terminal_states)] = True
 
     n = num_trajectories
-    start = rng.integers(0, s_count * a_count, size=n)
+    # visited pairs, time-major, -1 once a trajectory is absorbed; the extra
+    # zero row of rewards seeds the return recursion
+    pairs = np.full((horizon, n), -1, dtype=np.intp)
+    returns = np.zeros((horizon + 1, n))
+    start = rng.integers(0, pair_count, size=n)
+    live = np.arange(n)
     states = start // a_count
     actions = start % a_count
-    visit_s = np.empty((n, horizon), dtype=int)
-    visit_a = np.empty((n, horizon), dtype=int)
-    step_r = np.empty((n, horizon))
+    steps = horizon
     for t in range(horizon):
-        visit_s[:, t] = states
-        visit_a[:, t] = actions
-        step_r[:, t] = mdp.rewards[states, actions]
-        u = rng.random(n)
         rows = states * a_count + actions
+        pairs[t, live] = rows
+        returns[t, live] = mdp.rewards[states, actions]
+        absorbed = terminal[states]
+        if absorbed.any():
+            kept = ~absorbed
+            live, states, rows = live[kept], states[kept], rows[kept]
+            if live.size == 0:
+                steps = t + 1
+                break
+        u = rng.random(n)[live]
         column = np.minimum((cum_p[rows] < u[:, None]).sum(axis=1), last)
         states = mdp.next_states[rows, column]
         if deterministic:
             actions = policy.actions[states]
         else:
-            u2 = rng.random(n)
+            u2 = rng.random(n)[live]
             actions = np.minimum((cum_pi[states] < u2[:, None]).sum(axis=1), a_count - 1)
 
-    returns = np.zeros((n, horizon + 1))
-    for t in range(horizon - 1, -1, -1):
-        returns[:, t] = step_r[:, t] + mdp.gamma * returns[:, t + 1]
+    returns = returns[:steps + 1]
+    for t in range(steps - 1, -1, -1):
+        returns[t] += mdp.gamma * returns[t + 1]
 
-    sums = np.zeros(s_count * a_count)
-    counts = np.zeros(s_count * a_count, dtype=int)
-    seen = np.zeros((n, s_count * a_count), dtype=bool)
-    traj = np.arange(n)
-    for t in range(horizon):
-        pair = visit_s[:, t] * a_count + visit_a[:, t]
-        fresh = ~seen[traj, pair]
-        seen[traj[fresh], pair[fresh]] = True
-        np.add.at(sums, pair[fresh], returns[fresh, t])
-        np.add.at(counts, pair[fresh], 1)
+    # an entry equal to its trajectory's previous pair is never a first visit
+    pairs = pairs[:steps]
+    candidate = pairs >= 0
+    candidate[1:] &= pairs[1:] != pairs[:-1]
+    pairs = pairs.ravel()
+    position = np.flatnonzero(candidate)  # time-major positions t * n + trajectory
+    # sorted (trajectory, pair, t) keys: each (trajectory, pair) run opens
+    # with its first visit
+    key = ((position % n) * pair_count + pairs[position]) * steps + position // n
+    key.sort()
+    visit = key // steps
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = visit[1:] != visit[:-1]
+    key, visit = key[first], visit[first]
+    position = np.sort(key % steps * n + visit // pair_count)  # time-major again
+    pair = pairs[position]
+    sums = np.bincount(pair, weights=returns.ravel()[position], minlength=pair_count)
+    counts = np.bincount(pair, minlength=pair_count)
 
     estimate = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
     return estimate.reshape(s_count, a_count), num_trajectories

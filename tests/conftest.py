@@ -1,5 +1,8 @@
+import os
+
 import pytest
 
+import qpolicy
 from qpolicy.mdp import build_frozenlake, build_gridworld
 
 
@@ -11,3 +14,11 @@ def grid4():
 @pytest.fixture(scope="session")
 def frozen8():
     return build_frozenlake(8, True, 0.95)
+
+
+@pytest.fixture(scope="session")
+def subprocess_env():
+    """os.environ with this checkout's qpolicy first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(qpolicy.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))

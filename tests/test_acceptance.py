@@ -6,7 +6,6 @@ follow from closed forms, from the independent oracles in oracles.py, or
 are direct artifact checks.
 """
 import json
-import os
 import subprocess
 import sys
 
@@ -253,13 +252,13 @@ def test_c13_noise_study(lake):
                 f"without, over 50 paired seeds; p=0 arm is bit-identical")
 
 
-def test_c14_cli_determinism(grid, tmp_path):
+def test_c14_cli_determinism(grid, tmp_path, subprocess_env):
     from qpolicy.mdp import save_mdp
     env_path = tmp_path / "grid.json"
     save_mdp(grid, env_path)
 
     def run_cmd(argv, out_dir, threads):
-        env = dict(os.environ, QPOLICY_THREADS=str(threads))
+        env = dict(subprocess_env, QPOLICY_THREADS=str(threads))
         proc = subprocess.run(
             [sys.executable, "-m", "qpolicy.cli"] + argv + ["--out", str(out_dir)],
             env=env, capture_output=True, text=True, timeout=600)

@@ -1,11 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import qpolicy
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpolicy.mdp import load_mdp
 
@@ -72,18 +70,36 @@ class TestRun:
                      "--out", str(blocker / "sub")])
         assert code == EXIT_RUNTIME
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["shot_sampling", "ae_oracle"])
-    def test_overflowing_run_exits_1(self, grid_env, tmp_path, capsys, mode):
-        # every positive reward at 1.7e308 overflows the second backup
+    def test_overflowing_run_exits_1(self, grid_env, tmp_path, subprocess_env, mode):
+        # every positive reward at 1.7e308 overflows the second backup; run
+        # as a user would, so that numpy warnings would reach stderr
         doc = json.loads(open(grid_env, encoding="utf-8").read())
         doc["rewards"] = [[1.7e308 if r > 0 else r for r in row] for row in doc["rewards"]]
         env = tmp_path / "huge.json"
         env.write_text(json.dumps(doc))
-        code = main(["run", "--env", str(env), "--mode", mode, "--iters", "5",
-                     "--out", str(tmp_path / "o")])
-        assert code == EXIT_RUNTIME
-        assert "iteration 1:" in capsys.readouterr().err
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpolicy.cli", "run", "--env", str(env), "--mode", mode,
+             "--iters", "5", "--out", str(tmp_path / "o")],
+            env=subprocess_env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_RUNTIME
+        assert "RuntimeWarning" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and "iteration 1:" in lines[0]
+
+    def test_large_epsilon_oracle_stays_bounded(self, grid_env, tmp_path):
+        # unclipped reads made this run grow past 1e34; clipped, every greedy
+        # value stays in [0, 1 / (1 - gamma)] = [0, 20]
+        out = tmp_path / "eps05"
+        code = main(["run", "--env", grid_env, "--mode", "ae_oracle", "--epsilon", "0.5",
+                     "--iters", "300", "--seed", "1", "--out", str(out)])
+        assert code == EXIT_OK
+        lines = (out / "records.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        errors = [float(line.split(",")[header.index("bellman_error_max")])
+                  for line in lines[1:]]
+        assert len(errors) == 300
+        assert max(errors) <= 20.0
 
     def test_missing_env_exits_2(self, tmp_path, capsys):
         code = main(["run", "--iters", "2", "--out", str(tmp_path)])
@@ -183,8 +199,8 @@ class TestStudies:
 
 
 class TestThreadDeterminism:
-    def _run_ablate(self, grid_env, out_dir, threads):
-        env = dict(os.environ, QPOLICY_THREADS=str(threads))
+    def _run_ablate(self, grid_env, out_dir, env, threads):
+        env = dict(env, QPOLICY_THREADS=str(threads))
         proc = subprocess.run(
             [sys.executable, "-m", "qpolicy.cli", "ablate", "--env", grid_env,
              "--epsilons", "0.01,0.05", "--shot-counts", "128,256",
@@ -194,18 +210,15 @@ class TestThreadDeterminism:
         assert proc.returncode == 0, proc.stderr
         return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
 
-    def test_thread_count_does_not_change_bytes(self, grid_env, tmp_path):
-        files_1 = self._run_ablate(grid_env, tmp_path / "t1", threads=1)
-        files_8 = self._run_ablate(grid_env, tmp_path / "t8", threads=8)
+    def test_thread_count_does_not_change_bytes(self, grid_env, tmp_path, subprocess_env):
+        files_1 = self._run_ablate(grid_env, tmp_path / "t1", subprocess_env, threads=1)
+        files_8 = self._run_ablate(grid_env, tmp_path / "t8", subprocess_env, threads=8)
         assert files_1.keys() == files_8.keys()
         for name in files_1:
             assert files_1[name] == files_8[name]
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    src = os.path.dirname(os.path.dirname(qpolicy.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+def _loaded_by_cli_import(module: str, env: dict) -> bool:
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, qpolicy.cli; print({module!r} in sys.modules)"],
@@ -215,12 +228,12 @@ def _loaded_by_cli_import(module: str) -> bool:
     return proc.stdout.strip() == "True"
 
 
-def test_import_leaves_scipy_stats_out():
+def test_import_leaves_scipy_stats_out(subprocess_env):
     # scipy.stats alone takes most of the CLI's start-up time
-    assert not _loaded_by_cli_import("scipy.stats")
+    assert not _loaded_by_cli_import("scipy.stats", subprocess_env)
 
 
-def test_import_leaves_scipy_sparse_out():
+def test_import_leaves_scipy_sparse_out(subprocess_env):
     # the model's operator is plain numpy; scipy.sparse.linalg would add
     # about 8 MiB and 0.1 s to every command's start-up
-    assert not _loaded_by_cli_import("scipy.sparse")
+    assert not _loaded_by_cli_import("scipy.sparse", subprocess_env)

@@ -16,6 +16,7 @@ from qpolicy.emulator import (
     decode_amplitudes,
     expected_index,
     measure,
+    readout_batch,
     shift_for_encoding,
 )
 from qpolicy.mdp import build_gridworld, value_iteration
@@ -269,6 +270,17 @@ class TestAmplitudeEstimate:
             cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=0.05, seed=trial)
             est, _ = amplitude_estimate(value, cfg)
             assert abs(est - value) <= 0.05
+
+    def test_oracle_reads_are_clipped_to_the_unit_interval(self):
+        values = np.repeat([0.0, 1.0, 0.02, 0.5], 500)
+        cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=0.3)
+        reads = readout_batch(values, cfg, np.random.default_rng(4))
+        assert reads.min() == 0.0 and reads.max() == 1.0
+        assert np.abs(reads - values).max() <= 0.3
+        # about half the reads of 0 and of 1 land on the bound itself
+        assert 0.4 < np.mean(reads[:500] == 0.0) < 0.6
+        assert 0.4 < np.mean(reads[500:1000] == 1.0) < 0.6
+        assert np.all((reads[1500:] > 0.0) & (reads[1500:] < 1.0))
 
     def test_query_cost_formula(self):
         assert ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.01)) == 100

@@ -1,8 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from qpolicy import engine
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
 from qpolicy.engine import (
     DivergenceError,
@@ -171,7 +173,8 @@ class TestReadoutVariance:
         EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
         EstimatorConfig(mode=SHOT_SAMPLING, shots=256, noise=NoiseModel(0.05)),
         EstimatorConfig(mode=AE_ORACLE, epsilon=0.05),
-    ], ids=["shots", "shots_p0.05", "ae_oracle"])
+        EstimatorConfig(mode=AE_ORACLE, epsilon=0.5, noise=NoiseModel(0.05)),
+    ], ids=["shots", "shots_p0.05", "ae_oracle", "ae_oracle_clipped"])
     def test_matches_sampled_variance(self, estimator):
         targets = self._targets()
         mask = np.ones(targets.size, dtype=bool)
@@ -354,16 +357,40 @@ class TestRunQPolicy:
         assert records[0].bellman_error_max == pytest.approx(
             np.abs(q_tilde.max(axis=1)).max(), abs=0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("estimator", [
         EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
         EstimatorConfig(mode=AE_ORACLE, epsilon=0.01),
     ], ids=["shots", "ae_oracle"])
     def test_overflowing_backup_raises_divergence(self, grid4, estimator):
-        # rewards near the float maximum overflow the second backup
+        # rewards near the float maximum overflow the second backup, quietly
         huge = replace(grid4, rewards=np.where(grid4.rewards > 0, 1.7e308, 0.0))
         with pytest.raises(DivergenceError, match="iteration 1:"):
             run_qpolicy(huge, QPolicyConfig(estimator=estimator, max_iterations=5))
+
+    def test_table_leaving_the_reward_bound_raises_divergence(self, grid4, monkeypatch):
+        # clipped reads cannot leave the bound, so a readout that doubles its
+        # input stands in for an oracle whose reads leave [0, 1]
+        monkeypatch.setattr(engine, "readout_batch", lambda values, config, rng: 2.0 * values)
+        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.1),
+                            max_iterations=100)
+        with pytest.raises(DivergenceError, match="outside the reward bound") as info:
+            run_qpolicy(grid4, cfg)
+        k = int(re.match(r"iteration (\d+):", str(info.value)).group(1))
+        assert k >= 1
+        # the iterations before the named one stay within [0, 20]
+        records, _ = run_qpolicy(grid4, replace(cfg, max_iterations=k))
+        assert len(records) == k
+        assert max(r.bellman_error_max for r in records) <= 20.0
+
+    def test_large_epsilon_oracle_stays_within_the_reward_bound(self, grid4):
+        # unclipped, these reads grew the table by up to gamma (1 + 2 epsilon)
+        # per iteration
+        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.5, seed=2),
+                            max_iterations=300)
+        records, _ = run_qpolicy(grid4, cfg)
+        assert len(records) == 300
+        assert max(r.bellman_error_max for r in records) <= 20.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qpolicy import mdp as mdp_module
 from qpolicy.emulator import SHOT_SAMPLING, EstimatorConfig
 from qpolicy.engine import QPolicyConfig, run_qpolicy
 from qpolicy.mdp import (
@@ -338,12 +341,17 @@ class TestOperator:
         check_against_dense(mdp, seed)
 
 
-def test_100x100_grid_needs_no_dense_tensor(monkeypatch):
+@pytest.fixture(scope="module")
+def grid100():
+    return build_gridworld(100, 100, 0.2, (99, 99), 0.95)
+
+
+def test_100x100_grid_needs_no_dense_tensor(grid100, monkeypatch):
     # the dense (S, A, S) tensor of this grid would take 3.2 GB
     def refuse(self):
         raise AssertionError("transition_matrix() called")
     monkeypatch.setattr(TabularMDP, "transition_matrix", refuse)
-    mdp = build_gridworld(100, 100, 0.2, (99, 99), 0.95)
+    mdp = grid100
     q_star, greedy = value_iteration(mdp, 1e-6)
     q_pi = exact_policy_evaluation(mdp, greedy, 1e-6)
     assert np.abs(q_pi - q_star).max() < 1e-5
@@ -358,6 +366,50 @@ def test_100x100_grid_needs_no_dense_tensor(monkeypatch):
 # ---------------------------------------------------------------------------
 # Monte Carlo evaluation
 # ---------------------------------------------------------------------------
+
+SAMPLER_ENVS = {
+    "grid4": lambda: build_gridworld(4, 4, 0.2, (3, 3), 0.95),
+    "grid4_deterministic": lambda: build_gridworld(4, 4, 0.0, (3, 3), 0.95),
+    "frozen8": lambda: build_frozenlake(8, True, 0.95),
+    "lake4_deterministic": lambda: build_frozenlake(4, False, 0.95),
+    "random6_no_terminal": lambda: random_mdp(6, 3, 0.9, 4),
+}
+
+
+def sampler_policies(mdp: TabularMDP) -> dict:
+    """Greedy, uniform, a skewed stochastic policy, and all-UP (action 0),
+    which on the slippery grid rarely and on the deterministic one never
+    reaches the goal."""
+    s_count, a_count = mdp.num_states, mdp.num_actions
+    _, greedy = value_iteration(mdp, 1e-8)
+    skewed = np.random.default_rng(s_count).dirichlet(np.ones(a_count), size=s_count)
+    return {
+        "greedy": greedy,
+        "uniform": Policy.uniform(s_count, a_count),
+        "skewed": Policy.stochastic(skewed),
+        "all_up": Policy.deterministic(np.zeros(s_count, dtype=int)),
+    }
+
+
+def count_uniform_draws(monkeypatch) -> list:
+    """Sizes of the sampler's rng.random calls, recorded from now on."""
+    sizes = []
+    real_stream = mdp_module.stream
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, *args, **kwargs):
+            return self.rng.integers(*args, **kwargs)
+
+        def random(self, size):
+            sizes.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(mdp_module, "stream", lambda *key: Counting(real_stream(*key)))
+    return sizes
+
 
 class TestMonteCarlo:
     def test_query_count_is_trajectories(self, grid4):
@@ -409,6 +461,50 @@ class TestMonteCarlo:
             q_mc, _ = mc_policy_evaluation(mdp, policy, 300, horizon=40, seed=seed)
             q_ref = dense_cdf_mc_policy_evaluation(mdp, policy, 300, 40, seed)
             assert q_mc.tobytes() == q_ref.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_ENVS))
+    def test_bitwise_equal_across_policies_and_sizes(self, name):
+        # lake4 has 5 terminals of 16 states, so among 300 exploring starts
+        # some open at a terminal with an action that is not the policy's
+        mdp = SAMPLER_ENVS[name]()
+        cases = [(300, 40), (1, 1), (1, 60), (17, 3), (1000, 100)]
+        for seed, (policy, (n, horizon)) in enumerate(
+                (p, c) for p in sampler_policies(mdp).values() for c in cases):
+            q_mc, _ = mc_policy_evaluation(mdp, policy, n, horizon=horizon, seed=seed)
+            q_ref = dense_cdf_mc_policy_evaluation(mdp, policy, n, horizon, seed)
+            assert q_mc.tobytes() == q_ref.tobytes()
+
+    @pytest.mark.parametrize("name, policy", [
+        ("grid4", "greedy"), ("lake4_deterministic", "greedy"),
+        ("lake4_deterministic", "uniform"), ("lake4_deterministic", "skewed"),
+    ])
+    def test_rollout_ends_once_every_trajectory_is_absorbed(self, name, policy,
+                                                            monkeypatch):
+        mdp = SAMPLER_ENVS[name]()
+        chosen = sampler_policies(mdp)[policy]
+        draws = count_uniform_draws(monkeypatch)
+        q_mc, _ = mc_policy_evaluation(mdp, chosen, 500, horizon=400, seed=3)
+        # one next-state draw per step, and one action draw under a
+        # stochastic policy, each for all 500 trajectories
+        assert 0 < len(draws) < 100 and set(draws) == {500}
+        monkeypatch.undo()
+        # the horizon past the last absorption changes nothing
+        assert q_mc.tobytes() == mc_policy_evaluation(mdp, chosen, 500, horizon=100,
+                                                      seed=3)[0].tobytes()
+        assert q_mc.tobytes() == dense_cdf_mc_policy_evaluation(mdp, chosen, 500, 100,
+                                                                3).tobytes()
+
+    def test_memory_has_no_state_action_term(self, grid100):
+        # all-UP rarely reaches the goal, so almost every trajectory stays live;
+        # a (trajectories x S*A) table alone would take 153 MiB here
+        policy = Policy.deterministic(np.zeros(grid100.num_states, dtype=int))
+        tracemalloc.start()
+        try:
+            mc_policy_evaluation(grid100, policy, 4000, horizon=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
 
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):

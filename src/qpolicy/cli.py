@@ -4,8 +4,9 @@ Subcommands build environments, run single experiments and studies, and
 emit deterministic CSV/JSON artifacts. Numbers are written with 17
 significant digits so reruns are byte-comparable; files are written to a
 temp name and renamed, so partial runs never corrupt artifacts. Exit codes:
-0 success, 2 configuration error, 1 runtime failure. QPOLICY_THREADS caps
-worker parallelism for multi-run studies (0 or unset picks automatically).
+0 success, 2 configuration error, 1 runtime failure. Multi-run studies run
+serially, each distinct effective config once (see
+experiments.run_ablation); QPOLICY_THREADS is accepted and ignored.
 """
 from __future__ import annotations
 
@@ -73,17 +74,6 @@ def _write_json(path: str, doc: dict) -> None:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, path)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("QPOLICY_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"QPOLICY_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError("QPOLICY_THREADS must be >= 0")
-    return n if n > 0 else min(8, os.cpu_count() or 1)
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -200,7 +190,10 @@ def _resolve_seeds(args, file_cfg: dict) -> list[int]:
     if seeds is not None:
         if isinstance(seeds, str):
             seeds = _parse_seeds(seeds)
-        return [int(s) for s in seeds]
+        seeds = [int(s) for s in seeds]
+        if not seeds:
+            raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
+        return seeds
     return [int(_setting(args, file_cfg, "seed", 0))]
 
 
@@ -208,7 +201,7 @@ def _manifest(study: str, mdp: TabularMDP, config, seeds) -> dict:
     return {
         "study": study,
         "environment": mdp_to_dict(mdp),
-        "config": asdict(config) if config is not None else None,
+        "config": asdict(config),
         "seeds": list(seeds),
         "version": f"qpolicy-{__version__}",
     }
@@ -218,6 +211,18 @@ def _records_rows(records, seed: int):
     for rec in records:
         yield (rec.iteration, rec.bellman_error_max, rec.bellman_error_mean,
                rec.q_variance, rec.queries_iteration, rec.queries_cumulative, seed)
+
+
+def _write_arms(out_dir: str, arms) -> None:
+    """arm_<name>.csv per (name, runs) pair; summary.csv over arms of >= 2 seeds."""
+    summary_rows = []
+    for arm, runs in arms:
+        rows = [row for run in runs for row in _records_rows(run.records, run.seed)]
+        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, rows)
+        if len(runs) >= 2:
+            series = [[r.bellman_error_max for r in run.records] for run in runs]
+            summary_rows.extend(_summary_rows(arm, series))
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
 
 
 def _summary_rows(arm: str, series):
@@ -297,18 +302,9 @@ def _cmd_ablate(args) -> int:
                             seeds=seeds, iterations=iterations)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    cells = run_ablation(mdp, grid, base, max_workers=_thread_count())
-    summary_rows = []
-    for (eps, shots), runs in sorted(cells.items()):
-        arm = _arm_name(eps, shots)
-        rows = []
-        for run in runs:
-            rows.extend(_records_rows(run.records, run.seed))
-        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, rows)
-        if len(runs) >= 2:
-            series = [[r.bellman_error_max for r in run.records] for run in runs]
-            summary_rows.extend(_summary_rows(arm, series))
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
+    cells = run_ablation(mdp, grid, base)
+    _write_arms(out_dir, [(_arm_name(eps, shots), runs)
+                          for (eps, shots), runs in sorted(cells.items())])
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("ablation", mdp, base, seeds))
     print(f"wrote {len(cells)} arm files to {out_dir}")
@@ -365,21 +361,10 @@ def _cmd_noise_study(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     config = _engine_config(args, file_cfg, seeds[0], iterations)
     try:
-        arms = run_noise_comparison(mdp, p_values, config, seeds,
-                                    max_workers=_thread_count())
+        arms = run_noise_comparison(mdp, p_values, config, seeds)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    summary_rows = []
-    for p, runs in sorted(arms.items()):
-        arm = f"p{format(p, 'g')}"
-        rows = []
-        for run in runs:
-            rows.extend(_records_rows(run.records, run.seed))
-        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, rows)
-        if len(runs) >= 2:
-            series = [[r.bellman_error_max for r in run.records] for run in runs]
-            summary_rows.extend(_summary_rows(arm, series))
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
+    _write_arms(out_dir, [(f"p{format(p, 'g')}", runs) for p, runs in sorted(arms.items())])
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("noise_comparison", mdp, config, seeds))
     print(f"wrote {len(arms)} arm files to {out_dir}")

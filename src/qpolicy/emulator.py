@@ -16,7 +16,7 @@ the outcome distribution is identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -111,6 +111,14 @@ class EstimatorConfig:
             raise ValueError("ae_oracle requires 0 < epsilon < 1")
         if self.c_ae <= 0:
             raise ValueError("c_ae must be positive")
+
+    def effective(self) -> "EstimatorConfig":
+        """This config with the fields its mode never reads reset to their
+        defaults: readout_batch, readout_variance and ae_query_cost read
+        shots in shot_sampling mode only, epsilon and c_ae in ae_oracle only."""
+        if self.mode == SHOT_SAMPLING:  # the class attributes hold the defaults
+            return replace(self, epsilon=EstimatorConfig.epsilon, c_ae=EstimatorConfig.c_ae)
+        return replace(self, shots=EstimatorConfig.shots)
 
 
 # ---------------------------------------------------------------------------

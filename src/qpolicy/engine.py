@@ -14,7 +14,7 @@ is the estimator's expected variance, in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,6 +107,12 @@ class QPolicyConfig:
             self.estimator = EstimatorConfig(
                 mode=AE_ORACLE, epsilon=self.epsilon, seed=self.seed
             )
+
+    def effective(self) -> "QPolicyConfig":
+        """This config with the fields run_qpolicy never reads reset: epsilon,
+        and the estimator fields its mode ignores (EstimatorConfig.effective)."""
+        return replace(self, epsilon=QPolicyConfig.epsilon,
+                       estimator=self.estimator.effective())
 
     @classmethod
     def exact(cls, seed: int = 0, **kwargs) -> "QPolicyConfig":

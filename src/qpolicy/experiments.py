@@ -9,8 +9,7 @@ here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -268,18 +267,21 @@ def _cell_config(base: QPolicyConfig, *, seed: int, epsilon: float | None = None
     )
 
 
-def _run_jobs(mdp: TabularMDP, jobs: dict, max_workers: int = 1) -> dict:
-    """Run independent configs, keyed; results do not depend on scheduling."""
-    if max_workers <= 1:
-        return {key: run_qpolicy(mdp, cfg)[0] for key, cfg in jobs.items()}
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {key: pool.submit(run_qpolicy, mdp, cfg) for key, cfg in jobs.items()}
-        return {key: fut.result()[0] for key, fut in futures.items()}
+def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
+    """Run keyed configs in turn; keys with one effective config share its run."""
+    runs, done = {}, {}
+    for key, cfg in jobs.items():
+        effective = astuple(cfg.effective())
+        if effective not in runs:
+            runs[effective] = run_qpolicy(mdp, cfg)[0]
+        done[key] = runs[effective]
+    return done
 
 
-def run_ablation(mdp: TabularMDP, grid: AblationGrid, base_config: QPolicyConfig,
-                 max_workers: int = 1) -> dict:
-    """Full Cartesian sweep over (epsilon, shots), every cell run per seed."""
+def run_ablation(mdp: TabularMDP, grid: AblationGrid, base_config: QPolicyConfig) -> dict:
+    """Full Cartesian sweep over (epsilon, shots) and seeds. Cells with one
+    effective config share one run's records list: shot mode never reads
+    epsilon, ae_oracle mode never reads shots (QPolicyConfig.effective)."""
     jobs = {
         (eps, shots, seed): _cell_config(base_config, seed=seed, epsilon=eps,
                                          shots=shots, iterations=grid.iterations)
@@ -287,20 +289,17 @@ def run_ablation(mdp: TabularMDP, grid: AblationGrid, base_config: QPolicyConfig
         for shots in grid.shot_counts
         for seed in grid.seeds
     }
-    done = _run_jobs(mdp, jobs, max_workers)
-    out = {}
-    for eps in grid.epsilons:
-        for shots in grid.shot_counts:
-            out[(eps, shots)] = [
-                StudyRun(seed=seed, records=done[(eps, shots, seed)])
-                for seed in grid.seeds
-            ]
-    return out
+    done = _run_jobs(mdp, jobs)
+    return {
+        (eps, shots): [StudyRun(seed=seed, records=done[(eps, shots, seed)])
+                       for seed in grid.seeds]
+        for eps in grid.epsilons
+        for shots in grid.shot_counts
+    }
 
 
 def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
-                         config: QPolicyConfig, seeds: Sequence[int],
-                         max_workers: int = 1) -> dict:
+                         config: QPolicyConfig, seeds: Sequence[int]) -> dict:
     """Run the engine at each depolarizing strength with shared seeds."""
     if 0.0 not in [float(p) for p in p_values]:
         raise ValueError("p_values must include 0 as the reference arm")
@@ -309,7 +308,7 @@ def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
         for p in p_values
         for seed in seeds
     }
-    done = _run_jobs(mdp, jobs, max_workers)
+    done = _run_jobs(mdp, jobs)
     return {
         float(p): [StudyRun(seed=seed, records=done[(float(p), seed)]) for seed in seeds]
         for p in p_values

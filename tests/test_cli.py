@@ -198,6 +198,23 @@ class TestStudies:
         assert doc["gates_per_bellman_update"] == 50
 
 
+class TestEmptySeeds:
+    @pytest.mark.parametrize("command", ["run", "ablate", "compare-queries", "noise-study"])
+    def test_zero_seed_count_exits_2(self, grid_env, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--env", grid_env, "--iters", "2", "--seeds", "0",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "no seeds" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_seed_list_in_config_exits_2(self, grid_env, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": []}))
+        assert main(["ablate", "--env", grid_env, "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
 class TestThreadDeterminism:
     def _run_ablate(self, grid_env, out_dir, env, threads):
         env = dict(env, QPOLICY_THREADS=str(threads))

@@ -7,9 +7,9 @@ import pytest
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
-@pytest.mark.parametrize("prefix", ["01_", "05_"])
+@pytest.mark.parametrize("prefix", ["01_", "05_", "06_"])
 def test_demo_runs(prefix, tmp_path, subprocess_env):
-    # both demos drive the Monte Carlo sampler
+    # 01 and 05 drive the Monte Carlo sampler, 06 the ablation and noise sweeps
     (script,) = DEMOS.glob(f"{prefix}*.py")
     proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=subprocess_env,
                           capture_output=True, text=True, timeout=300)

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
+from qpolicy import experiments
+from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
 from qpolicy.engine import QPolicyConfig, run_qpolicy
 from qpolicy.experiments import (
     AblationGrid,
+    _cell_config,
+    _run_jobs,
     calibrated_query_config,
     compute_bellman_error,
     estimate_resources,
@@ -210,21 +213,98 @@ class TestAblation:
         }
         assert err[4096] <= err[128]
 
-    def test_parallel_matches_serial(self, grid4):
-        base = shot_config(iters=10)
-        grid = AblationGrid(epsilons=[0.01, 0.05], shot_counts=[128],
-                            seeds=[0, 1], iterations=10)
-        serial = run_ablation(grid4, grid, base, max_workers=1)
-        parallel = run_ablation(grid4, grid, base, max_workers=4)
-        for key in serial:
-            for rs, rp in zip(serial[key], parallel[key]):
-                assert records_equal(rs.records, rp.records)
-
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             AblationGrid(epsilons=[], shot_counts=[128], seeds=[0])
         with pytest.raises(ValueError):
             AblationGrid(epsilons=[-0.1], shot_counts=[128], seeds=[0])
+
+
+@pytest.fixture()
+def engine_calls(monkeypatch):
+    """Configs of the runs the sweeps start, through the name they call."""
+    calls = []
+
+    def counting(mdp, config):
+        calls.append(config)
+        return run_qpolicy(mdp, config)
+    monkeypatch.setattr(experiments, "run_qpolicy", counting)
+    return calls
+
+
+def with_mode(config, mode):
+    return replace(config, estimator=replace(config.estimator, mode=mode))
+
+
+# a field run_qpolicy reads, set on the estimator or on the config
+READ_IN_BOTH_MODES = [
+    ("estimator", {"noise": NoiseModel(0.05)}),
+    ("config", {"seed": 1}),
+    ("config", {"max_iterations": 5}),
+    ("config", {"convergence_tol": 1e-3}),
+    ("config", {"gamma": 0.9}),
+    ("config", {"skip_terminal_rows": False}),
+]
+
+
+def field_cases(rows):
+    return [pytest.param(mode, where, fields, id=f"{mode}-{where}.{'+'.join(fields)}")
+            for mode, where, fields in rows]
+
+
+def changed(config, where, fields):
+    if where == "estimator":
+        return replace(config, estimator=replace(config.estimator, **fields))
+    return replace(config, **fields)
+
+
+class TestEffectiveConfigRuns:
+    """A sweep runs each distinct effective config once."""
+
+    @pytest.mark.parametrize("mode, runs", [(SHOT_SAMPLING, 5 * 5), (AE_ORACLE, 3 * 5)])
+    def test_readme_grid(self, grid4, engine_calls, mode, runs):
+        # the README's ablate grid: 3 epsilons x 5 shot counts x 5 seeds = 75 cells
+        base = with_mode(shot_config(iters=6), mode)
+        grid = AblationGrid(epsilons=[0.001, 0.01, 0.05],
+                            shot_counts=[128, 512, 1024, 2048, 4096],
+                            seeds=range(5), iterations=6)
+        cells = run_ablation(grid4, grid, base)
+        assert len(engine_calls) == runs
+        assert sum(len(cell) for cell in cells.values()) == 75
+        for (eps, shots), cell in cells.items():
+            for run in cell:
+                own = _cell_config(base, seed=run.seed, epsilon=eps, shots=shots,
+                                   iterations=6)
+                assert records_equal(run.records, run_qpolicy(grid4, own)[0])
+
+    @pytest.mark.parametrize("mode, where, fields", field_cases([
+        (SHOT_SAMPLING, "estimator", {"epsilon": 0.2, "c_ae": 3.0}),
+        (SHOT_SAMPLING, "config", {"epsilon": 0.2}),
+        (AE_ORACLE, "estimator", {"shots": 7}),
+        (AE_ORACLE, "config", {"epsilon": 0.2}),
+    ]))
+    def test_unread_fields_share_one_run(self, grid4, engine_calls, mode, where, fields):
+        config = with_mode(shot_config(iters=8), mode)
+        other = changed(config, where, fields)
+        done = _run_jobs(grid4, {"a": config, "b": other})
+        assert len(engine_calls) == 1
+        assert done["a"] is done["b"]
+        assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
+
+    @pytest.mark.parametrize("mode, where, fields", field_cases([
+        (SHOT_SAMPLING, "estimator", {"shots": 256}),
+        (AE_ORACLE, "estimator", {"epsilon": 0.02}),
+        (AE_ORACLE, "estimator", {"c_ae": 2.0}),
+    ] + [(mode, where, fields) for mode in (SHOT_SAMPLING, AE_ORACLE)
+         for where, fields in READ_IN_BOTH_MODES]))
+    def test_read_field_makes_a_separate_run(self, grid4, engine_calls, mode, where,
+                                             fields):
+        config = with_mode(shot_config(iters=8), mode)
+        other = changed(config, where, fields)
+        done = _run_jobs(grid4, {"a": config, "b": other})
+        assert len(engine_calls) == 2
+        assert records_equal(done["a"], run_qpolicy(grid4, config)[0])
+        assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
 
 
 class TestNoiseComparison:

@@ -190,7 +190,8 @@ def _resolve_seeds(args, file_cfg: dict) -> list[int]:
     if seeds is not None:
         if isinstance(seeds, str):
             seeds = _parse_seeds(seeds)
-        seeds = [int(s) for s in seeds]
+        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
+            raise ConfigError(f"seeds must be a list of integers or a string, got {seeds!r}")
         if not seeds:
             raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
         return seeds

@@ -1,21 +1,22 @@
-"""Finite tabular MDPs with sparse transition rows, plus exact solvers.
+"""Finite tabular MDPs stored as one padded sparse operator, plus exact solvers.
 
-States and actions are integer indexed. Transition rows are stored sparsely
-as (next_state, probability) lists and rewards are expected immediate
-rewards r(s, a). The backup, the solvers and the Monte Carlo sampler read
-the rows through one padded operator built at construction, (S*A, d) arrays
-of next states and probabilities with d the widest row, so memory and time
-per backup grow with S*A*d rather than with the S*A*S of a dense tensor.
+States and actions are integer indexed. A model's transitions are (S*A, d)
+arrays of next states and probabilities, d the widest row, so memory and
+time per backup grow with S*A*d rather than with the S*A*S of a dense
+tensor; rewards are expected immediate rewards r(s, a). JSON files keep
+ragged (next_state, probability) rows, derived from the arrays on save.
 Terminal states self-loop with zero reward so value recursions need no
-special casing. Everything here is deterministic given its inputs; the only
-stochastic operation, Monte Carlo evaluation, takes an explicit seed.
+special casing. Everything here is deterministic given its inputs; the
+only stochastic operation, Monte Carlo evaluation, takes an explicit seed.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,71 +27,96 @@ PROB_TOL = 1e-9
 # Grid actions, shared by both environment builders.
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
 GRID_MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_PERPENDICULAR = {UP: (LEFT, RIGHT), DOWN: (LEFT, RIGHT), LEFT: (UP, DOWN), RIGHT: (UP, DOWN)}
+_OPPOSITE = (DOWN, UP, RIGHT, LEFT)
 
 QTable = np.ndarray  # dense (num_states, num_actions) float array
 
 
 @dataclass
 class TabularMDP:
-    """Finite MDP (S, A, P, r, gamma) with sparse per-(s, a) transition rows.
+    """Finite MDP (S, A, P, r, gamma) stored as one padded sparse operator.
 
-    Row s * A + a of the read-only operator (next_states, next_probs) holds
-    the row of (s, a) sorted by next state, with repeated next states merged
-    and the tail padded with probability 0 on the row's last next state.
+    Row s * A + a of the (S*A, k) arrays next_states and next_probs lists
+    the transitions of (s, a) in any order, repeats and zeros allowed. They
+    are validated and kept read-only with each row sorted by next state,
+    repeats summed in input order, zeros dropped and the tail padded with
+    probability 0 on the row's last next state. Ragged rows enter through
+    from_rows.
     """
 
     num_states: int
     num_actions: int
-    transitions: list  # [s][a] -> list of (next_state, probability)
+    next_states: np.ndarray = field(repr=False)  # (S*A, d) intp
+    next_probs: np.ndarray = field(repr=False)  # (S*A, d) float
     rewards: np.ndarray  # (S, A) expected immediate reward
     gamma: float
     terminal_states: frozenset = frozenset()
     start_state: int = 0
-    sparsity_d: int = field(init=False)
-    next_states: np.ndarray = field(init=False, repr=False, compare=False)  # (S*A, d) intp
-    next_probs: np.ndarray = field(init=False, repr=False, compare=False)  # (S*A, d) float
+    sparsity_d: int = field(init=False)  # widest row; every entry but padding is positive
 
     def __post_init__(self):
-        if self.num_states < 1 or self.num_actions < 1:
+        s_count, a_count = self.num_states, self.num_actions
+        if s_count < 1 or a_count < 1:
             raise ValueError("num_states and num_actions must be positive")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
         self.rewards = np.asarray(self.rewards, dtype=float)
-        if self.rewards.shape != (self.num_states, self.num_actions):
+        if self.rewards.shape != (s_count, a_count):
             raise ValueError("rewards shape does not match (num_states, num_actions)")
         if not np.all(np.isfinite(self.rewards)):
             raise ValueError("rewards must be finite")
-        self.terminal_states = frozenset(int(t) for t in self.terminal_states)
-        if len(self.transitions) != self.num_states:
-            raise ValueError("transitions must have one row list per state")
-        rows = []
-        for s in range(self.num_states):
-            if len(self.transitions[s]) != self.num_actions:
-                raise ValueError(f"state {s} must have one transition row per action")
-            for a in range(self.num_actions):
-                row = self.transitions[s][a]
-                if not row:
-                    raise ValueError(f"empty transition row for ({s}, {a})")
-                total = 0.0
-                for s_next, p in row:
-                    if not 0 <= s_next < self.num_states:
-                        raise ValueError(f"next state {s_next} out of range in row ({s}, {a})")
-                    if p < 0:
-                        raise ValueError(f"negative probability in row ({s}, {a})")
-                    total += p
-                if abs(total - 1.0) > PROB_TOL:
-                    raise ValueError(f"row ({s}, {a}) sums to {total}, not 1")
-                if s in self.terminal_states:
-                    if row != [(s, 1.0)] or self.rewards[s, a] != 0.0:
-                        raise ValueError(f"terminal state {s} must self-loop with reward 0")
-                rows.append(row)
-        if not 0 <= self.start_state < self.num_states:
+        states = np.asarray(self.next_states, dtype=float)
+        probs = np.asarray(self.next_probs, dtype=float)
+        if probs.ndim != 2 or probs.shape != states.shape or probs.shape[1] < 1 \
+                or len(probs) != s_count * a_count:
+            raise ValueError("next_states and next_probs must both have shape "
+                             "(num_states * num_actions, k) with k >= 1")
+        row_checks = (
+            (np.isfinite(probs) & (probs >= 0), "probabilities must be finite and nonnegative"),
+            (_is_index(states, s_count), f"next states must be integers in [0, {s_count})"),
+            (abs(probs.sum(axis=1, keepdims=True) - 1.0) <= PROB_TOL,
+             "probabilities do not sum to 1"),
+        )
+        for ok, problem in row_checks:
+            bad = np.flatnonzero(~ok.all(axis=1))
+            if bad.size:
+                s, a = divmod(int(bad[0]), a_count)
+                raise ValueError(f"row ({s}, {a}): {problem}")
+        terminals = np.asarray(sorted(self.terminal_states), dtype=float)
+        if not _is_index(terminals, s_count).all():
+            raise ValueError(f"terminal states must be integers in [0, {s_count})")
+        if not 0 <= self.start_state < s_count:
             raise ValueError("start_state out of range")
+        self.next_states, self.next_probs = _padded_operator(states.astype(np.intp), probs)
+        terminals = terminals.astype(np.intp)
+        targets = self.next_states.reshape(s_count, a_count, -1)[terminals]
+        first_probs = self.next_probs.reshape(s_count, a_count, -1)[terminals, :, 0]
+        self_loop = ((targets == terminals[:, None, None]).all(axis=(1, 2))
+                     & (first_probs == 1.0).all(axis=1)
+                     & (self.rewards[terminals] == 0.0).all(axis=1))
+        if not self_loop.all():
+            raise ValueError(f"terminal state {terminals[~self_loop][0]} must self-loop "
+                             "with reward 0")
+        self.terminal_states = frozenset(terminals.tolist())
+        self.sparsity_d = self.next_states.shape[1]
         self.rewards.flags.writeable = False
-        self.next_states, self.next_probs = _padded_operator(rows)
-        # distinct next states of positive probability in the widest row
-        self.sparsity_d = int(np.count_nonzero(self.next_probs > 0, axis=1).max())
+
+    @classmethod
+    def from_rows(cls, num_states: int, num_actions: int, rows, rewards, gamma: float,
+                  terminal_states=frozenset(), start_state: int = 0) -> "TabularMDP":
+        """MDP from ragged rows, rows[s][a] listing (next_state, probability)
+        pairs, padded with probability-0 entries for the constructor."""
+        if len(rows) != num_states or any(len(row) != num_actions for row in rows):
+            raise ValueError("rows must hold one transition row per action for each state")
+        flat = list(chain.from_iterable(rows))
+        entries = list(chain.from_iterable(flat))
+        if not entries or set(map(len, entries)) - {2}:
+            raise ValueError("transition entries must be (next_state, probability) pairs")
+        values = np.fromiter(chain.from_iterable(entries), dtype=float, count=2 * len(entries))
+        row_of = np.repeat(np.arange(len(flat)), [len(row) for row in flat])
+        next_states, next_probs = _pad_rows(row_of, values[0::2], values[1::2], len(flat))
+        return cls(num_states, num_actions, next_states, next_probs, rewards, gamma,
+                   terminal_states=terminal_states, start_state=start_state)
 
     def expect(self, v: np.ndarray) -> np.ndarray:
         """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s')."""
@@ -113,43 +139,51 @@ class TabularMDP:
         return dense.reshape(self.num_states, self.num_actions, self.num_states)
 
     def with_gamma(self, gamma: float) -> "TabularMDP":
-        """Copy of this MDP with a different discount factor."""
+        """Copy of this MDP with a different discount factor; it shares the
+        validated read-only arrays, so only gamma is checked."""
         if gamma == self.gamma:
             return self
-        return replace(self, gamma=float(gamma))
+        if not 0.0 <= gamma < 1.0:
+            raise ValueError(f"gamma must lie in [0, 1), got {gamma}")
+        twin = copy.copy(self)
+        twin.gamma = float(gamma)
+        return twin
 
-    def is_terminal(self, s: int) -> bool:
-        return s in self.terminal_states
+
+def _is_index(values: np.ndarray, bound: int) -> np.ndarray:
+    """Mask of the float values that are integers in [0, bound)."""
+    return (values >= 0) & (values < bound) & (values == np.floor(values))
 
 
-def _padded_operator(rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (len(rows), d) next-state and probability arrays.
-
-    Each row is sorted by next state, repeated next states are summed in
-    row order, and the tail is padded with probability 0 on the row's last
-    next state; d is the widest merged row.
-    """
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    entries = [entry for row in rows for entry in row]
-    states = np.array([s_next for s_next, _ in entries], dtype=np.intp)
-    probs = np.array([p for _, p in entries], dtype=float)
-    row_of = np.repeat(np.arange(len(rows)), lengths)
+def _padded_operator(states: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, d) arrays normalised as TabularMDP describes; every
+    row must hold positive mass."""
+    keep = probs > 0
+    row_of = np.nonzero(keep)[0]  # row-major, so input order within a row
+    states, probs = states[keep], probs[keep]
     order = np.lexsort((states, row_of))  # stable, so duplicates keep row order
     row_of, states, probs = row_of[order], states[order], probs[order]
     first = np.ones(len(states), dtype=bool)
     first[1:] = (row_of[1:] != row_of[:-1]) | (states[1:] != states[:-1])
     starts = np.flatnonzero(first)
-    probs = np.add.reduceat(probs, starts)
-    states, row_of = states[starts], row_of[starts]
-    widths = np.bincount(row_of, minlength=len(rows))
+    next_states, next_probs = _pad_rows(row_of[starts], states[starts],
+                                        np.add.reduceat(probs, starts), len(keep))
+    next_states.flags.writeable = False
+    next_probs.flags.writeable = False
+    return next_states, next_probs
+
+
+def _pad_rows(row_of: np.ndarray, states: np.ndarray, probs: np.ndarray,
+              row_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row_count, d) arrays of the entries, by their sorted rows, each row
+    padded to the widest, d, with probability 0 on its last next state."""
+    widths = np.bincount(row_of, minlength=row_count)
     row_start = np.cumsum(widths) - widths
     column = np.arange(len(states)) - row_start[row_of]
     next_states = np.repeat(states[row_start + widths - 1][:, None], widths.max(), axis=1)
     next_states[row_of, column] = states
     next_probs = np.zeros(next_states.shape)
     next_probs[row_of, column] = probs
-    next_states.flags.writeable = False
-    next_probs.flags.writeable = False
     return next_states, next_probs
 
 
@@ -223,6 +257,31 @@ def policy_values(mdp: TabularMDP, policy: Policy, q: QTable) -> np.ndarray:
 # Environment builders
 # ---------------------------------------------------------------------------
 
+def _grid_mdp(height: int, width: int, move_probs: np.ndarray, terminals, goal: int,
+              gamma: float, start_state: int = 0) -> TabularMDP:
+    """Grid MDP in which action a takes move m with probability move_probs[a, m].
+
+    The moves are GRID_MOVES; one that would leave the grid keeps the agent
+    in place, and moves that land on the same cell merge. Terminal cells
+    self-loop with reward 0, and r(s, a) is the mass that (s, a) moves into
+    the goal, so entering it pays +1.
+    """
+    num_states, num_actions = height * width, len(move_probs)
+    cells, step = np.arange(num_states)[:, None], np.array(GRID_MOVES)
+    to_row, to_col = cells // width + step[:, 0], cells % width + step[:, 1]
+    inside = (to_row >= 0) & (to_row < height) & (to_col >= 0) & (to_col < width)
+    targets = np.where(inside, to_row * width + to_col, cells)  # (S, moves)
+    next_states = np.repeat(targets[:, None, :], num_actions, axis=1)  # (S, A, moves)
+    next_probs = np.broadcast_to(move_probs, next_states.shape).copy()
+    rewards = np.where(next_states == goal, next_probs, 0.0).sum(axis=2)
+    next_states[terminals] = np.asarray(terminals)[:, None, None]
+    next_probs[terminals] = np.eye(1, next_probs.shape[2])
+    rewards[terminals] = 0.0
+    return TabularMDP(num_states, num_actions, next_states.reshape(num_states * num_actions, -1),
+                      next_probs.reshape(num_states * num_actions, -1), rewards, gamma,
+                      terminal_states=frozenset(terminals), start_state=start_state)
+
+
 def build_gridworld(width: int, height: int, slip_prob: float, goal: tuple,
                     gamma: float = 0.95) -> TabularMDP:
     """Stochastic gridworld: 4 moves, slip mass spread uniformly over all 4.
@@ -240,35 +299,9 @@ def build_gridworld(width: int, height: int, slip_prob: float, goal: tuple,
     gr, gc = int(goal[0]), int(goal[1])
     if not (0 <= gr < height and 0 <= gc < width):
         raise ValueError(f"goal {goal} outside the {height}x{width} grid")
-
-    def cell_index(r, c):
-        return r * width + c
-
-    num_states = width * height
-    goal_state = cell_index(gr, gc)
-    transitions = []
-    rewards = np.zeros((num_states, 4))
-    for s in range(num_states):
-        r, c = divmod(s, width)
-        rows = []
-        for a in range(4):
-            if s == goal_state:
-                rows.append([(s, 1.0)])
-                continue
-            outcome = {}
-            for move in range(4):
-                p = slip_prob / 4.0 + (1.0 - slip_prob) * (move == a)
-                if p == 0.0:
-                    continue
-                nr, nc = r + GRID_MOVES[move][0], c + GRID_MOVES[move][1]
-                if not (0 <= nr < height and 0 <= nc < width):
-                    nr, nc = r, c  # blocked moves stay put
-                outcome[cell_index(nr, nc)] = outcome.get(cell_index(nr, nc), 0.0) + p
-            rows.append(sorted(outcome.items()))
-            rewards[s, a] = outcome.get(goal_state, 0.0)  # +1 paid on entering the goal
-        transitions.append(rows)
-    return TabularMDP(num_states, 4, transitions, rewards, gamma,
-                      terminal_states=frozenset({goal_state}), start_state=0)
+    move_probs = slip_prob / 4.0 + (1.0 - slip_prob) * np.eye(4)
+    goal_state = gr * width + gc
+    return _grid_mdp(height, width, move_probs, [goal_state], goal_state, gamma)
 
 
 # Fixed lake layouts. S start, F frozen, H hole, G goal.
@@ -306,48 +339,16 @@ def build_frozenlake(size: int, slippery: bool, gamma: float = 0.95) -> TabularM
     """
     if size not in FROZENLAKE_MAPS:
         raise ValueError(f"unsupported size {size}, expected one of {sorted(FROZENLAKE_MAPS)}")
-    grid = FROZENLAKE_MAPS[size]
-    num_states = size * size
-    goal_state = None
-    start_state = 0
-    terminals = set()
-    for r in range(size):
-        for c in range(size):
-            ch = grid[r][c]
-            s = r * size + c
-            if ch == "S":
-                start_state = s
-            elif ch == "H":
-                terminals.add(s)
-            elif ch == "G":
-                goal_state = s
-                terminals.add(s)
-    transitions = []
-    rewards = np.zeros((num_states, 4))
-    for s in range(num_states):
-        r, c = divmod(s, size)
-        rows = []
-        for a in range(4):
-            if s in terminals:
-                rows.append([(s, 1.0)])
-                continue
-            moves = [(a, 1.0)] if not slippery else [
-                (a, 1.0 / 3.0),
-                (_PERPENDICULAR[a][0], 1.0 / 3.0),
-                (_PERPENDICULAR[a][1], 1.0 / 3.0),
-            ]
-            outcome = {}
-            for move, p in moves:
-                nr, nc = r + GRID_MOVES[move][0], c + GRID_MOVES[move][1]
-                if not (0 <= nr < size and 0 <= nc < size):
-                    nr, nc = r, c
-                s_next = nr * size + nc
-                outcome[s_next] = outcome.get(s_next, 0.0) + p
-            rows.append(sorted(outcome.items()))
-            rewards[s, a] = outcome.get(goal_state, 0.0)
-        transitions.append(rows)
-    return TabularMDP(num_states, 4, transitions, rewards, gamma,
-                      terminal_states=frozenset(terminals), start_state=start_state)
+    tiles = np.array([list(line) for line in FROZENLAKE_MAPS[size]]).ravel()
+    if slippery:
+        move_probs = np.full((4, 4), 1.0 / 3.0)
+        move_probs[np.arange(4), _OPPOSITE] = 0.0
+    else:
+        move_probs = np.eye(4)
+    terminals = np.flatnonzero((tiles == "H") | (tiles == "G")).tolist()
+    (goal,), (start,) = np.flatnonzero(tiles == "G"), np.flatnonzero(tiles == "S")
+    return _grid_mdp(size, size, move_probs, terminals, int(goal), gamma,
+                     start_state=int(start))
 
 
 # ---------------------------------------------------------------------------
@@ -500,39 +501,33 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
 # ---------------------------------------------------------------------------
 
 def mdp_to_dict(mdp: TabularMDP) -> dict:
-    """JSON-ready document; float round trips are bit-exact."""
+    """JSON-ready document; float round trips are bit-exact. Each row lists
+    the operator's positive entries in column order."""
+    keep = mdp.next_probs > 0
+    pairs = list(map(list, zip(mdp.next_states[keep].tolist(), mdp.next_probs[keep].tolist())))
+    ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+    rows = [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
     return {
         "num_states": mdp.num_states,
         "num_actions": mdp.num_actions,
         "gamma": mdp.gamma,
         "start": mdp.start_state,
         "terminals": sorted(mdp.terminal_states),
-        "rewards": [[float(x) for x in row] for row in mdp.rewards],
-        "transitions": [
-            {"s": s, "a": a, "rows": [[int(sn), float(p)] for sn, p in mdp.transitions[s][a]]}
-            for s in range(mdp.num_states)
-            for a in range(mdp.num_actions)
-        ],
+        "rewards": mdp.rewards.tolist(),
+        "transitions": [{"s": s, "a": a, "rows": rows[s * mdp.num_actions + a]}
+                        for s in range(mdp.num_states) for a in range(mdp.num_actions)],
     }
 
 
 def mdp_from_dict(doc: dict) -> TabularMDP:
     num_states = int(doc["num_states"])
     num_actions = int(doc["num_actions"])
-    transitions = [[None] * num_actions for _ in range(num_states)]
+    rows = [[[] for _ in range(num_actions)] for _ in range(num_states)]
     for entry in doc["transitions"]:
-        transitions[int(entry["s"])][int(entry["a"])] = [
-            (int(sn), float(p)) for sn, p in entry["rows"]
-        ]
-    return TabularMDP(
-        num_states=num_states,
-        num_actions=num_actions,
-        transitions=transitions,
-        rewards=np.asarray(doc["rewards"], dtype=float),
-        gamma=float(doc["gamma"]),
-        terminal_states=frozenset(int(t) for t in doc["terminals"]),
-        start_state=int(doc["start"]),
-    )
+        rows[int(entry["s"])][int(entry["a"])] = entry["rows"]
+    return TabularMDP.from_rows(num_states, num_actions, rows, doc["rewards"],
+                                float(doc["gamma"]), terminal_states=frozenset(doc["terminals"]),
+                                start_state=int(doc["start"]))
 
 
 def save_mdp(mdp: TabularMDP, path: str | os.PathLike) -> None:

@@ -5,6 +5,8 @@ import pytest
 import qpolicy
 from qpolicy.mdp import build_frozenlake, build_gridworld
 
+from oracles import grid_rows, lake_rows
+
 
 @pytest.fixture(scope="session")
 def grid4():
@@ -14,6 +16,18 @@ def grid4():
 @pytest.fixture(scope="session")
 def frozen8():
     return build_frozenlake(8, True, 0.95)
+
+
+@pytest.fixture(scope="session")
+def grid4_rows():
+    """Raw rows of grid4, enumerated by the oracle, not read off the model."""
+    return grid_rows(4, 4, 0.2, (3, 3))
+
+
+@pytest.fixture(scope="session")
+def frozen8_rows():
+    """Raw rows of frozen8, enumerated by the oracle, not read off the model."""
+    return lake_rows(8, True)
 
 
 @pytest.fixture(scope="session")

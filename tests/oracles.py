@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the library's iterative code paths
 and its sparse transition operator: transition tensors are accumulated
-densely from the raw rows, policy values come from a direct linear solve,
-Monte Carlo rollouts from CDFs over all S columns, channel statistics from
-a density matrix, optimal policies from exhaustive enumeration, and grid
-transition rows from explicit enumeration of the slip outcomes.
+densely from raw rows that the oracles or the tests write themselves,
+policy values come from a direct linear solve, Monte Carlo rollouts from
+CDFs over all S columns, channel statistics from a density matrix, optimal
+policies from exhaustive enumeration, and grid and lake transition rows
+from explicit enumeration of the moves against the walls.
+
+Raw rows are nested lists, rows[s][a] holding (next_state, probability)
+pairs, the form TabularMDP.from_rows takes.
 """
 from __future__ import annotations
 
@@ -13,23 +17,25 @@ import itertools
 
 import numpy as np
 
-from qpolicy.mdp import Policy, TabularMDP
+from qpolicy.mdp import FROZENLAKE_MAPS, Policy, TabularMDP
 from qpolicy.rng import stream
 
 
-def dense_transitions(mdp: TabularMDP) -> np.ndarray:
-    """(S, A, S) tensor accumulated entry by entry from mdp.transitions."""
-    dense = np.zeros((mdp.num_states, mdp.num_actions, mdp.num_states))
-    for s in range(mdp.num_states):
-        for a in range(mdp.num_actions):
-            for s_next, p in mdp.transitions[s][a]:
+def dense_transitions(rows: list) -> np.ndarray:
+    """(S, A, S) tensor accumulated entry by entry from raw rows."""
+    num_states, num_actions = len(rows), len(rows[0])
+    dense = np.zeros((num_states, num_actions, num_states))
+    for s in range(num_states):
+        for a in range(num_actions):
+            for s_next, p in rows[s][a]:
                 dense[s, a, s_next] += p
     return dense
 
 
-def linear_solve_q(mdp: TabularMDP, policy: Policy) -> np.ndarray:
-    """Q_pi from solving (I - gamma P_pi) V = r_pi directly."""
-    p = dense_transitions(mdp)
+def linear_solve_q(mdp: TabularMDP, policy: Policy, rows: list) -> np.ndarray:
+    """Q_pi from solving (I - gamma P_pi) V = r_pi directly, P from the raw
+    rows and r, gamma from the MDP."""
+    p = dense_transitions(rows)
     w = policy.matrix(mdp.num_actions)
     p_pi = np.einsum("sa,sax->sx", w, p)
     r_pi = (w * mdp.rewards).sum(axis=1)
@@ -37,7 +43,7 @@ def linear_solve_q(mdp: TabularMDP, policy: Policy) -> np.ndarray:
     return mdp.rewards + mdp.gamma * p.dot(v)
 
 
-def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, policy: Policy,
+def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, rows: list, policy: Policy,
                                    num_trajectories: int, horizon: int,
                                    seed: int) -> np.ndarray:
     """First-visit Monte Carlo Q_pi with exploring starts, each step drawn
@@ -49,7 +55,7 @@ def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, policy: Policy,
     """
     s_count, a_count = mdp.num_states, mdp.num_actions
     rng = stream(seed, 0)
-    cum_p = np.cumsum(dense_transitions(mdp), axis=2)
+    cum_p = np.cumsum(dense_transitions(rows), axis=2)
     cum_pi = np.cumsum(policy.matrix(a_count), axis=1)
     n = num_trajectories
     start = rng.integers(0, s_count * a_count, size=n)
@@ -84,12 +90,12 @@ def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, policy: Policy,
     return estimate.reshape(s_count, a_count)
 
 
-def enumerate_optimal_values(mdp: TabularMDP) -> np.ndarray:
+def enumerate_optimal_values(mdp: TabularMDP, rows: list) -> np.ndarray:
     """Per-state optimal value over all deterministic policies (small MDPs)."""
     best = np.full(mdp.num_states, -np.inf)
     for actions in itertools.product(range(mdp.num_actions), repeat=mdp.num_states):
         policy = Policy.deterministic(np.array(actions))
-        q = linear_solve_q(mdp, policy)
+        q = linear_solve_q(mdp, policy, rows)
         v = q[np.arange(mdp.num_states), np.array(actions)]
         best = np.maximum(best, v)
     return best
@@ -130,48 +136,91 @@ def grid_row_oracle(width: int, height: int, slip: float, cell: tuple,
     return outcome
 
 
+def lake_row_oracle(size: int, slippery: bool, cell: tuple, action: int) -> dict:
+    """Enumerate the intended and, when slippery, the two perpendicular moves
+    against the walls for one (cell, action), each with probability 1/3.
+
+    Mirrors only the stated dynamics: off-lake moves stay put, and the
+    non-slippery lake takes the intended move with probability 1.
+    """
+    moves = {0: (-1, 0), 1: (1, 0), 2: (0, -1), 3: (0, 1)}
+    perpendicular = {0: (2, 3), 1: (2, 3), 2: (0, 1), 3: (0, 1)}
+    taken = [(action, 1.0)]
+    if slippery:
+        taken = [(move, 1.0 / 3.0) for move in (action, *perpendicular[action])]
+    r, c = cell
+    outcome: dict = {}
+    for move, prob in taken:
+        nr, nc = r + moves[move][0], c + moves[move][1]
+        if not (0 <= nr < size and 0 <= nc < size):
+            nr, nc = r, c
+        key = nr * size + nc
+        outcome[key] = outcome.get(key, 0.0) + prob
+    return outcome
+
+
+def grid_rows(width: int, height: int, slip: float, goal: tuple) -> list:
+    """Raw rows of the gridworld: grid_row_oracle off the goal, which self-loops."""
+    goal_state = goal[0] * width + goal[1]
+    return [[[(s, 1.0)] if s == goal_state else
+             sorted(grid_row_oracle(width, height, slip, divmod(s, width), a).items())
+             for a in range(4)]
+            for s in range(width * height)]
+
+
+def lake_rows(size: int, slippery: bool) -> list:
+    """Raw rows of the frozen lake: lake_row_oracle off the holes and the
+    goal, which self-loop."""
+    tiles = "".join(FROZENLAKE_MAPS[size])
+    return [[[(s, 1.0)] if tiles[s] in "HG" else
+             sorted(lake_row_oracle(size, slippery, divmod(s, size), a).items())
+             for a in range(4)]
+            for s in range(size * size)]
+
+
 def absorbing_single(reward: float = 1.0, gamma: float = 0.5) -> TabularMDP:
     """One self-looping state, one action; Q = reward / (1 - gamma)."""
-    return TabularMDP(
-        num_states=1, num_actions=1,
-        transitions=[[[(0, 1.0)]]],
-        rewards=np.array([[reward]]),
-        gamma=gamma,
-    )
+    return TabularMDP.from_rows(1, 1, [[[(0, 1.0)]]], np.array([[reward]]), gamma)
 
 
 def two_state_chain(gamma: float = 0.9) -> TabularMDP:
     """s0 -> s1 (terminal) with reward 1; the single action loops at s1."""
-    return TabularMDP(
-        num_states=2, num_actions=1,
-        transitions=[[[(1, 1.0)]], [[(1, 1.0)]]],
-        rewards=np.array([[1.0], [0.0]]),
-        gamma=gamma,
-        terminal_states=frozenset({1}),
-    )
+    return TabularMDP.from_rows(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]],
+                                np.array([[1.0], [0.0]]), gamma,
+                                terminal_states=frozenset({1}))
+
+
+TWO_STATE_TWO_ACTION_ROWS = [
+    [[(0, 0.7), (1, 0.3)], [(1, 1.0)]],
+    [[(0, 1.0)], [(0, 0.4), (1, 0.6)]],
+]
 
 
 def two_state_two_action(gamma: float = 0.5) -> TabularMDP:
-    """Two states, two actions, distinct rewards; small enough to enumerate."""
-    transitions = [
-        [[(0, 0.7), (1, 0.3)], [(1, 1.0)]],
-        [[(0, 1.0)], [(0, 0.4), (1, 0.6)]],
-    ]
+    """Two states, two actions, distinct rewards; small enough to enumerate.
+    Its raw rows are TWO_STATE_TWO_ACTION_ROWS."""
     rewards = np.array([[0.2, 0.0], [1.0, 0.5]])
-    return TabularMDP(2, 2, transitions, rewards, gamma)
+    return TabularMDP.from_rows(2, 2, TWO_STATE_TWO_ACTION_ROWS, rewards, gamma)
+
+
+def random_rows(num_states: int, num_actions: int, seed: int,
+                branching: int = 3) -> tuple[list, np.ndarray]:
+    """Raw rows and rewards of a random dense-ish MDP for property tests."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for s in range(num_states):
+        state_rows = []
+        for a in range(num_actions):
+            support = rng.choice(num_states, size=min(branching, num_states), replace=False)
+            probs = rng.dirichlet(np.ones(len(support)))
+            state_rows.append(sorted(zip(support.tolist(), probs.tolist())))
+        rows.append(state_rows)
+    rewards = rng.uniform(-1, 1, size=(num_states, num_actions))
+    return rows, rewards
 
 
 def random_mdp(num_states: int, num_actions: int, gamma: float, seed: int,
                branching: int = 3) -> TabularMDP:
-    """Random dense-ish MDP for property tests."""
-    rng = np.random.default_rng(seed)
-    transitions = []
-    for s in range(num_states):
-        rows = []
-        for a in range(num_actions):
-            support = rng.choice(num_states, size=min(branching, num_states), replace=False)
-            probs = rng.dirichlet(np.ones(len(support)))
-            rows.append(sorted(zip(support.tolist(), probs.tolist())))
-        transitions.append(rows)
-    rewards = rng.uniform(-1, 1, size=(num_states, num_actions))
-    return TabularMDP(num_states, num_actions, transitions, rewards, gamma)
+    """The MDP of random_rows(num_states, num_actions, seed, branching)."""
+    rows, rewards = random_rows(num_states, num_actions, seed, branching)
+    return TabularMDP.from_rows(num_states, num_actions, rows, rewards, gamma)

@@ -40,7 +40,7 @@ from qpolicy.experiments import (
 )
 from qpolicy.mdp import build_frozenlake, build_gridworld, value_iteration
 
-from oracles import depolarize_density, enumerate_optimal_values, linear_solve_q, \
+from oracles import TWO_STATE_TWO_ACTION_ROWS, depolarize_density, enumerate_optimal_values, \
     measurement_probs, two_state_two_action
 
 SEEDS_10 = list(range(10))
@@ -177,7 +177,7 @@ def test_c10_convergence_bound(grid):
     small = two_state_two_action(gamma=0.5)
     rep2 = verify_convergence_bound(small, epsilon=0.1, seed=1)
     assert rep2.bound == pytest.approx(0.4)
-    best = enumerate_optimal_values(small)
+    best = enumerate_optimal_values(small, TWO_STATE_TWO_ACTION_ROWS)
     q_star, _ = value_iteration(small, 1e-10)
     assert np.abs(q_star.max(axis=1) - best).max() <= 1e-8
     assert rep2.holds

@@ -111,6 +111,26 @@ class TestRun:
         assert main(["run", "--env", str(bad), "--iters", "2",
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("defect, message", [
+        ("nan_probability", "probabilities must be finite"),
+        ("terminal_out_of_range", "terminal states must be integers"),
+        ("fractional_next_state", "next states must be integers"),
+    ])
+    def test_invalid_env_file_exits_2(self, grid_env, tmp_path, capsys, defect, message):
+        doc = json.loads(open(grid_env, encoding="utf-8").read())
+        if defect == "nan_probability":
+            doc["transitions"][0]["rows"] = [[1, float("nan")]]
+        elif defect == "terminal_out_of_range":
+            doc["terminals"] = [15, 40]
+        else:
+            doc["transitions"][0]["rows"] = [[1.7, 1.0]]
+        env = tmp_path / "bad_env.json"
+        env.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["run", "--env", str(env), "--iters", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_unknown_key_rejected(self, grid_env, tmp_path, capsys):
@@ -213,6 +233,16 @@ class TestEmptySeeds:
         cfg.write_text(json.dumps({"seeds": []}))
         assert main(["ablate", "--env", grid_env, "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("seeds", [3, [1.5, 2]], ids=["int", "fractional"])
+    def test_seeds_not_a_list_of_integers_exits_2(self, grid_env, tmp_path, capsys, seeds):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": seeds}))
+        out = tmp_path / "o"
+        assert main(["run", "--env", grid_env, "--config", str(cfg), "--iters", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "seeds must be a list of integers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestThreadDeterminism:

@@ -28,7 +28,8 @@ from qpolicy.mdp import (
     value_iteration,
 )
 
-from oracles import absorbing_single, enumerate_optimal_values, linear_solve_q, two_state_two_action
+from oracles import TWO_STATE_TWO_ACTION_ROWS, absorbing_single, enumerate_optimal_values, \
+    two_state_two_action
 
 
 def exact_cfg(**kw):
@@ -441,7 +442,7 @@ class TestVerifyConvergenceBound:
         report = verify_convergence_bound(mdp, 0.1, seed=3)
         assert report.bound == pytest.approx(0.4)
         # independent optimal values from exhaustive policy enumeration
-        best = enumerate_optimal_values(mdp)
+        best = enumerate_optimal_values(mdp, TWO_STATE_TWO_ACTION_ROWS)
         q_star, _ = value_iteration(mdp, 1e-10)
         assert np.abs(q_star.max(axis=1) - best).max() <= 1e-8
         assert report.holds

@@ -30,11 +30,20 @@ from oracles import (
     dense_transitions,
     enumerate_optimal_values,
     grid_row_oracle,
+    grid_rows,
+    lake_row_oracle,
+    lake_rows,
     linear_solve_q,
     random_mdp,
+    random_rows,
     two_state_chain,
-    two_state_two_action,
 )
+
+
+def operator_row(mdp: TabularMDP, s: int, a: int) -> dict:
+    """Row (s, a) of the operator as {next_state: probability}, padding dropped."""
+    r = s * mdp.num_actions + a
+    return {int(sn): float(p) for sn, p in zip(mdp.next_states[r], mdp.next_probs[r]) if p > 0}
 
 
 # ---------------------------------------------------------------------------
@@ -49,15 +58,14 @@ class TestGridworld:
         # entering the goal pays +1, so r(s, a) equals the mass landing on it
         for s in range(16):
             for a in range(4):
-                into_goal = dict(grid4.transitions[s][a]).get(15, 0.0)
+                into_goal = operator_row(grid4, s, a).get(15, 0.0)
                 expected = 0.0 if s == 15 else into_goal
                 assert grid4.rewards[s, a] == pytest.approx(expected, abs=0)
 
     def test_deterministic_limit(self):
         m = build_gridworld(4, 4, 0.0, (3, 3), 0.95)
-        for s in range(m.num_states):
-            for a in range(4):
-                assert m.transitions[s][a] == [(m.transitions[s][a][0][0], 1.0)]
+        assert m.sparsity_d == 1
+        assert np.all(m.next_probs == 1.0)
 
     def test_rows_match_slip_enumeration(self, grid4):
         # independent enumeration of the four slip outcomes against the walls
@@ -67,7 +75,7 @@ class TestGridworld:
             r, c = divmod(s, 4)
             for a in range(4):
                 expected = grid_row_oracle(4, 4, 0.2, (r, c), a)
-                got = dict(grid4.transitions[s][a])
+                got = operator_row(grid4, s, a)
                 assert set(got) == set(expected)
                 for key, p in expected.items():
                     assert got[key] == pytest.approx(p, abs=1e-15)
@@ -76,11 +84,11 @@ class TestGridworld:
         # top edge, non-corner, action up: intended blocked plus slip-up blocked
         edge = grid_row_oracle(4, 4, 0.2, (0, 1), action=0)
         assert edge[1] == pytest.approx(0.85)
-        assert dict(grid4.transitions[1][0])[1] == pytest.approx(0.85)
+        assert operator_row(grid4, 1, 0)[1] == pytest.approx(0.85)
         # the actual corner blocks two slip outcomes, not one
         corner = grid_row_oracle(4, 4, 0.2, (0, 0), action=0)
         assert corner[0] == pytest.approx(0.90)
-        assert dict(grid4.transitions[0][0])[0] == pytest.approx(0.90)
+        assert operator_row(grid4, 0, 0)[0] == pytest.approx(0.90)
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -104,21 +112,71 @@ class TestFrozenlake:
 
     def test_deterministic_limit(self):
         m = build_frozenlake(8, False, 0.95)
-        for s in range(m.num_states):
-            for a in range(4):
-                assert len(m.transitions[s][a]) == 1
+        assert m.sparsity_d == 1
+        assert np.all(m.next_probs == 1.0)
 
     def test_sparsity_at_most_three(self, frozen8):
         # row-support enumeration over the built model
         for s in range(frozen8.num_states):
             for a in range(4):
-                support = sum(1 for _, p in frozen8.transitions[s][a] if p > 0)
+                support = len(operator_row(frozen8, s, a))
                 assert support <= 3
         assert frozen8.sparsity_d <= 3
+
+    def test_corner_blocks_two_of_three_moves(self, frozen8):
+        # at the top-left corner, up and its perpendicular left both stay put
+        corner = lake_row_oracle(8, True, (0, 0), action=0)
+        assert corner == {0: 2.0 / 3.0, 1: 1.0 / 3.0}
+        assert operator_row(frozen8, 0, 0) == corner
+        assert lake_row_oracle(8, False, (0, 0), action=0) == {0: 1.0}
 
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
             build_frozenlake(6, True, 0.95)
+
+
+# name -> (builder call, the oracle's raw rows, goal state)
+BUILT_ENVS = {
+    "grid4_slip0": (lambda: build_gridworld(4, 4, 0.0, (3, 3)),
+                    lambda: grid_rows(4, 4, 0.0, (3, 3)), 15),
+    "grid4_slip0.2": (lambda: build_gridworld(4, 4, 0.2, (3, 3)),
+                      lambda: grid_rows(4, 4, 0.2, (3, 3)), 15),
+    "grid4_slip1": (lambda: build_gridworld(4, 4, 1.0, (3, 3)),
+                    lambda: grid_rows(4, 4, 1.0, (3, 3)), 15),
+    "grid5x3_slip0.35": (lambda: build_gridworld(5, 3, 0.35, (2, 4)),
+                         lambda: grid_rows(5, 3, 0.35, (2, 4)), 14),
+    "grid3x3_interior_goal": (lambda: build_gridworld(3, 3, 0.3, (1, 1)),
+                              lambda: grid_rows(3, 3, 0.3, (1, 1)), 4),
+    "grid1x4": (lambda: build_gridworld(1, 4, 0.35, (3, 0)),
+                lambda: grid_rows(1, 4, 0.35, (3, 0)), 3),
+    **{f"lake{size}_{'slippery' if slippery else 'still'}": (
+        lambda size=size, slippery=slippery: build_frozenlake(size, slippery),
+        lambda size=size, slippery=slippery: lake_rows(size, slippery),
+        size * size - 1)
+       for size in (4, 8, 10) for slippery in (True, False)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_ENVS))
+def test_built_rows_match_oracle(name):
+    # every row sorted by next state, merged, zero entries dropped, padded
+    # on its last next state, and equal bit for bit to the enumerated row
+    build, oracle_rows, goal = BUILT_ENVS[name]
+    mdp, rows = build(), oracle_rows()
+    width = mdp.sparsity_d
+    for s in range(mdp.num_states):
+        for a in range(mdp.num_actions):
+            expected = {s_next: p for s_next, p in rows[s][a] if p > 0}
+            support = sorted(expected)
+            pad = width - len(support)
+            r = s * mdp.num_actions + a
+            assert mdp.next_states[r].tolist() == support + support[-1:] * pad
+            assert mdp.next_probs[r].tolist() == [expected[k] for k in support] + [0.0] * pad
+            into_goal = 0.0 if s in mdp.terminal_states else expected.get(goal, 0.0)
+            assert mdp.rewards[s, a] == into_goal
+    # the oracle writes a self-loop row for every action of a terminal cell
+    self_loops = {s for s in range(mdp.num_states) if all(row == [(s, 1.0)] for row in rows[s])}
+    assert goal in self_loops and mdp.terminal_states == self_loops
 
 
 @pytest.mark.parametrize("mdp_factory", [
@@ -132,7 +190,7 @@ def test_rows_sum_to_one(mdp_factory):
     mdp = mdp_factory()
     for s in range(mdp.num_states):
         for a in range(mdp.num_actions):
-            total = sum(p for _, p in mdp.transitions[s][a])
+            total = sum(operator_row(mdp, s, a).values())
             assert abs(total - 1.0) <= 1e-9
 
 
@@ -142,12 +200,44 @@ def test_rows_sum_to_one(mdp_factory):
 
 def test_invalid_mdp_rejected():
     with pytest.raises(ValueError):  # row does not sum to 1
-        TabularMDP(1, 1, [[[(0, 0.5)]]], np.zeros((1, 1)), 0.9)
+        TabularMDP.from_rows(1, 1, [[[(0, 0.5)]]], np.zeros((1, 1)), 0.9)
     with pytest.raises(ValueError):  # gamma not < 1
-        TabularMDP(1, 1, [[[(0, 1.0)]]], np.zeros((1, 1)), 1.0)
+        TabularMDP.from_rows(1, 1, [[[(0, 1.0)]]], np.zeros((1, 1)), 1.0)
     with pytest.raises(ValueError):  # terminal must have zero reward
-        TabularMDP(1, 1, [[[(0, 1.0)]]], np.ones((1, 1)), 0.9,
-                   terminal_states=frozenset({0}))
+        TabularMDP.from_rows(1, 1, [[[(0, 1.0)]]], np.ones((1, 1)), 0.9,
+                             terminal_states=frozenset({0}))
+    with pytest.raises(ValueError):  # terminal must self-loop
+        TabularMDP.from_rows(2, 1, [[[(1, 1.0)]], [[(0, 1.0)]]], np.zeros((2, 1)), 0.9,
+                             terminal_states=frozenset({0}))
+    with pytest.raises(ValueError):  # empty row
+        TabularMDP.from_rows(1, 1, [[[]]], np.zeros((1, 1)), 0.9)
+    with pytest.raises(ValueError):  # an entry that is not a pair
+        TabularMDP.from_rows(1, 1, [[[(0, 1.0, 0.0)]]], np.zeros((1, 1)), 0.9)
+    with pytest.raises(ValueError):  # a state without a row per action
+        TabularMDP.from_rows(2, 1, [[[(0, 1.0)]], []], np.zeros((2, 1)), 0.9)
+    with pytest.raises(ValueError):  # operator arrays of different shapes
+        TabularMDP(1, 1, np.zeros((1, 2)), np.ones((1, 1)), np.zeros((1, 1)), 0.9)
+
+
+def grid4_doc(**changes) -> dict:
+    doc = mdp_to_dict(build_gridworld(4, 4, 0.2, (3, 3), 0.95))
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [[1, float("nan")]]}]
+               + grid4_doc()["transitions"][1:]),
+     "row (0, 0): probabilities must be finite and nonnegative"),
+    (grid4_doc(terminals=[15, 40]), "terminal states must be integers in [0, 16)"),
+    (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [[1.7, 1.0]]}]
+               + grid4_doc()["transitions"][1:]),
+     "row (0, 0): next states must be integers in [0, 16)"),
+], ids=["nan_probability", "terminal_out_of_range", "fractional_next_state"])
+def test_bad_environment_document_rejected(doc, message):
+    with pytest.raises(ValueError) as exc:
+        mdp_from_dict(doc)
+    assert str(exc.value) == message
 
 
 def test_policy_validation():
@@ -181,26 +271,27 @@ class TestExactEvaluation:
         q = exact_policy_evaluation(mdp, Policy.uniform(16, 4), 1e-8)
         assert np.array_equal(q, mdp.rewards)
 
-    def test_matches_linear_solve_on_grid(self, grid4):
+    def test_matches_linear_solve_on_grid(self, grid4, grid4_rows):
         _, greedy = value_iteration(grid4, 1e-10)
         q_iter = exact_policy_evaluation(grid4, greedy, 1e-8)
-        q_solve = linear_solve_q(grid4, greedy)
+        q_solve = linear_solve_q(grid4, greedy, grid4_rows)
         assert np.abs(q_iter - q_solve).max() < 1e-6
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_linear_solve_agreement_invariant(self, seed):
-        mdp = random_mdp(num_states=30, num_actions=3, gamma=0.9, seed=seed)
+        rows, rewards = random_rows(num_states=30, num_actions=3, seed=seed)
+        mdp = TabularMDP.from_rows(30, 3, rows, rewards, 0.9)
         policy = Policy.deterministic((np.arange(30) + seed) % 3)
         tol = 1e-8
         q_iter = exact_policy_evaluation(mdp, policy, tol)
-        q_solve = linear_solve_q(mdp, policy)
+        q_solve = linear_solve_q(mdp, policy, rows)
         assert np.abs(q_iter - q_solve).max() < 10 * tol
 
-    def test_linear_solve_agreement_on_lake(self, frozen8):
+    def test_linear_solve_agreement_on_lake(self, frozen8, frozen8_rows):
         tol = 1e-8
         policy = Policy.deterministic(np.arange(64) % 4)
         q_iter = exact_policy_evaluation(frozen8, policy, tol)
-        assert np.abs(q_iter - linear_solve_q(frozen8, policy)).max() < 10 * tol
+        assert np.abs(q_iter - linear_solve_q(frozen8, policy, frozen8_rows)).max() < 10 * tol
 
     def test_rejects_bad_tol(self, grid4):
         with pytest.raises(ValueError):
@@ -218,11 +309,12 @@ class TestValueIteration:
 
     def test_matches_exhaustive_enumeration_2x2(self):
         mdp = build_gridworld(2, 2, 0.2, (1, 1), 0.9)
-        best = enumerate_optimal_values(mdp)
+        rows = grid_rows(2, 2, 0.2, (1, 1))
+        best = enumerate_optimal_values(mdp, rows)
         q, policy = value_iteration(mdp, 1e-10)
         assert np.abs(q.max(axis=1) - best).max() < 1e-8
         # the greedy policy attains the enumerated optimum
-        v_pi = policy_values(mdp, policy, linear_solve_q(mdp, policy))
+        v_pi = policy_values(mdp, policy, linear_solve_q(mdp, policy, rows))
         assert np.abs(v_pi - best).max() < 1e-8
 
     def test_tie_break_lowest_index(self):
@@ -231,9 +323,9 @@ class TestValueIteration:
 
 
 class TestBellmanBackup:
-    def test_fixed_point(self, grid4):
+    def test_fixed_point(self, grid4, grid4_rows):
         _, greedy = value_iteration(grid4, 1e-10)
-        q = linear_solve_q(grid4, greedy)
+        q = linear_solve_q(grid4, greedy, grid4_rows)
         assert np.abs(bellman_backup(grid4, q, greedy) - q).max() <= 1e-12
 
     def test_fixed_point_exact_chain(self):
@@ -277,22 +369,26 @@ def test_greedy_improvement_monotone(grid4):
 # The sparse operator against the dense oracle
 # ---------------------------------------------------------------------------
 
-def scrambled_random_mdp(num_states, num_actions, gamma, seed, branching, dup_row):
-    """random_mdp with every row reversed, so unsorted, and in row dup_row
-    the first entry split in two parts with the second moved to the end."""
-    base = random_mdp(num_states, num_actions, gamma, seed, branching)
-    transitions = [[list(reversed(row)) for row in rows] for rows in base.transitions]
+def scrambled_random_rows(num_states, num_actions, seed, branching, dup_row):
+    """random_rows with every row reversed, so unsorted, in row dup_row the
+    first entry split in two parts with the second moved to the end, and a
+    zero-probability entry appended to the row after it."""
+    base, rewards = random_rows(num_states, num_actions, seed, branching)
+    rows = [[list(reversed(row)) for row in state_rows] for state_rows in base]
     s, a = divmod(dup_row % (num_states * num_actions), num_actions)
-    row = transitions[s][a]
+    row = rows[s][a]
     s_next, p = row[0]
     row[0] = (s_next, 0.3 * p)
     row.append((s_next, p - 0.3 * p))
-    return TabularMDP(num_states, num_actions, transitions, base.rewards, gamma)
+    s, a = divmod((dup_row + 1) % (num_states * num_actions), num_actions)
+    rows[s][a].append((num_states - 1 - s, 0.0))
+    return rows, rewards
 
 
-def check_against_dense(mdp, seed):
-    """expect, the backup and both solvers against the dense oracle."""
-    dense = dense_transitions(mdp)
+def check_against_dense(mdp, rows, seed):
+    """expect, the backup and both solvers against the dense oracle built
+    from the raw rows."""
+    dense = dense_transitions(rows)
     assert np.array_equal(mdp.transition_matrix(), dense)
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1, 1, size=mdp.num_states)
@@ -302,7 +398,7 @@ def check_against_dense(mdp, seed):
     expected = mdp.rewards + mdp.gamma * dense.dot(policy_values(mdp, policy, q))
     assert np.abs(bellman_backup(mdp, q, policy) - expected).max() <= 1e-12
     q_pi = exact_policy_evaluation(mdp, policy, 1e-13)
-    assert np.abs(q_pi - linear_solve_q(mdp, policy)).max() <= 1e-12
+    assert np.abs(q_pi - linear_solve_q(mdp, policy, rows)).max() <= 1e-12
     q_star, _ = value_iteration(mdp, 1e-13)
     residual = mdp.rewards + mdp.gamma * dense.dot(q_star.max(axis=1)) - q_star
     assert np.abs(residual).max() <= 1e-12
@@ -310,26 +406,40 @@ def check_against_dense(mdp, seed):
 
 class TestOperator:
     def test_rows_sorted_merged_and_padded(self):
-        mdp = TabularMDP(2, 2, [[[(1, 0.5), (0, 0.25), (1, 0.25)], [(0, 1.0)]],
-                                [[(1, 1.0)], [(1, 0.5), (0, 0.5)]]],
-                         np.zeros((2, 2)), 0.9)
+        mdp = TabularMDP.from_rows(2, 2, [[[(1, 0.5), (0, 0.25), (1, 0.25)], [(0, 1.0)]],
+                                          [[(1, 1.0)], [(1, 0.5), (0, 0.5)]]],
+                                   np.zeros((2, 2)), 0.9)
         assert mdp.next_states.tolist() == [[0, 1], [0, 0], [1, 1], [0, 1]]
         assert mdp.next_probs.tolist() == [[0.25, 0.75], [1.0, 0.0], [1.0, 0.0], [0.5, 0.5]]
         assert mdp.sparsity_d == 2  # the repeated next state counts once
         assert not mdp.next_states.flags.writeable
         assert not mdp.next_probs.flags.writeable
 
+    def test_arrays_of_any_width_are_normalised(self):
+        # unsorted rows with a repeat, zero entries and float next states
+        next_states = np.array([[2.0, 0.0, 2.0, 1.0], [1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        next_probs = np.array([[0.25, 0.0, 0.5, 0.25], [0.5, 0.5, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        mdp = TabularMDP(3, 1, next_states, next_probs, np.zeros((3, 1)), 0.9,
+                         terminal_states=frozenset({2}))
+        assert mdp.next_states.dtype == np.intp
+        assert mdp.next_states.tolist() == [[1, 2], [1, 1], [2, 2]]
+        assert mdp.next_probs.tolist() == [[0.25, 0.75], [1.0, 0.0], [1.0, 0.0]]
+        assert mdp.sparsity_d == 2
+        rows = [entry["rows"] for entry in mdp_to_dict(mdp)["transitions"]]
+        assert rows == [[[1, 0.25], [2, 0.75]], [[1, 1.0]], [[2, 1.0]]]
+
     def test_padding_reads_only_the_row_support(self):
         # an infinite value outside a row's support must not reach it as 0 * inf
-        mdp = TabularMDP(3, 1, [[[(1, 1.0)]], [[(2, 0.5), (1, 0.5)]], [[(2, 1.0)]]],
-                         np.zeros((3, 1)), 0.9)
+        mdp = TabularMDP.from_rows(3, 1, [[[(1, 1.0)]], [[(2, 0.5), (1, 0.5)]], [[(2, 1.0)]]],
+                                   np.zeros((3, 1)), 0.9)
         with np.errstate(all="raise"):
             out = mdp.expect(np.array([np.inf, 1.0, 2.0]))
         assert out[:, 0].tolist() == [1.0, 1.5, 2.0]
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_matches_dense_oracle(self, name, request):
-        check_against_dense(request.getfixturevalue(name), seed=0)
+        check_against_dense(request.getfixturevalue(name),
+                            request.getfixturevalue(f"{name}_rows"), seed=0)
 
     @settings(max_examples=40, deadline=None)
     @given(num_states=st.integers(1, 12), num_actions=st.integers(1, 4),
@@ -337,8 +447,9 @@ class TestOperator:
            branching=st.integers(1, 4), dup_row=st.integers(0, 47))
     def test_matches_dense_oracle_on_scrambled_rows(self, num_states, num_actions, gamma,
                                                     seed, branching, dup_row):
-        mdp = scrambled_random_mdp(num_states, num_actions, gamma, seed, branching, dup_row)
-        check_against_dense(mdp, seed)
+        rows, rewards = scrambled_random_rows(num_states, num_actions, seed, branching, dup_row)
+        mdp = TabularMDP.from_rows(num_states, num_actions, rows, rewards, gamma)
+        check_against_dense(mdp, rows, seed)
 
 
 @pytest.fixture(scope="module")
@@ -367,12 +478,14 @@ def test_100x100_grid_needs_no_dense_tensor(grid100, monkeypatch):
 # Monte Carlo evaluation
 # ---------------------------------------------------------------------------
 
+# name -> (the MDP, the oracle's raw rows of it)
 SAMPLER_ENVS = {
-    "grid4": lambda: build_gridworld(4, 4, 0.2, (3, 3), 0.95),
-    "grid4_deterministic": lambda: build_gridworld(4, 4, 0.0, (3, 3), 0.95),
-    "frozen8": lambda: build_frozenlake(8, True, 0.95),
-    "lake4_deterministic": lambda: build_frozenlake(4, False, 0.95),
-    "random6_no_terminal": lambda: random_mdp(6, 3, 0.9, 4),
+    "grid4": lambda: (build_gridworld(4, 4, 0.2, (3, 3), 0.95), grid_rows(4, 4, 0.2, (3, 3))),
+    "grid4_deterministic": lambda: (build_gridworld(4, 4, 0.0, (3, 3), 0.95),
+                                    grid_rows(4, 4, 0.0, (3, 3))),
+    "frozen8": lambda: (build_frozenlake(8, True, 0.95), lake_rows(8, True)),
+    "lake4_deterministic": lambda: (build_frozenlake(4, False, 0.95), lake_rows(4, False)),
+    "random6_no_terminal": lambda: (random_mdp(6, 3, 0.9, 4), random_rows(6, 3, 4)[0]),
 }
 
 
@@ -422,7 +535,7 @@ class TestMonteCarlo:
         _, policy = value_iteration(mdp, 1e-10)
         horizon = 40
         q_mc, _ = mc_policy_evaluation(mdp, policy, 1500, horizon=horizon, seed=5)
-        q_exact = linear_solve_q(mdp, policy)
+        q_exact = linear_solve_q(mdp, policy, grid_rows(2, 2, 0.0, (1, 1)))
         bound = mdp.gamma ** horizon / (1 - mdp.gamma)
         assert np.abs(q_mc - q_exact).max() <= bound + 1e-12
 
@@ -447,7 +560,7 @@ class TestMonteCarlo:
             mc_policy_evaluation(mdp, policy, 400, horizon=horizon, seed=s)[0]
             for s in range(50)
         ])
-        q_exact = linear_solve_q(mdp, policy)
+        q_exact = linear_solve_q(mdp, policy, grid_rows(2, 2, 0.2, (1, 1)))
         mean = tables.mean(axis=0)
         se = tables.std(axis=0, ddof=1) / np.sqrt(50)
         truncation = mdp.gamma ** horizon / (1 - mdp.gamma)
@@ -455,23 +568,23 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_bitwise_equal_to_dense_cdf_sampler(self, name, request):
-        mdp = request.getfixturevalue(name)
+        mdp, rows = request.getfixturevalue(name), request.getfixturevalue(f"{name}_rows")
         _, greedy = value_iteration(mdp, 1e-8)
         for seed, policy in enumerate([greedy, Policy.uniform(mdp.num_states, 4)]):
             q_mc, _ = mc_policy_evaluation(mdp, policy, 300, horizon=40, seed=seed)
-            q_ref = dense_cdf_mc_policy_evaluation(mdp, policy, 300, 40, seed)
+            q_ref = dense_cdf_mc_policy_evaluation(mdp, rows, policy, 300, 40, seed)
             assert q_mc.tobytes() == q_ref.tobytes()
 
     @pytest.mark.parametrize("name", sorted(SAMPLER_ENVS))
     def test_bitwise_equal_across_policies_and_sizes(self, name):
         # lake4 has 5 terminals of 16 states, so among 300 exploring starts
         # some open at a terminal with an action that is not the policy's
-        mdp = SAMPLER_ENVS[name]()
+        mdp, rows = SAMPLER_ENVS[name]()
         cases = [(300, 40), (1, 1), (1, 60), (17, 3), (1000, 100)]
         for seed, (policy, (n, horizon)) in enumerate(
                 (p, c) for p in sampler_policies(mdp).values() for c in cases):
             q_mc, _ = mc_policy_evaluation(mdp, policy, n, horizon=horizon, seed=seed)
-            q_ref = dense_cdf_mc_policy_evaluation(mdp, policy, n, horizon, seed)
+            q_ref = dense_cdf_mc_policy_evaluation(mdp, rows, policy, n, horizon, seed)
             assert q_mc.tobytes() == q_ref.tobytes()
 
     @pytest.mark.parametrize("name, policy", [
@@ -480,7 +593,7 @@ class TestMonteCarlo:
     ])
     def test_rollout_ends_once_every_trajectory_is_absorbed(self, name, policy,
                                                             monkeypatch):
-        mdp = SAMPLER_ENVS[name]()
+        mdp, rows = SAMPLER_ENVS[name]()
         chosen = sampler_policies(mdp)[policy]
         draws = count_uniform_draws(monkeypatch)
         q_mc, _ = mc_policy_evaluation(mdp, chosen, 500, horizon=400, seed=3)
@@ -491,7 +604,7 @@ class TestMonteCarlo:
         # the horizon past the last absorption changes nothing
         assert q_mc.tobytes() == mc_policy_evaluation(mdp, chosen, 500, horizon=100,
                                                       seed=3)[0].tobytes()
-        assert q_mc.tobytes() == dense_cdf_mc_policy_evaluation(mdp, chosen, 500, 100,
+        assert q_mc.tobytes() == dense_cdf_mc_policy_evaluation(mdp, rows, chosen, 500, 100,
                                                                 3).tobytes()
 
     def test_memory_has_no_state_action_term(self, grid100):
@@ -527,18 +640,29 @@ class TestSerialization:
             assert loaded.start_state == mdp.start_state
             assert loaded.terminal_states == mdp.terminal_states
             assert np.array_equal(loaded.rewards, mdp.rewards)
-            for s in range(mdp.num_states):
-                for a in range(mdp.num_actions):
-                    assert loaded.transitions[s][a] == mdp.transitions[s][a]
+            assert loaded.next_states.tobytes() == mdp.next_states.tobytes()
+            assert loaded.next_probs.tobytes() == mdp.next_probs.tobytes()
 
     def test_roundtrip_irrational_probs(self, tmp_path):
-        mdp = random_mdp(12, 3, 0.85, seed=11)
+        rows, rewards = random_rows(12, 3, seed=11)
+        mdp = TabularMDP.from_rows(12, 3, rows, rewards, 0.85)
         path = tmp_path / "random.json"
         save_mdp(mdp, path)
         loaded = load_mdp(path)
-        for s in range(12):
-            for a in range(3):
-                assert loaded.transitions[s][a] == mdp.transitions[s][a]
+        assert loaded.next_states.tobytes() == mdp.next_states.tobytes()
+        assert loaded.next_probs.tobytes() == mdp.next_probs.tobytes()
+        # random rows are sorted and distinct, so the file holds them as written
+        written = [[[s_next, p] for s_next, p in row] for state_rows in rows for row in state_rows]
+        assert [entry["rows"] for entry in mdp_to_dict(loaded)["transitions"]] == written
+
+    def test_loaded_rows_are_written_back_merged(self):
+        doc = mdp_to_dict(absorbing_single())
+        doc["num_states"], doc["rewards"], doc["terminals"] = 2, [[0.5], [0.0]], [1]
+        doc["transitions"] = [{"s": 0, "a": 0, "rows": [[1, 0.25], [0, 0.0], [1, 0.5], [0, 0.25]]},
+                              {"s": 1, "a": 0, "rows": [[1, 1.0]]}]
+        again = mdp_to_dict(mdp_from_dict(doc))
+        assert again["transitions"][0]["rows"] == [[0, 0.25], [1, 0.75]]
+        assert again["transitions"][1]["rows"] == [[1, 1.0]]
 
     def test_dict_schema(self, grid4):
         doc = mdp_to_dict(grid4)
@@ -548,3 +672,15 @@ class TestSerialization:
         assert set(entry) == {"s", "a", "rows"}
         again = mdp_from_dict(doc)
         assert again.sparsity_d == grid4.sparsity_d
+
+
+def test_with_gamma_shares_the_validated_arrays(grid4):
+    twin = grid4.with_gamma(0.5)
+    assert twin.gamma == 0.5 and grid4.gamma == 0.95
+    assert twin.next_states is grid4.next_states
+    assert twin.next_probs is grid4.next_probs
+    assert twin.rewards is grid4.rewards
+    assert twin.terminal_states is grid4.terminal_states
+    assert grid4.with_gamma(0.95) is grid4
+    with pytest.raises(ValueError):
+        grid4.with_gamma(1.0)

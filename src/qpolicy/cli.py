@@ -1,26 +1,35 @@
 """Configuration-driven command line front end.
 
-Subcommands build environments, run single experiments and studies, and
-emit deterministic CSV/JSON artifacts. Numbers are written with 17
-significant digits so reruns are byte-comparable; files are written to a
-temp name and renamed, so partial runs never corrupt artifacts. Exit codes:
-0 success, 2 configuration error, 1 runtime failure. Multi-run studies run
-serially, each distinct effective config once (see
-experiments.run_ablation); QPOLICY_THREADS is accepted and ignored.
+`gen-env` writes an environment file. Each study command reads exactly the
+settings COMMANDS lists for it, each one a flag (--name, `_` written `-`)
+and a key of the JSON --config file, which also takes `environment`. Flags
+override the file, the file overrides the command's default, and values are
+converted strictly. Engine settings not given keep the base config's value:
+DEFAULT_ENGINE, or for compare-queries calibrated_query_config.
+
+Numbers are written with 17 significant digits so reruns are
+byte-comparable; files are written to a temp name and renamed, so partial
+runs never corrupt artifacts. Exit codes: 0 success, 2 configuration error,
+1 runtime failure. Multi-run studies run serially, each distinct effective
+config once (see experiments.run_ablation); QPOLICY_THREADS is ignored.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
 from .engine import QPolicyConfig, run_qpolicy
 from .experiments import (
+    DEFAULT_C_GATE,
+    DEFAULT_C_OVERHEAD,
     AblationGrid,
     calibrated_query_config,
     estimate_resources,
@@ -38,14 +47,6 @@ EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 RUN_COLUMNS = ("iteration", "bellman_error_max", "bellman_error_mean",
                "q_variance", "queries_iteration", "queries_cumulative", "seed")
 SUMMARY_COLUMNS = ("arm", "iteration", "mean", "std", "ci95_low", "ci95_high", "n")
-
-# Keys accepted in a --config JSON file; anything else is rejected.
-CONFIG_KEYS = {
-    "environment", "mode", "epsilon", "shots", "c_ae", "noise_p",
-    "iters", "tol", "gamma", "seed", "seeds", "out",
-    "mc_budget", "epsilons", "shot_counts", "p_values", "kappa",
-    "c_gate", "c_overhead",
-}
 
 
 class ConfigError(Exception):
@@ -76,26 +77,93 @@ def _write_json(path: str, doc: dict) -> None:
     os.replace(tmp, path)
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """'1,2,3' is an explicit list; a bare integer N means seeds 0..N-1."""
-    if "," in text:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    return list(range(int(text)))
+class Kind(NamedTuple):
+    """parse reads flag text; convert checks a value, raising ValueError or TypeError."""
+
+    parse: Callable[[str], object]
+    convert: Callable[[object], object]
+    what: str
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok != ""]
+def _scalar(parse, ok, what: str) -> Kind:
+    def convert(value):
+        if not ok(value):
+            raise ValueError(value)
+        return parse(value)
+    return Kind(parse, convert, what)
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok != ""]
+INTEGER = _scalar(int, lambda v: type(v) is int, "an integer")  # not isinstance: true is a bool
+COUNT = _scalar(int, lambda v: type(v) is int and v >= 1, "an integer >= 1")
+REAL = _scalar(float, lambda v: type(v) in (int, float) and math.isfinite(v), "a finite number")
+PROBABILITY = _scalar(float, lambda v: type(v) in (int, float) and 0 <= v <= 1,
+                      "a number in [0, 1]")
+BOOLEAN = _scalar(bool, lambda v: type(v) is bool, "a boolean")  # JSON only: bool("no") is True
+TEXT = _scalar(str, lambda v: isinstance(v, str), "a string")
+MODE = _scalar(str, lambda v: v in (SHOT_SAMPLING, AE_ORACLE), "shot_sampling or ae_oracle")
+
+
+def _list_of(item: Kind) -> Kind:
+    def convert(value):
+        if isinstance(value, str):
+            value = [item.parse(tok) for tok in value.split(",") if tok != ""]
+        if not isinstance(value, list) or not value:
+            raise ValueError(value)
+        return [item.convert(v) for v in value]
+    return Kind(str, convert, f"a nonempty comma string or JSON list, each {item.what}")
+
+
+def _seeds(value):
+    """Text without a comma is a count N, meaning seeds 0..N-1."""
+    if isinstance(value, str) and "," not in value:
+        value = list(range(int(value)))
+    if value == []:
+        raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
+    return _list_of(INTEGER).convert(value)
+
+
+SEEDS = Kind(str, _seeds, "a list of integers, or a string holding a comma list or a count")
+
+# Every setting a study command can read: name -> (kind, flag help)
+SETTINGS = {
+    "mode": (MODE, "readout: shot_sampling or ae_oracle"),
+    "epsilon": (REAL, "ae_oracle readout precision"),
+    "shots": (COUNT, "measurements per shot_sampling readout"),
+    "c_ae": (REAL, "ae_oracle readout cost: ceil(c_ae / epsilon) queries"),
+    "noise_p": (PROBABILITY, "depolarizing probability"),
+    "tol": (REAL, "convergence tolerance"),
+    "gamma": (REAL, "discount, overriding the environment's"),
+    "iters": (COUNT, "policy-iteration steps per run"),
+    "seed": (INTEGER, "the seed when --seeds is not given"),
+    "seeds": (SEEDS, "comma list, or a count N for seeds 0..N-1"),
+    "out": (TEXT, "output directory"),
+    "epsilons": (_list_of(REAL), "comma list of epsilons to sweep"),
+    "shot_counts": (_list_of(COUNT), "comma list of per-readout shot counts to sweep"),
+    "mc_budget": (COUNT, "Monte Carlo trajectories per policy evaluation"),
+    "p_values": (_list_of(PROBABILITY), "comma list of depolarizing probabilities, 0 included"),
+    "kappa": (REAL, "condition factor (>= 1) of the gate count"),
+    "c_gate": (REAL, "gates per Bellman update per unit of sparsity and kappa"),
+    "c_overhead": (REAL, "overhead factor on an iteration's gates"),
+}
+# ablate's --shots names its shot-count list, as the README writes it
+_FLAGS = {"shot_counts": ("--shots", "--shot-counts")}
+
+# The engine base config of run, ablate, noise-study and resources
+DEFAULT_ENGINE = QPolicyConfig(estimator=EstimatorConfig(), convergence_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # Config assembly: flags override config-file values override defaults
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path: str | None) -> dict:
+def _convert(name: str, kind: Kind, value):
+    try:
+        return kind.convert(value)
+    except (TypeError, ValueError, OverflowError):  # isfinite(10**400) overflows
+        raise ConfigError(f"{name} must be {kind.what}, got {value!r}") from None
+
+
+def _load_config_file(path: str | None, command: str, keys) -> dict:
     if path is None:
         return {}
     try:
@@ -105,39 +173,61 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(doc) - CONFIG_KEYS
+    unknown = set(doc) - set(keys) - {"environment"}
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     return doc
 
 
-def _setting(args, file_cfg: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in file_cfg:
-        return file_cfg[key]
-    return default
+def _settings(args, defaults: dict) -> dict:
+    """The config file's environment, and each setting in defaults from its
+    flag, else the config file, else the default; seeds defaults to [seed]."""
+    file_cfg = _load_config_file(args.config, args.command, defaults)
+    s = {"environment": file_cfg.get("environment")}
+    for name, default in defaults.items():
+        flag = getattr(args, name)
+        if flag is None and name not in file_cfg:
+            s[name] = default
+        else:
+            s[name] = _convert(name, SETTINGS[name][0], file_cfg[name] if flag is None else flag)
+    if "seeds" in s and s["seeds"] is None:
+        s["seeds"] = [s["seed"]]
+    return s
 
 
-def _load_environment(args, file_cfg: dict) -> TabularMDP:
-    path = _setting(args, file_cfg, "env", None)
+def _engine_config(base: QPolicyConfig, s: dict, seed: int) -> QPolicyConfig:
+    """base at this seed, with each engine setting that s gives applied."""
+    given, est = {k: v for k, v in s.items() if v is not None}, base.estimator
+    try:
+        estimator = replace(
+            est, seed=seed, mode=given.get("mode", est.mode), shots=given.get("shots", est.shots),
+            epsilon=given.get("epsilon", est.epsilon), c_ae=given.get("c_ae", est.c_ae),
+            noise=NoiseModel(given["noise_p"]) if "noise_p" in given else est.noise)
+        return replace(
+            base, estimator=estimator, seed=seed, epsilon=given.get("epsilon", base.epsilon),
+            max_iterations=given.get("iters", base.max_iterations),
+            convergence_tol=given.get("tol", base.convergence_tol),
+            gamma=given.get("gamma", base.gamma))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _load_environment(path: str | None, env) -> TabularMDP:
     if path is not None:
         try:
             return load_mdp(path)
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot load environment {path}: {exc}") from exc
-    env = file_cfg.get("environment")
-    if env is None:
-        raise ConfigError("no environment given: pass --env or a config environment")
-    return _build_environment(dict(env))
+    if not isinstance(env, dict):
+        raise ConfigError("no environment given: pass --env or a config environment object")
+    return _build_environment(env)
 
 
 def _build_environment(spec: dict) -> TabularMDP:
     spec = dict(spec)
     builder = spec.pop("builder", None)
     known = {"gridworld": {"width", "height", "slip", "goal", "gamma"},
-             "frozenlake": {"size", "slippery", "gamma"}}.get(builder)
+             "frozenlake": {"size", "slippery", "gamma"}}.get(str(builder))
     if known is None:
         raise ConfigError(f"unknown environment builder {builder!r}")
     unknown = set(spec) - known
@@ -146,56 +236,19 @@ def _build_environment(spec: dict) -> TabularMDP:
     try:
         if builder == "gridworld":
             return build_gridworld(
-                width=int(spec["width"]),
-                height=int(spec["height"]),
-                slip_prob=float(spec.get("slip", 0.2)),
-                goal=tuple(spec["goal"]),
-                gamma=float(spec.get("gamma", 0.95)),
+                width=_convert("width", COUNT, spec["width"]),
+                height=_convert("height", COUNT, spec["height"]),
+                slip_prob=_convert("slip", PROBABILITY, spec.get("slip", 0.2)),
+                goal=tuple(_convert("goal", _list_of(INTEGER), spec["goal"])),
+                gamma=_convert("gamma", REAL, spec.get("gamma", 0.95)),
             )
         return build_frozenlake(
-            size=int(spec["size"]),
-            slippery=bool(spec.get("slippery", True)),
-            gamma=float(spec.get("gamma", 0.95)),
+            size=_convert("size", COUNT, spec["size"]),
+            slippery=_convert("slippery", BOOLEAN, spec.get("slippery", True)),
+            gamma=_convert("gamma", REAL, spec.get("gamma", 0.95)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment parameters: {exc}") from exc
-
-
-def _engine_config(args, file_cfg: dict, seed: int, iterations: int) -> QPolicyConfig:
-    mode = _setting(args, file_cfg, "mode", SHOT_SAMPLING)
-    epsilon = float(_setting(args, file_cfg, "epsilon", 0.01))
-    try:
-        estimator = EstimatorConfig(
-            mode=mode,
-            shots=int(_setting(args, file_cfg, "shots", 512)),
-            epsilon=epsilon,
-            c_ae=float(_setting(args, file_cfg, "c_ae", 1.0)),
-            noise=NoiseModel(float(_setting(args, file_cfg, "noise_p", 0.0))),
-            seed=seed,
-        )
-        return QPolicyConfig(
-            epsilon=epsilon,
-            estimator=estimator,
-            max_iterations=iterations,
-            convergence_tol=float(_setting(args, file_cfg, "tol", 1e-12)),
-            gamma=_setting(args, file_cfg, "gamma", None),
-            seed=seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve_seeds(args, file_cfg: dict) -> list[int]:
-    seeds = _setting(args, file_cfg, "seeds", None)
-    if seeds is not None:
-        if isinstance(seeds, str):
-            seeds = _parse_seeds(seeds)
-        if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-            raise ConfigError(f"seeds must be a list of integers or a string, got {seeds!r}")
-        if not seeds:
-            raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
-        return seeds
-    return [int(_setting(args, file_cfg, "seed", 0))]
 
 
 def _manifest(study: str, mdp: TabularMDP, config, seeds) -> dict:
@@ -242,11 +295,11 @@ def _pad_series(series: list[list[float]]) -> list[list[float]]:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_env(args) -> int:
+def _cmd_gen_env(args) -> None:
     if args.builder == "gridworld":
         if args.width is None or args.height is None:
             raise ConfigError("gridworld needs --width and --height")
-        goal = _parse_ints(args.goal) if args.goal else [args.height - 1, args.width - 1]
+        goal = args.goal or [args.height - 1, args.width - 1]
         spec = {"builder": "gridworld", "width": args.width, "height": args.height,
                 "slip": args.slip, "goal": goal, "gamma": args.gamma}
     else:
@@ -257,73 +310,44 @@ def _cmd_gen_env(args) -> int:
     mdp = _build_environment(spec)
     save_mdp(mdp, args.out)
     print(f"wrote {args.out}: {mdp.num_states} states, {mdp.num_actions} actions")
-    return EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    mdp = _load_environment(args, file_cfg)
-    seeds = _resolve_seeds(args, file_cfg)
-    iterations = int(_setting(args, file_cfg, "iters", 50))
-    out_dir = _setting(args, file_cfg, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
+def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
     rows = []
-    config = None
-    for seed in seeds:
-        config = _engine_config(args, file_cfg, seed, iterations)
+    for seed in s["seeds"]:
+        config = _engine_config(DEFAULT_ENGINE, s, seed)
         records, _ = run_qpolicy(mdp, config)
         rows.extend(_records_rows(records, seed))
-    _write_csv(os.path.join(out_dir, "records.csv"), RUN_COLUMNS, rows)
-    _write_json(os.path.join(out_dir, "manifest.json"),
-                _manifest("run", mdp, config, seeds))
-    print(f"wrote {len(rows)} rows to {os.path.join(out_dir, 'records.csv')}")
-    return EXIT_OK
+    path = os.path.join(s["out"], "records.csv")
+    _write_csv(path, RUN_COLUMNS, rows)
+    _write_json(os.path.join(s["out"], "manifest.json"),
+                _manifest("run", mdp, config, s["seeds"]))
+    print(f"wrote {len(rows)} rows to {path}")
 
 
 def _arm_name(eps: float, shots: int) -> str:
     return f"eps{format(eps, 'g')}_shots{shots}"
 
 
-def _cmd_ablate(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    mdp = _load_environment(args, file_cfg)
-    seeds = _resolve_seeds(args, file_cfg)
-    iterations = int(_setting(args, file_cfg, "iters", 100))
-    epsilons = _setting(args, file_cfg, "epsilons", [0.001, 0.01, 0.05])
-    if isinstance(epsilons, str):
-        epsilons = _parse_floats(epsilons)
-    shot_counts = _setting(args, file_cfg, "shot_counts", [128, 512, 1024, 2048, 4096])
-    if isinstance(shot_counts, str):
-        shot_counts = _parse_ints(shot_counts)
-    out_dir = _setting(args, file_cfg, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    base = _engine_config(args, file_cfg, seeds[0], iterations)
-    try:
-        grid = AblationGrid(epsilons=epsilons, shot_counts=shot_counts,
-                            seeds=seeds, iterations=iterations)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _cmd_ablate(args, s: dict, mdp: TabularMDP) -> None:
+    seeds = s["seeds"]
+    base = _engine_config(DEFAULT_ENGINE, s, seeds[0])
+    for eps in s["epsilons"]:  # each cell's config must be valid before the sweep
+        _engine_config(base, {"epsilon": eps}, seeds[0])
+    grid = AblationGrid(epsilons=s["epsilons"], shot_counts=s["shot_counts"],
+                        seeds=seeds, iterations=s["iters"])
     cells = run_ablation(mdp, grid, base)
-    _write_arms(out_dir, [(_arm_name(eps, shots), runs)
-                          for (eps, shots), runs in sorted(cells.items())])
-    _write_json(os.path.join(out_dir, "manifest.json"),
+    _write_arms(s["out"], [(_arm_name(eps, shots), runs)
+                           for (eps, shots), runs in sorted(cells.items())])
+    _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("ablation", mdp, base, seeds))
-    print(f"wrote {len(cells)} arm files to {out_dir}")
-    return EXIT_OK
+    print(f"wrote {len(cells)} arm files to {s['out']}")
 
 
-def _cmd_compare_queries(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    mdp = _load_environment(args, file_cfg)
-    seeds = _resolve_seeds(args, file_cfg)
-    iterations = int(_setting(args, file_cfg, "iters", 50))
-    mc_budget = int(_setting(args, file_cfg, "mc_budget", 1000))
-    out_dir = _setting(args, file_cfg, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    qp_config = calibrated_query_config(iterations, seeds[0])
-    if args.epsilon is not None or args.c_ae is not None:
-        qp_config = _engine_config(args, file_cfg, seeds[0], iterations)
-    results = run_query_complexity_study(mdp, qp_config, mc_budget, iterations, seeds)
+def _cmd_compare_queries(args, s: dict, mdp: TabularMDP) -> None:
+    seeds, out_dir = s["seeds"], s["out"]
+    qp_config = _engine_config(calibrated_query_config(s["iters"], seeds[0]), s, seeds[0])
+    results = run_query_complexity_study(mdp, qp_config, s["mc_budget"], s["iters"], seeds)
     _write_csv(
         os.path.join(out_dir, "comparison_runs.csv"),
         ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
@@ -347,51 +371,56 @@ def _cmd_compare_queries(args) -> int:
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("query_complexity", mdp, qp_config, seeds))
     print(f"wrote comparison tables to {out_dir}")
-    return EXIT_OK
 
 
-def _cmd_noise_study(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    mdp = _load_environment(args, file_cfg)
-    seeds = _resolve_seeds(args, file_cfg)
-    iterations = int(_setting(args, file_cfg, "iters", 50))
-    p_values = _setting(args, file_cfg, "p_values", [0.0, 0.01])
-    if isinstance(p_values, str):
-        p_values = _parse_floats(p_values)
-    out_dir = _setting(args, file_cfg, "out", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    config = _engine_config(args, file_cfg, seeds[0], iterations)
-    try:
-        arms = run_noise_comparison(mdp, p_values, config, seeds)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _write_arms(out_dir, [(f"p{format(p, 'g')}", runs) for p, runs in sorted(arms.items())])
-    _write_json(os.path.join(out_dir, "manifest.json"),
+def _cmd_noise_study(args, s: dict, mdp: TabularMDP) -> None:
+    seeds = s["seeds"]
+    config = _engine_config(DEFAULT_ENGINE, s, seeds[0])
+    if 0.0 not in s["p_values"]:  # here, as a ValueError from the study exits 1
+        raise ConfigError("p_values must include 0 as the reference arm")
+    arms = run_noise_comparison(mdp, s["p_values"], config, seeds)
+    _write_arms(s["out"], [(f"p{format(p, 'g')}", runs) for p, runs in sorted(arms.items())])
+    _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("noise_comparison", mdp, config, seeds))
-    print(f"wrote {len(arms)} arm files to {out_dir}")
-    return EXIT_OK
+    print(f"wrote {len(arms)} arm files to {s['out']}")
 
 
-def _cmd_resources(args) -> int:
-    file_cfg = _load_config_file(args.config)
-    mdp = _load_environment(args, file_cfg)
-    config = _engine_config(args, file_cfg, 0, 1)
+def _cmd_resources(args, s: dict, mdp: TabularMDP) -> None:
+    config = _engine_config(DEFAULT_ENGINE, s, 0)
     try:
-        est = estimate_resources(
-            mdp, config,
-            kappa=float(_setting(args, file_cfg, "kappa", 1.0)),
-            c_gate=float(_setting(args, file_cfg, "c_gate", 12.5)),
-            c_overhead=float(_setting(args, file_cfg, "c_overhead", 1.12)),
-        )
-    except ValueError as exc:
+        est = estimate_resources(mdp, config, kappa=s["kappa"], c_gate=s["c_gate"],
+                                 c_overhead=s["c_overhead"])
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     print(json.dumps(asdict(est), indent=2, sort_keys=True))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+_ENGINE = ("mode", "epsilon", "shots", "c_ae", "noise_p", "tol", "gamma")
+_RUNS = {"seed": 0, "seeds": None, "out": "."}
+
+# Each study command: (function, help, {setting it reads: its default}). A
+# default of None leaves the engine base config's value, or no override.
+COMMANDS = {
+    "run": (_cmd_run, "one engine run per seed, records CSV", {
+        **dict.fromkeys(_ENGINE), "iters": 50, **_RUNS}),
+    "ablate": (_cmd_ablate, "epsilon x shots sweep", {
+        **dict.fromkeys(("mode", "c_ae", "noise_p", "tol", "gamma")),
+        "iters": 100, **_RUNS, "epsilons": [0.001, 0.01, 0.05],
+        "shot_counts": [128, 512, 1024, 2048, 4096]}),
+    "compare-queries": (_cmd_compare_queries, "engine vs Monte Carlo query budget", {
+        **dict.fromkeys(_ENGINE), "iters": 50, **_RUNS, "mc_budget": 1000}),
+    "noise-study": (_cmd_noise_study, "paired runs across depolarizing strengths", {
+        **dict.fromkeys(("mode", "epsilon", "shots", "c_ae", "tol", "gamma")),
+        "iters": 50, **_RUNS, "p_values": [0.0, 0.01]}),
+    "resources": (_cmd_resources, "logical qubit and gate estimates", {
+        "epsilon": None, "c_ae": None, "kappa": 1.0, "c_gate": DEFAULT_C_GATE,
+        "c_overhead": DEFAULT_C_OVERHEAD}),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -410,65 +439,34 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--slippery", action=argparse.BooleanOptionalAction, default=True)
     gen.add_argument("--gamma", type=float, default=0.95)
     gen.add_argument("--out", type=str, default="env.json")
-    gen.set_defaults(func=_cmd_gen_env)
 
-    def add_common(p, with_shots=True):
+    for command, (_, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--env", type=str, help="path to an environment JSON file")
         p.add_argument("--config", type=str, help="JSON config file")
-        p.add_argument("--mode", choices=[SHOT_SAMPLING, AE_ORACLE])
-        p.add_argument("--epsilon", type=float)
-        if with_shots:
-            p.add_argument("--shots", type=int)
-        p.add_argument("--c-ae", dest="c_ae", type=float)
-        p.add_argument("--noise-p", dest="noise_p", type=float)
-        p.add_argument("--iters", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--seeds", type=str, help="comma list, or a count N for 0..N-1")
-        p.add_argument("--out", type=str)
-
-    run_p = sub.add_parser("run", help="one engine run per seed, records CSV")
-    add_common(run_p)
-    run_p.set_defaults(func=_cmd_run)
-
-    abl = sub.add_parser("ablate", help="epsilon x shots sweep")
-    add_common(abl, with_shots=False)
-    abl.add_argument("--epsilons", type=str)
-    abl.add_argument("--shots", "--shot-counts", dest="shot_counts", type=str,
-                     help="comma list of per-readout shot counts to sweep")
-    abl.set_defaults(func=_cmd_ablate)
-
-    cmp_p = sub.add_parser("compare-queries", help="engine vs Monte Carlo query budget")
-    add_common(cmp_p)
-    cmp_p.add_argument("--mc-budget", dest="mc_budget", type=int)
-    cmp_p.add_argument("--scaling", action="store_true",
-                       help="also emit the matched-accuracy scaling table")
-    cmp_p.set_defaults(func=_cmd_compare_queries)
-
-    noise = sub.add_parser("noise-study", help="paired runs across depolarizing strengths")
-    add_common(noise)
-    noise.add_argument("--p-values", dest="p_values", type=str)
-    noise.set_defaults(func=_cmd_noise_study)
-
-    res = sub.add_parser("resources", help="logical qubit and gate estimates")
-    add_common(res)
-    res.add_argument("--kappa", type=float)
-    res.add_argument("--c-gate", dest="c_gate", type=float)
-    res.add_argument("--c-overhead", dest="c_overhead", type=float)
-    res.set_defaults(func=_cmd_resources)
+        for name in defaults:
+            kind, flag_help = SETTINGS[name]
+            flags = _FLAGS.get(name, (f"--{name.replace('_', '-')}",))
+            p.add_argument(*flags, dest=name, type=kind.parse, help=flag_help)
+        if command == "compare-queries":
+            p.add_argument("--scaling", action="store_true",
+                           help="also emit the matched-accuracy scaling table")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "gen-env":
+            _cmd_gen_env(args)
+        else:
+            func, _, defaults = COMMANDS[args.command]
+            s = _settings(args, defaults)
+            mdp = _load_environment(args.env, s["environment"])
+            os.makedirs(s.get("out", "."), exist_ok=True)
+            func(args, s, mdp)
+        return EXIT_OK
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -111,6 +111,8 @@ class EstimatorConfig:
             raise ValueError("ae_oracle requires 0 < epsilon < 1")
         if self.c_ae <= 0:
             raise ValueError("c_ae must be positive")
+        if self.mode == AE_ORACLE and not math.isfinite(self.c_ae / self.epsilon):
+            raise ValueError("ae_oracle requires a finite readout cost c_ae / epsilon")
 
     def effective(self) -> "EstimatorConfig":
         """This config with the fields its mode never reads reset to their

@@ -523,8 +523,21 @@ def mdp_from_dict(doc: dict) -> TabularMDP:
     num_states = int(doc["num_states"])
     num_actions = int(doc["num_actions"])
     rows = [[[] for _ in range(num_actions)] for _ in range(num_states)]
-    for entry in doc["transitions"]:
-        rows[int(entry["s"])][int(entry["a"])] = entry["rows"]
+    placed = set()
+    for i, entry in enumerate(doc["transitions"]):
+        s, a = entry["s"], entry["a"]
+        if not (type(s) is int and 0 <= s < num_states
+                and type(a) is int and 0 <= a < num_actions):
+            raise ValueError(f"transitions entry {i}: (s, a) = ({s!r}, {a!r}) is not a pair "
+                             f"of integers in [0, {num_states}) x [0, {num_actions})")
+        if (s, a) in placed:
+            raise ValueError(f"transitions entry {i}: a second row for (s, a) = ({s}, {a})")
+        placed.add((s, a))
+        rows[s][a] = entry["rows"]
+    if len(placed) != num_states * num_actions:
+        s, a = next((s, a) for s in range(num_states) for a in range(num_actions)
+                    if (s, a) not in placed)
+        raise ValueError(f"transitions has no entry for (s, a) = ({s}, {a})")
     return TabularMDP.from_rows(num_states, num_actions, rows, doc["rewards"],
                                 float(doc["gamma"]), terminal_states=frozenset(doc["terminals"]),
                                 start_state=int(doc["start"]))

@@ -115,15 +115,28 @@ class TestRun:
         ("nan_probability", "probabilities must be finite"),
         ("terminal_out_of_range", "terminal states must be integers"),
         ("fractional_next_state", "next states must be integers"),
+        ("state_past_end", "entry 0: (s, a) = (16, 0) is not a pair of integers"),
+        ("negative_state", "entry 0: (s, a) = (-1, 0) is not a pair of integers"),
+        ("fractional_action", "entry 0: (s, a) = (0, 1.5) is not a pair of integers"),
+        ("repeated_pair", "entry 64: a second row for (s, a) = (0, 0)"),
     ])
     def test_invalid_env_file_exits_2(self, grid_env, tmp_path, capsys, defect, message):
         doc = json.loads(open(grid_env, encoding="utf-8").read())
+        first = doc["transitions"][0]
         if defect == "nan_probability":
-            doc["transitions"][0]["rows"] = [[1, float("nan")]]
+            first["rows"] = [[1, float("nan")]]
         elif defect == "terminal_out_of_range":
             doc["terminals"] = [15, 40]
+        elif defect == "fractional_next_state":
+            first["rows"] = [[1.7, 1.0]]
+        elif defect == "state_past_end":
+            first["s"] = 16
+        elif defect == "negative_state":
+            first["s"] = -1
+        elif defect == "fractional_action":
+            first["a"] = 1.5
         else:
-            doc["transitions"][0]["rows"] = [[1.7, 1.0]]
+            doc["transitions"].append(dict(first, rows=[[1, 1.0]]))
         env = tmp_path / "bad_env.json"
         env.write_text(json.dumps(doc))
         out = tmp_path / "o"
@@ -176,6 +189,126 @@ class TestConfigFile:
         }))
         out = tmp_path / "o"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+def _write_config(tmp_path, doc) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestSettings:
+    """Each command takes exactly the flags and config keys it reads."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("ablate", "--epsilon", "0.1"),  # each cell sets epsilon from --epsilons
+        ("noise-study", "--noise-p", "0.1"),  # each arm sets p from --p-values
+    ] + [("resources", flag, value) for flag, value in [
+        ("--mode", "ae_oracle"), ("--shots", "5"), ("--noise-p", "0.1"), ("--iters", "3"),
+        ("--tol", "1e-3"), ("--gamma", "0.5"), ("--seed", "1"), ("--seeds", "2"), ("--out", "x"),
+    ]])
+    def test_unread_flag_exits_2(self, grid_env, tmp_path, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--env", grid_env, flag, value])
+        assert exc.value.code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "epsilons", [0.1]), ("run", "mc_budget", 10), ("run", "kappa", 2.0),
+        ("ablate", "epsilon", 0.1), ("ablate", "shots", 64),
+        ("noise-study", "noise_p", 0.1), ("compare-queries", "p_values", [0.0]),
+        ("resources", "seed", 1), ("resources", "mode", "ae_oracle"),
+    ])
+    def test_unread_config_key_exits_2(self, grid_env, tmp_path, capsys, monkeypatch,
+                                       command, key, value):
+        monkeypatch.chdir(tmp_path)  # the default --out is "."
+        cfg = _write_config(tmp_path, {key: value})
+        assert main([command, "--env", grid_env, "--config", cfg]) == EXIT_CONFIG
+        assert f"unknown config keys for {command}: ['{key}']" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "grid.json"]
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("run", {"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ("run", {"seed": True}, "seed must be an integer, got True"),
+        ("run", {"seed": None}, "seed must be an integer, got None"),
+        ("run", {"shots": 2.9}, "shots must be an integer >= 1, got 2.9"),
+        ("run", {"gamma": "0.5"}, "gamma must be a finite number, got '0.5'"),
+        ("run", {"mode": "exact"}, "mode must be shot_sampling or ae_oracle"),
+        ("ablate", {"epsilons": 0.1}, "epsilons must be a nonempty comma string or JSON list"),
+        ("ablate", {"shot_counts": [128, 2.5]}, "shot_counts must be a nonempty comma string"),
+        ("noise-study", {"p_values": 0.01}, "p_values must be a nonempty comma string"),
+        ("noise-study", {"p_values": [0, 1.5]}, "each a number in [0, 1], got [0, 1.5]"),
+        ("run", {"environment": 5}, "no environment given"),
+        ("run", {"environment": {"builder": ["gridworld"]}}, "unknown environment builder"),
+        ("run", {"environment": {"builder": "gridworld", "width": 4.5, "height": 4,
+                                 "goal": [3, 3]}}, "width must be an integer >= 1, got 4.5"),
+        ("run", {"environment": {"builder": "frozenlake", "size": 4, "slippery": "no"}},
+         "slippery must be a boolean, got 'no'"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
+        doc.setdefault("environment", {"builder": "gridworld", "width": 4, "height": 4,
+                                       "goal": [3, 3]})
+        out = tmp_path / "o"
+        assert main([command, "--config", _write_config(tmp_path, doc), "--iters", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["compare-queries", "--iters", "0"], "iters must be an integer >= 1, got 0"),
+        (["compare-queries", "--mc-budget", "0"], "mc_budget must be an integer >= 1, got 0"),
+        (["ablate", "--epsilons", "abc"], "epsilons must be a nonempty comma string"),
+        (["ablate", "--mode", "ae_oracle", "--epsilons", "0.01,1.5"], "ae_oracle requires"),
+        (["run", "--mode", "ae_oracle", "--epsilon", "1e-320"], "finite readout cost"),
+        (["run", "--gamma", "nan"], "gamma must be a finite number, got nan"),
+        (["resources", "--kappa", "0.5"], "kappa must be >= 1"),
+    ])
+    def test_bad_setting_exits_2_before_any_run(self, grid_env, capsys, monkeypatch,
+                                                 argv, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+        for name in ("run_qpolicy", "run_ablation", "run_query_complexity_study"):
+            monkeypatch.setattr(f"qpolicy.cli.{name}", no_run)
+        assert main(argv[:1] + ["--env", grid_env] + argv[1:]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_value_error_inside_a_run_exits_1(self, grid_env, tmp_path, capsys, monkeypatch):
+        def failing_run(mdp, config):
+            raise ValueError("q table must be finite")
+        monkeypatch.setattr("qpolicy.cli.run_qpolicy", failing_run)
+        code = main(["run", "--env", grid_env, "--iters", "2", "--out", str(tmp_path / "o")])
+        assert code == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime error: q table must be finite")
+
+    def test_default_epsilon_flag_changes_nothing(self, grid_env, tmp_path):
+        # --epsilon 0.01 is compare-queries' calibrated value: same bytes
+        base = ["compare-queries", "--env", grid_env, "--iters", "5", "--mc-budget", "50",
+                "--seeds", "2"]
+        assert main(base + ["--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(base + ["--epsilon", "0.01", "--out", str(tmp_path / "b")]) == EXIT_OK
+        for name in ("comparison.csv", "comparison_runs.csv", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_engine_flags_apply_over_calibrated_defaults(self, grid_env, tmp_path):
+        out = tmp_path / "o"
+        assert main(["compare-queries", "--env", grid_env, "--iters", "2", "--mc-budget", "50",
+                     "--mode", "shot_sampling", "--shots", "7", "--out", str(out)]) == EXIT_OK
+        assert "qpolicy,420,840," in (out / "comparison.csv").read_text()  # 60 pairs x 7
+        estimator = json.loads((out / "manifest.json").read_text())["config"]["estimator"]
+        assert (estimator["mode"], estimator["shots"], estimator["c_ae"]) == (
+            "shot_sampling", 7, 0.04)
+
+    def test_list_settings_take_a_json_list_or_a_comma_string(self, grid_env, tmp_path):
+        outs = []
+        for epsilons in ([0.01, 0.05], "0.01,0.05"):
+            outs.append(tmp_path / f"o{len(outs)}")
+            cfg = _write_config(tmp_path, {"epsilons": epsilons, "shot_counts": [16],
+                                           "seeds": [0, 1], "iters": 3})
+            assert main(["ablate", "--env", grid_env, "--config", cfg,
+                         "--out", str(outs[-1])]) == EXIT_OK
+        assert [p.name for p in sorted(outs[0].iterdir())] == [
+            "arm_eps0.01_shots16.csv", "arm_eps0.05_shots16.csv", "manifest.json", "summary.csv"]
+        for p in outs[0].iterdir():
+            assert p.read_bytes() == (outs[1] / p.name).read_bytes()
 
 
 class TestStudies:

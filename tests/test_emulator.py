@@ -335,3 +335,9 @@ class TestAmplitudeEstimate:
             EstimatorConfig(mode="other")
         with pytest.raises(ValueError):
             NoiseModel(-0.1)
+        # a query cost ceil(c_ae / epsilon) past the float range cannot be charged
+        with pytest.raises(ValueError, match="finite readout cost"):
+            EstimatorConfig(mode=AE_ORACLE, epsilon=1e-320)
+        with pytest.raises(ValueError, match="finite readout cost"):
+            EstimatorConfig(mode=AE_ORACLE, epsilon=1e-10, c_ae=1e308)
+        EstimatorConfig(mode=SHOT_SAMPLING, epsilon=1e-320)  # shot mode never reads it

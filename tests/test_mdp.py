@@ -233,7 +233,22 @@ def grid4_doc(**changes) -> dict:
     (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [[1.7, 1.0]]}]
                + grid4_doc()["transitions"][1:]),
      "row (0, 0): next states must be integers in [0, 16)"),
-], ids=["nan_probability", "terminal_out_of_range", "fractional_next_state"])
+    (grid4_doc(transitions=[dict(grid4_doc()["transitions"][0], s=16)]
+               + grid4_doc()["transitions"][1:]),
+     "transitions entry 0: (s, a) = (16, 0) is not a pair of integers in [0, 16) x [0, 4)"),
+    (grid4_doc(transitions=[dict(grid4_doc()["transitions"][0], s=-1)]
+               + grid4_doc()["transitions"][1:]),
+     "transitions entry 0: (s, a) = (-1, 0) is not a pair of integers in [0, 16) x [0, 4)"),
+    (grid4_doc(transitions=[dict(grid4_doc()["transitions"][0], a=1.5)]
+               + grid4_doc()["transitions"][1:]),
+     "transitions entry 0: (s, a) = (0, 1.5) is not a pair of integers in [0, 16) x [0, 4)"),
+    (grid4_doc(transitions=grid4_doc()["transitions"]
+               + [{"s": 0, "a": 0, "rows": [[1, 1.0]]}]),
+     "transitions entry 64: a second row for (s, a) = (0, 0)"),
+    (grid4_doc(transitions=grid4_doc()["transitions"][:5] + grid4_doc()["transitions"][6:]),
+     "transitions has no entry for (s, a) = (1, 1)"),
+], ids=["nan_probability", "terminal_out_of_range", "fractional_next_state", "state_past_end",
+        "negative_state", "fractional_action", "repeated_pair", "missing_pair"])
 def test_bad_environment_document_rejected(doc, message):
     with pytest.raises(ValueError) as exc:
         mdp_from_dict(doc)

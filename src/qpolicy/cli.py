@@ -59,8 +59,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _temp_path(path: str) -> str:
+    """path + ".tmp", after making path's directory: an output directory
+    appears only once a command has results to write."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return f"{path}.tmp"
+
+
 def _write_csv(path: str, header, rows) -> None:
-    tmp = f"{path}.tmp"
+    tmp = _temp_path(path)
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -70,7 +77,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _write_json(path: str, doc: dict) -> None:
-    tmp = f"{path}.tmp"
+    tmp = _temp_path(path)
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -462,9 +469,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             func, _, defaults = COMMANDS[args.command]
             s = _settings(args, defaults)
-            mdp = _load_environment(args.env, s["environment"])
-            os.makedirs(s.get("out", "."), exist_ok=True)
-            func(args, s, mdp)
+            func(args, s, _load_environment(args.env, s["environment"]))
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,8 @@ from scipy.special import stdtrit
 
 from .emulator import AE_ORACLE, EstimatorConfig, NoiseModel, ae_query_cost
 from .engine import IterationRecord, QPolicyConfig, policy_improve, run_qpolicy
-from .mdp import TabularMDP, mc_policy_evaluation
+# mc_policy_evaluation stays bound here, where perfbench/tracing.py hooks it
+from .mdp import TabularMDP, mc_policy_evaluation, mc_policy_evaluation_lockstep  # noqa: F401
 from .rng import child_seed, stream
 
 # Gate-count calibration: a sparsity-4 grid row costs 50 gates per backup and
@@ -124,30 +125,32 @@ def summarize(series_across_seeds: Sequence[Sequence[float]]) -> list[SummarySta
 # ---------------------------------------------------------------------------
 
 def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
-                            seed: int, horizon: int = 100) -> list:
-    """Policy iteration with first-visit MC evaluation; one query = one rollout."""
-    policy = policy_improve(np.zeros((mdp.num_states, mdp.num_actions)))
-    v_prev = np.zeros(mdp.num_states)
-    records = []
-    cumulative = 0
+                            seeds: Sequence[int], horizon: int = 100) -> list[list]:
+    """Policy iteration with first-visit MC evaluation, one run per seed; one
+    query = one rollout. The runs advance together: each iteration makes one
+    lockstep sampler call for every seed's policy, and seed i's evaluation
+    at iteration k draws from child_seed(seeds[i], 6, k) alone."""
+    policies = [policy_improve(np.zeros((mdp.num_states, mdp.num_actions)))] * len(seeds)
+    v_prev = [np.zeros(mdp.num_states)] * len(seeds)
+    runs = [[] for _ in seeds]
     for k in range(iterations):
-        q_mc, queries = mc_policy_evaluation(
-            mdp, policy, budget, horizon=horizon, seed=child_seed(seed, 6, k))
-        policy = policy_improve(q_mc)
-        v_next = q_mc.max(axis=1)
-        err_max, err_mean = compute_bellman_error(v_prev, v_next)
-        cumulative += queries
-        records.append(IterationRecord(
-            iteration=k,
-            bellman_error_max=err_max,
-            bellman_error_mean=err_mean,
-            q_variance=0.0,
-            queries_iteration=queries,
-            queries_cumulative=cumulative,
-            policy_actions=policy.actions.copy(),
-        ))
-        v_prev = v_next
-    return records
+        tables, queries = mc_policy_evaluation_lockstep(
+            mdp, policies, budget, horizon, [child_seed(seed, 6, k) for seed in seeds])
+        for i, q_mc in enumerate(tables):
+            policies[i] = policy_improve(q_mc)
+            v_next = q_mc.max(axis=1)
+            err_max, err_mean = compute_bellman_error(v_prev[i], v_next)
+            runs[i].append(IterationRecord(
+                iteration=k,
+                bellman_error_max=err_max,
+                bellman_error_mean=err_mean,
+                q_variance=0.0,
+                queries_iteration=queries,
+                queries_cumulative=queries * (k + 1),
+                policy_actions=policies[i].actions.copy(),
+            ))
+            v_prev[i] = v_next
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +177,13 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig,
                                mc_budget: int = 1000, iterations: int = 50,
                                seeds: Sequence[int] = tuple(range(10)),
                                horizon: int = 100) -> list[MethodResult]:
-    """Run the engine and the MC baseline for the same iteration budget."""
+    """Run the engine and the MC baseline for the same iteration budget; the
+    MC arm steps every seed's run in lockstep (run_mc_policy_iteration)."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    mc_runs = run_mc_policy_iteration(mdp, mc_budget, iterations, seeds, horizon)
     results = []
-    for seed in seeds:
+    for seed, mc_records in zip(seeds, mc_runs):
         cfg = replace(qp_config, seed=seed, max_iterations=iterations,
                       estimator=replace(qp_config.estimator, seed=seed))
         records, _ = run_qpolicy(mdp, cfg)
@@ -190,7 +195,6 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig,
             final_bellman_error=records[-1].bellman_error_max,
             records=records,
         ))
-        mc_records = run_mc_policy_iteration(mdp, mc_budget, iterations, seed, horizon)
         results.append(MethodResult(
             method="monte_carlo",
             seed=seed,

@@ -296,6 +296,8 @@ def build_gridworld(width: int, height: int, slip_prob: float, goal: tuple,
         raise ValueError("grid must contain at least 2 cells")
     if not 0.0 <= slip_prob <= 1.0:
         raise ValueError("slip_prob must lie in [0, 1]")
+    if len(goal) != 2:
+        raise ValueError(f"goal must be (row, col), got {goal}")
     gr, gc = int(goal[0]), int(goal[1])
     if not (0 <= gr < height and 0 <= gc < width):
         raise ValueError(f"goal {goal} outside the {height}x{width} grid")
@@ -412,69 +414,139 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
     of each pair are averaged; pairs never visited estimate 0. The query
     count is one per trajectory (a rollout is one environment query).
 
+    This is the one-member call of mc_policy_evaluation_lockstep, which
+    describes how the trajectories are stepped and what memory they take.
+    """
+    estimates, queries = mc_policy_evaluation_lockstep(mdp, [policy], num_trajectories,
+                                                       horizon, [seed])
+    return estimates[0], queries
+
+
+def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: int,
+                                  horizon: int, seeds) -> tuple[np.ndarray, int]:
+    """mc_policy_evaluation for several (policy, seed) members in one pass.
+
+    Returns the (members, S, A) estimates and the query count per member.
+    Member i's estimate is mc_policy_evaluation(mdp, policies[i],
+    num_trajectories, horizon, seeds[i]) bit for bit: it draws from its own
+    stream(seeds[i], 0), first its starts and then, at each step it moves,
+    one uniform per trajectory, live or not, for the next states and, under
+    a stochastic policy, one more for the actions. The members are stepped
+    together, so each step costs one set of array operations over every
+    member's live trajectories. The policies must be all deterministic or
+    all stochastic.
+
     A trajectory that reaches a terminal state is absorbed: from there on it
     earns 0 and visits only terminal pairs, whose estimate is 0 however
-    often they are visited, so it leaves the live set, and the loop ends
-    once no trajectory is live. The estimates are those of stepping every
-    trajectory to the horizon, bit for bit. Each step still draws its
-    uniforms for every trajectory, live or not, so the random stream does
-    not depend on when trajectories are absorbed. First visits are found by
-    sorting (trajectory, pair, step) keys and summed in time-major,
-    trajectory-ascending order, so memory is O(n * horizon) with no S*A
-    term.
+    often they are visited, so it leaves the live set. A member whose
+    trajectories are all absorbed stops drawing, and the loop ends once no
+    trajectory is live; the estimates are those of stepping every
+    trajectory to the horizon, bit for bit. Visited pairs go to one int32
+    (horizon, members * n) history, 4 bytes per member, trajectory and step
+    (4 MB for 10 members of 1000 trajectories over 100 steps). Each
+    member's returns and first visits come from its own (steps, n) slice of
+    it, first visits by sorting (trajectory, pair, step) keys, summed in
+    time-major, trajectory-ascending order, so memory is
+    O(members * n * horizon) with no S*A term.
     """
     if num_trajectories < 1:
         raise ValueError("num_trajectories must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if len(policies) != len(seeds) or len(seeds) == 0:
+        raise ValueError("need one seed per policy, and at least one of each")
+    kinds = {policy.kind for policy in policies}
+    if len(kinds) > 1:
+        raise ValueError("member policies must be all deterministic or all stochastic")
+    deterministic = kinds == {"deterministic"}
     s_count, a_count = mdp.num_states, mdp.num_actions
     pair_count = s_count * a_count
-    rng = stream(seed, 0)
-    # per-row CDFs over the padded operator; a draw above a row's rounded
-    # total lands on the row's last support state
-    cum_p = np.cumsum(mdp.next_probs, axis=1)
-    last = cum_p.shape[1] - 1
-    cum_pi = np.cumsum(policy.matrix(a_count), axis=1)
-    deterministic = policy.kind == "deterministic"
+    members, n = len(seeds), num_trajectories
+    rngs = [stream(seed, 0) for seed in seeds]
+    # policy tables indexed by m * S + s for member m at state s: the
+    # operator row s * A + pi(s) of a deterministic policy, or the CDF over
+    # actions of a stochastic one
+    if deterministic:
+        actions = [policy.actions for policy in policies]
+        if any(a.shape != (s_count,) or not np.all((a >= 0) & (a < a_count)) for a in actions):
+            raise ValueError(f"a deterministic policy needs one action in [0, {a_count}) "
+                             "per state")
+        row_of = (np.arange(s_count) * a_count + np.stack(actions)).ravel()
+    else:
+        cum_pi = np.cumsum(np.stack([policy.matrix(a_count) for policy in policies]), axis=2)
+        action_cdf = np.ascontiguousarray(cum_pi[:, :, :-1].reshape(-1, a_count - 1).T)
+    # the next state is the row's entry at the count of its CDF values below
+    # the uniform, capped at the last entry; counting over the first d - 1
+    # columns gives the cap, as cumulative sums of nonnegative floats never
+    # decrease (likewise for actions)
+    next_cdf = np.ascontiguousarray(np.cumsum(mdp.next_probs, axis=1)[:, :-1].T)
+    width = mdp.next_states.shape[1]
+    next_state = mdp.next_states.ravel()
     terminal = np.zeros(s_count, dtype=bool)
     terminal[sorted(mdp.terminal_states)] = True
+    terminal = np.repeat(terminal, a_count)  # by row
 
-    n = num_trajectories
-    # visited pairs, time-major, -1 once a trajectory is absorbed; the extra
-    # zero row of rewards seeds the return recursion
-    pairs = np.full((horizon, n), -1, dtype=np.intp)
-    returns = np.zeros((horizon + 1, n))
-    start = rng.integers(0, pair_count, size=n)
-    live = np.arange(n)
-    states = start // a_count
-    actions = start % a_count
-    steps = horizon
+    # visited pairs, time-major, -1 once a trajectory is absorbed
+    pairs = np.full((horizon, members * n), -1, dtype=np.int32)
+    live = np.arange(members * n)  # member * n + trajectory
+    offset = np.repeat(np.arange(members) * s_count, n)  # its member's policy block
+    rows = np.concatenate([rng.integers(0, pair_count, size=n) for rng in rngs])
+    steps = np.full(members, horizon)
+    moving = list(range(members))  # members with live trajectories
+    uniforms = np.empty((1 if deterministic else 2, members, n))
     for t in range(horizon):
-        rows = states * a_count + actions
         pairs[t, live] = rows
-        returns[t, live] = mdp.rewards[states, actions]
-        absorbed = terminal[states]
+        if t == horizon - 1:
+            break
+        absorbed = terminal[rows]
         if absorbed.any():
             kept = ~absorbed
-            live, states, rows = live[kept], states[kept], rows[kept]
-            if live.size == 0:
-                steps = t + 1
-                break
-        u = rng.random(n)[live]
-        column = np.minimum((cum_p[rows] < u[:, None]).sum(axis=1), last)
-        states = mdp.next_states[rows, column]
+            live, rows, offset = live[kept], rows[kept], offset[kept]
+            left = np.bincount(live // n, minlength=members)
+            if np.count_nonzero(left) < len(moving):
+                steps[[m for m in moving if left[m] == 0]] = t + 1
+                moving = [m for m in moving if left[m]]
+                if not moving:
+                    break
+        for m in moving:
+            uniforms[0, m] = rngs[m].random(n)
+            if not deterministic:
+                uniforms[1, m] = rngs[m].random(n)
+        index = rows * width
+        u = uniforms[0].ravel()[live]
+        for column in next_cdf:
+            index += column[rows] < u
+        states = next_state[index]
         if deterministic:
-            actions = policy.actions[states]
+            rows = row_of[offset + states]
         else:
-            u2 = rng.random(n)[live]
-            actions = np.minimum((cum_pi[states] < u2[:, None]).sum(axis=1), a_count - 1)
+            member_states = offset + states
+            rows = states * a_count
+            u = uniforms[1].ravel()[live]
+            for column in action_cdf:
+                rows += column[member_states] < u
 
-    returns = returns[:steps + 1]
+    rewards = np.append(mdp.rewards.ravel(), 0.0)  # pair -1, absorbed, earns 0
+    estimates = np.empty((members, s_count, a_count))
+    for m in range(members):
+        visited = pairs[:steps[m], m * n:(m + 1) * n]
+        estimates[m] = _first_visit_means(visited, rewards, mdp.gamma).reshape(s_count, a_count)
+    return estimates, num_trajectories
+
+
+def _first_visit_means(pairs: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Mean discounted return from each pair's first visits in the (steps, n)
+    time-major history of pair indices (-1 once absorbed), 0 where never
+    visited; rewards holds r per pair and a trailing 0 for index -1."""
+    steps, n = pairs.shape
+    pair_count = len(rewards) - 1
+    # the extra zero row seeds the return recursion
+    returns = np.zeros((steps + 1, n))
+    returns[:steps] = rewards[pairs]
     for t in range(steps - 1, -1, -1):
-        returns[t] += mdp.gamma * returns[t + 1]
+        returns[t] += gamma * returns[t + 1]
 
     # an entry equal to its trajectory's previous pair is never a first visit
-    pairs = pairs[:steps]
     candidate = pairs >= 0
     candidate[1:] &= pairs[1:] != pairs[:-1]
     pairs = pairs.ravel()
@@ -491,9 +563,7 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
     pair = pairs[position]
     sums = np.bincount(pair, weights=returns.ravel()[position], minlength=pair_count)
     counts = np.bincount(pair, minlength=pair_count)
-
-    estimate = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-    return estimate.reshape(s_count, a_count), num_trajectories
+    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ class TestGenEnv:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.strip() != ""
 
+    def test_goal_not_row_col_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["gen-env", "gridworld", "--width", "4", "--height", "4",
+                     "--goal", "3,3,7", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "goal must be (row, col), got (3, 3, 7)" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRun:
     def test_row_count_and_header(self, grid_env, tmp_path):
@@ -243,6 +251,8 @@ class TestSettings:
                                  "goal": [3, 3]}}, "width must be an integer >= 1, got 4.5"),
         ("run", {"environment": {"builder": "frozenlake", "size": 4, "slippery": "no"}},
          "slippery must be a boolean, got 'no'"),
+        ("run", {"environment": {"builder": "gridworld", "width": 4, "height": 4,
+                                 "goal": [3, 3, 7]}}, "goal must be (row, col), got (3, 3, 7)"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
         doc.setdefault("environment", {"builder": "gridworld", "width": 4, "height": 4,
@@ -270,6 +280,18 @@ class TestSettings:
             monkeypatch.setattr(f"qpolicy.cli.{name}", no_run)
         assert main(argv[:1] + ["--env", grid_env] + argv[1:]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--mode", "ae_oracle", "--epsilons", "1.5"],
+        ["noise-study", "--p-values", "0.1"],
+    ])
+    def test_config_error_in_a_command_leaves_no_output_directory(self, grid_env, tmp_path,
+                                                                    argv):
+        # both are found by the command itself, after the settings are read
+        out = tmp_path / "late"
+        assert main(argv[:1] + ["--env", grid_env] + argv[1:] + ["--out", str(out)]) \
+            == EXIT_CONFIG
+        assert not out.exists()
 
     def test_value_error_inside_a_run_exits_1(self, grid_env, tmp_path, capsys, monkeypatch):
         def failing_run(mdp, config):

@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 
 from qpolicy import experiments
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
-from qpolicy.engine import QPolicyConfig, run_qpolicy
+from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy
 from qpolicy.experiments import (
     AblationGrid,
     _cell_config,
@@ -22,7 +22,8 @@ from qpolicy.experiments import (
     run_query_complexity_study,
     summarize,
 )
-from qpolicy.mdp import Policy, bellman_backup
+from qpolicy.mdp import Policy, bellman_backup, mc_policy_evaluation
+from qpolicy.rng import child_seed
 
 
 def records_equal(a, b):
@@ -165,6 +166,32 @@ class TestQueryStudy:
         mc = [r for r in results if r.method == "monte_carlo"]
         assert all(r.queries_per_iteration == 500 for r in mc)
         assert all(r.total_queries == 5000 for r in mc)
+
+    def test_mc_arm_equals_a_per_seed_reference_loop(self, grid4):
+        seeds, budget, iterations, horizon = [4, 0, 9], 300, 8, 60
+        results = run_query_complexity_study(
+            grid4, calibrated_query_config(iterations, 0), mc_budget=budget,
+            iterations=iterations, seeds=seeds, horizon=horizon)
+        assert [(r.method, r.seed) for r in results] == [
+            (method, seed) for seed in seeds for method in ("qpolicy", "monte_carlo")]
+        for result in results[1::2]:
+            policy = policy_improve(np.zeros((16, 4)))
+            v_prev = np.zeros(16)
+            assert len(result.records) == iterations
+            for k, record in enumerate(result.records):
+                q_mc, queries = mc_policy_evaluation(grid4, policy, budget, horizon=horizon,
+                                                     seed=child_seed(result.seed, 6, k))
+                policy = policy_improve(q_mc)
+                v_next = q_mc.max(axis=1)
+                assert record.iteration == k
+                assert (record.bellman_error_max, record.bellman_error_mean) == \
+                    compute_bellman_error(v_prev, v_next)
+                assert (record.queries_iteration, record.queries_cumulative) == (
+                    queries, queries * (k + 1))
+                assert np.array_equal(record.policy_actions, policy.actions)
+                v_prev = v_next
+            assert result.final_bellman_error == result.records[-1].bellman_error_max
+            assert result.total_queries == budget * iterations
 
     def test_engine_arm_cheaper_and_better(self, grid4):
         results = run_query_complexity_study(

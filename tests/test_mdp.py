@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from qpolicy.mdp import (
     greedy_actions,
     load_mdp,
     mc_policy_evaluation,
+    mc_policy_evaluation_lockstep,
     mdp_from_dict,
     mdp_to_dict,
     policy_values,
@@ -97,6 +99,8 @@ class TestGridworld:
             build_gridworld(1, 1, 0.2, (0, 0), 0.95)
         with pytest.raises(ValueError):
             build_gridworld(4, 4, 0.2, (4, 0), 0.95)
+        with pytest.raises(ValueError, match=r"goal must be \(row, col\)"):
+            build_gridworld(4, 4, 0.2, (3, 3, 7), 0.95)
 
 
 class TestFrozenlake:
@@ -519,23 +523,24 @@ def sampler_policies(mdp: TabularMDP) -> dict:
     }
 
 
-def count_uniform_draws(monkeypatch) -> list:
-    """Sizes of the sampler's rng.random calls, recorded from now on."""
-    sizes = []
+def count_uniform_draws(monkeypatch) -> dict:
+    """Sizes of the sampler's rng.random calls by stream seed, recorded from
+    now on."""
+    sizes = defaultdict(list)
     real_stream = mdp_module.stream
 
     class Counting:
-        def __init__(self, rng):
-            self.rng = rng
+        def __init__(self, seed, *key):
+            self.rng, self.sizes = real_stream(seed, *key), sizes[seed]
 
         def integers(self, *args, **kwargs):
             return self.rng.integers(*args, **kwargs)
 
         def random(self, size):
-            sizes.append(size)
+            self.sizes.append(size)
             return self.rng.random(size)
 
-    monkeypatch.setattr(mdp_module, "stream", lambda *key: Counting(real_stream(*key)))
+    monkeypatch.setattr(mdp_module, "stream", Counting)
     return sizes
 
 
@@ -614,7 +619,8 @@ class TestMonteCarlo:
         q_mc, _ = mc_policy_evaluation(mdp, chosen, 500, horizon=400, seed=3)
         # one next-state draw per step, and one action draw under a
         # stochastic policy, each for all 500 trajectories
-        assert 0 < len(draws) < 100 and set(draws) == {500}
+        (sizes,) = draws.values()
+        assert 0 < len(sizes) < 100 and set(sizes) == {500}
         monkeypatch.undo()
         # the horizon past the last absorption changes nothing
         assert q_mc.tobytes() == mc_policy_evaluation(mdp, chosen, 500, horizon=100,
@@ -634,9 +640,95 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
 
+    def test_lockstep_memory_is_the_pair_history(self, grid100):
+        # 8 all-UP members of 1000 trajectories that almost all stay live for
+        # 100 steps: the int32 pair history takes 3.1 MiB, and the returns and
+        # first-visit keys come from one member's slice at a time (about
+        # 12 MiB in all), where all members' at once would take over 50 MiB
+        policy = Policy.deterministic(np.zeros(grid100.num_states, dtype=int))
+        tracemalloc.start()
+        try:
+            mc_policy_evaluation_lockstep(grid100, [policy] * 8, 1000, 100, list(range(8)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):
             mc_policy_evaluation(grid4, Policy.uniform(16, 4), 0, seed=0)
+
+
+class TestLockstep:
+    """mc_policy_evaluation_lockstep: one pass over several (policy, seed)
+    members, each as its own mc_policy_evaluation call."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_ENVS))
+    def test_each_member_equals_its_own_call(self, name):
+        mdp, _ = SAMPLER_ENVS[name]()
+        policies = sampler_policies(mdp)
+        # greedy and all-UP members end at different steps on the grids and lakes
+        batches = [[policies["greedy"], policies["all_up"], policies["greedy"]],
+                   [policies["uniform"], policies["skewed"]], [policies["all_up"]]]
+        cases = [(300, 40), (1, 1), (1, 60), (17, 3), (200, 1)]
+        for first_seed, (batch, (n, horizon)) in enumerate(
+                (b, c) for b in batches for c in cases):
+            seeds = [first_seed + 100 * i for i in range(len(batch))]
+            tables, queries = mc_policy_evaluation_lockstep(mdp, batch, n, horizon, seeds)
+            assert queries == n
+            assert tables.shape == (len(batch), mdp.num_states, mdp.num_actions)
+            for table, policy, seed in zip(tables, batch, seeds):
+                q_mc, _ = mc_policy_evaluation(mdp, policy, n, horizon=horizon, seed=seed)
+                assert table.tobytes() == q_mc.tobytes()
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("grid4_deterministic", ("greedy", "all_up")),
+        ("lake4_deterministic", ("uniform", "skewed", "uniform")),
+    ])
+    def test_member_draws_only_while_it_has_live_trajectories(self, name, kinds,
+                                                              monkeypatch):
+        mdp, _ = SAMPLER_ENVS[name]()
+        batch = [sampler_policies(mdp)[kind] for kind in kinds]
+        seeds = list(range(11, 11 + len(batch)))
+        draws = count_uniform_draws(monkeypatch)
+        mc_policy_evaluation_lockstep(mdp, batch, 200, 50, seeds)
+        lockstep = dict(draws)
+        draws.clear()
+        for policy, seed in zip(batch, seeds):
+            mc_policy_evaluation(mdp, policy, 200, horizon=50, seed=seed)
+        assert lockstep == dict(draws)
+        # n uniforms a step, one more set under a stochastic policy; the
+        # step at the horizon moves no trajectory and draws nothing
+        per_step = 1 if batch[0].kind == "deterministic" else 2
+        for sizes in lockstep.values():
+            assert set(sizes) == {200} and len(sizes) % per_step == 0
+            assert 0 < len(sizes) <= 49 * per_step
+        if kinds[1] == "all_up":
+            # greedy reaches the goal from every start within 8 moves; all-UP
+            # leaves most starts short of it, so that member moves at every step
+            assert len(lockstep[11]) <= 8 and lockstep[12] == [200] * 49
+        draws.clear()
+        mc_policy_evaluation_lockstep(mdp, batch, 1, 1, seeds)
+        assert sorted(draws) == seeds and not any(draws.values())
+
+    def test_mixed_policy_kinds_rejected(self, grid4):
+        policies = sampler_policies(grid4)
+        with pytest.raises(ValueError, match="all deterministic or all stochastic"):
+            mc_policy_evaluation_lockstep(grid4, [policies["greedy"], policies["uniform"]],
+                                          10, 5, [0, 1])
+
+    @pytest.mark.parametrize("actions", [np.full(16, 4), np.full(16, -1), np.zeros(15)])
+    def test_rejects_actions_outside_the_mdp(self, grid4, actions):
+        # action 4 of state s would read row (s + 1, 0), and -1 row (s - 1, 3)
+        with pytest.raises(ValueError, match="one action in"):
+            mc_policy_evaluation(grid4, Policy.deterministic(actions), 10, seed=0)
+
+    def test_rejects_members_without_a_seed_each(self, grid4):
+        greedy = sampler_policies(grid4)["greedy"]
+        with pytest.raises(ValueError):
+            mc_policy_evaluation_lockstep(grid4, [greedy, greedy], 10, 5, [0])
+        with pytest.raises(ValueError):
+            mc_policy_evaluation_lockstep(grid4, [], 10, 5, [])
 
 
 # ---------------------------------------------------------------------------

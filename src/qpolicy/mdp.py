@@ -199,7 +199,13 @@ class Policy:
         if self.kind == "deterministic":
             if self.actions is None:
                 raise ValueError("deterministic policy needs an actions array")
-            self.actions = np.asarray(self.actions, dtype=int)
+            actions = np.asarray(self.actions)
+            if actions.dtype != np.intp:
+                # whole numbers become intp; any other value is kept as given,
+                # for check_policy to reject rather than truncate
+                whole = np.isfinite(actions) & (np.floor(actions) == actions)
+                actions = actions.astype(np.intp) if whole.all() else actions
+            self.actions = actions
         elif self.kind == "stochastic":
             if self.probs is None:
                 raise ValueError("stochastic policy needs a probs matrix")
@@ -213,7 +219,7 @@ class Policy:
 
     @classmethod
     def deterministic(cls, actions) -> "Policy":
-        return cls(kind="deterministic", actions=np.asarray(actions, dtype=int))
+        return cls(kind="deterministic", actions=actions)
 
     @classmethod
     def stochastic(cls, probs) -> "Policy":
@@ -248,8 +254,25 @@ def greedy_actions(q: QTable, tol: float = 1e-9) -> np.ndarray:
     return near_max.argmax(axis=1)
 
 
+def check_policy(mdp: TabularMDP, policy: Policy) -> None:
+    """Raise ValueError unless policy is one for mdp: one whole-number action
+    in [0, A) per state, or a stochastic probs of shape (S, A). Every reader
+    of a policy calls it, so no action wraps round or is truncated."""
+    s_count, a_count = mdp.num_states, mdp.num_actions
+    if policy.kind == "stochastic":
+        if policy.probs.shape != (s_count, a_count):
+            raise ValueError(f"a stochastic policy needs probs of shape ({s_count}, {a_count}), "
+                             f"got {policy.probs.shape}")
+    elif (policy.actions.shape != (s_count,) or policy.actions.dtype != np.intp
+          # as unsigned, a negative action is huge, so one comparison checks both ends
+          or np.count_nonzero(policy.actions.view(np.uintp) >= a_count)):
+        raise ValueError(f"a deterministic policy needs one action in [0, {a_count}) per "
+                         f"state, each a whole number, for {s_count} states")
+
+
 def policy_values(mdp: TabularMDP, policy: Policy, q: QTable) -> np.ndarray:
     """V(s) = sum_a pi(a|s) Q(s, a)."""
+    check_policy(mdp, policy)
     return (policy.matrix(mdp.num_actions) * q).sum(axis=1)
 
 
@@ -365,7 +388,7 @@ def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
     q = np.asarray(q, dtype=float)
     if q.shape != (mdp.num_states, mdp.num_actions):
         raise ValueError(f"q table shape {q.shape} does not match the MDP")
-    v = (policy.matrix(mdp.num_actions) * q).sum(axis=1)
+    v = policy_values(mdp, policy, q)
     with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
         return mdp.rewards + mdp.gamma * mdp.expect(v)
 
@@ -458,6 +481,8 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     kinds = {policy.kind for policy in policies}
     if len(kinds) > 1:
         raise ValueError("member policies must be all deterministic or all stochastic")
+    for policy in policies:
+        check_policy(mdp, policy)
     deterministic = kinds == {"deterministic"}
     s_count, a_count = mdp.num_states, mdp.num_actions
     pair_count = s_count * a_count
@@ -467,11 +492,8 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     # operator row s * A + pi(s) of a deterministic policy, or the CDF over
     # actions of a stochastic one
     if deterministic:
-        actions = [policy.actions for policy in policies]
-        if any(a.shape != (s_count,) or not np.all((a >= 0) & (a < a_count)) for a in actions):
-            raise ValueError(f"a deterministic policy needs one action in [0, {a_count}) "
-                             "per state")
-        row_of = (np.arange(s_count) * a_count + np.stack(actions)).ravel()
+        row_of = (np.arange(s_count) * a_count
+                  + np.stack([policy.actions for policy in policies])).ravel()
     else:
         cum_pi = np.cumsum(np.stack([policy.matrix(a_count) for policy in policies]), axis=2)
         action_cdf = np.ascontiguousarray(cum_pi[:, :, :-1].reshape(-1, a_count - 1).T)

@@ -9,22 +9,25 @@ bit-identical numbers.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; every command draws, so load it
+# with the package rather than inside the first study's timed work
+from numpy.random import Generator, Philox, SeedSequence
 
 _MASK_63 = (1 << 63) - 1
 
 
-def stream(seed: int, *key: int) -> np.random.Generator:
+def stream(seed: int, *key: int) -> Generator:
     """Independent Philox generator for the given seed and stream key."""
-    ss = np.random.SeedSequence(
+    ss = SeedSequence(
         entropy=int(seed) & _MASK_63,
         spawn_key=tuple(int(k) & _MASK_63 for k in key),
     )
-    return np.random.Generator(np.random.Philox(ss))
+    return Generator(Philox(ss))
 
 
 def child_seed(seed: int, *key: int) -> int:
     """Derived integer seed for operations that take a seed of their own."""
-    ss = np.random.SeedSequence(
+    ss = SeedSequence(
         entropy=int(seed) & _MASK_63,
         spawn_key=tuple(int(k) & _MASK_63 for k in key),
     )

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from qpolicy import experiments
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
@@ -103,6 +104,21 @@ class TestSummarize:
         want = scipy_stats.t.ppf(0.975, n - 1) * std / np.sqrt(n)
         for st, w in zip(summarize(data), want):
             assert st.ci95_high - st.mean == pytest.approx(w, rel=1e-12)
+
+    def test_t_table_is_stdtrit_bit_for_bit(self):
+        # summary.csv prints at .17g, so any other float would change its bytes
+        assert len(experiments._T975) == 200
+        for df in range(1, 201):
+            assert experiments._T975[df - 1] == stdtrit(df, 0.975), df
+
+    @pytest.mark.parametrize("n", [201, 202])
+    def test_interval_ends_bit_for_bit(self, n):
+        # 201 series read the table's last entry; 202 import stdtrit for df 201
+        data = np.random.default_rng(n).normal(size=(n, 3))
+        mean, std = data.mean(axis=0), data.std(axis=0, ddof=1)
+        half = stdtrit(n - 1, 0.975) * std / np.sqrt(n)
+        for st, m, h in zip(summarize(data), mean, half):
+            assert (st.ci95_low, st.ci95_high) == (m - h, m + h)
 
     def test_coverage_of_t_interval(self):
         rng = np.random.default_rng(0)

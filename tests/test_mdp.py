@@ -268,6 +268,33 @@ def test_policy_validation():
     mat = det.matrix(2)
     assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(mat.sum(axis=1), 1.0)
+    whole = Policy.deterministic([1.0, 0.0]).actions
+    assert whole.dtype == np.intp and whole.tolist() == [1, 0]
+    # kept as given for check_policy to reject, not truncated to 1
+    assert Policy.deterministic([1.7, 0.0]).actions.tolist() == [1.7, 0.0]
+
+
+POLICY_READERS = {
+    "policy_values": lambda mdp, pi: policy_values(mdp, pi, np.zeros((16, 4))),
+    "bellman_backup": lambda mdp, pi: bellman_backup(mdp, np.zeros((16, 4)), pi),
+    "exact_policy_evaluation": exact_policy_evaluation,
+    "mc_policy_evaluation": lambda mdp, pi: mc_policy_evaluation(mdp, pi, 10, 5, seed=0),
+    "mc_policy_evaluation_lockstep":
+        lambda mdp, pi: mc_policy_evaluation_lockstep(mdp, [pi], 10, 5, [0]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(POLICY_READERS))
+@pytest.mark.parametrize("policy", [
+    Policy.deterministic(np.full(16, -1)),  # would wrap round to RIGHT everywhere
+    Policy.deterministic(np.full(16, 4)),
+    Policy.deterministic(np.full(16, 1.7)),  # would be truncated to DOWN
+    Policy.deterministic(np.zeros(15, dtype=int)),
+    Policy.stochastic(np.full((16, 5), 0.2)),
+], ids=["minus_one", "A", "fractional", "one_state_short", "probs_one_action_wide"])
+def test_policy_checked_against_the_mdp(grid4, reader, policy):
+    with pytest.raises(ValueError, match="policy needs"):
+        POLICY_READERS[reader](grid4, policy)
 
 
 def test_sparsity_d_bounded(grid4, frozen8):

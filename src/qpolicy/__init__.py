@@ -33,6 +33,7 @@ from .engine import (
     policy_improve,
     quantum_bellman_update,
     run_qpolicy,
+    run_qpolicy_lockstep,
     verify_convergence_bound,
     verify_stability,
 )

@@ -10,8 +10,10 @@ DEFAULT_ENGINE, or for compare-queries calibrated_query_config.
 Numbers are written with 17 significant digits so reruns are
 byte-comparable; files are written to a temp name and renamed, so partial
 runs never corrupt artifacts. Exit codes: 0 success, 2 configuration error,
-1 runtime failure. Multi-run studies run serially, each distinct effective
-config once (see experiments.run_ablation); QPOLICY_THREADS is ignored.
+1 runtime failure. A multi-run command runs each distinct effective config
+once (see experiments.run_ablation), all of them in one lockstep engine loop
+(engine.run_qpolicy_lockstep) whose records equal those of running each
+alone; QPOLICY_THREADS is ignored.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
-from .engine import QPolicyConfig, run_qpolicy
+from .engine import QPolicyConfig, run_qpolicy_lockstep
 from .experiments import (
     DEFAULT_C_GATE,
     DEFAULT_C_OVERHEAD,
@@ -320,15 +322,14 @@ def _cmd_gen_env(args) -> None:
 
 
 def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
-    rows = []
-    for seed in s["seeds"]:
-        config = _engine_config(DEFAULT_ENGINE, s, seed)
-        records, _ = run_qpolicy(mdp, config)
-        rows.extend(_records_rows(records, seed))
+    configs = [_engine_config(DEFAULT_ENGINE, s, seed) for seed in s["seeds"]]
+    runs = run_qpolicy_lockstep(mdp, configs)
+    rows = [row for seed, (records, _) in zip(s["seeds"], runs)
+            for row in _records_rows(records, seed)]
     path = os.path.join(s["out"], "records.csv")
     _write_csv(path, RUN_COLUMNS, rows)
     _write_json(os.path.join(s["out"], "manifest.json"),
-                _manifest("run", mdp, config, s["seeds"]))
+                _manifest("run", mdp, configs[-1], s["seeds"]))
     print(f"wrote {len(rows)} rows to {path}")
 
 

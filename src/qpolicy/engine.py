@@ -9,7 +9,9 @@ hence within the reward bound over 1 - gamma; a run whose table leaves that
 bound stops with DivergenceError. Query accounting covers every
 estimator invocation; rows whose targets are known exactly (terminal states
 pinned at zero) can be skipped at zero cost. The reported readout variance
-is the estimator's expected variance, in closed form.
+is the estimator's expected variance, in closed form. run_qpolicy_lockstep
+steps several runs through one loop, each run's records the same as if it
+ran alone.
 """
 from __future__ import annotations
 
@@ -192,44 +194,51 @@ def _readout_mask(mdp: TabularMDP, skip_terminal: bool) -> np.ndarray:
     return mask.reshape(-1)
 
 
-def _normalize_targets(targets: QTable, iteration: int):
-    """Affine map of the target table onto [0, 1] plus its span.
+def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
+              iteration: int, seeds):
+    """Read each member's masked target entries out once; returns (q_tilde,
+    queries, q_variance), a table and two figures per member.
 
-    A target that is not finite, or a span that overflows, leaves the map
-    without meaning: that raises DivergenceError naming the iteration.
+    targets is (members, S, A), with one estimator, rng and seed per member.
+    Each member's table is mapped affinely onto [0, 1] by its own min and
+    span and read through its own readout_batch call. Entries outside the
+    mask keep their exact targets at zero cost, as does a member whose
+    targets are constant. q_variance is the expected variance of one readout
+    of q_tilde, averaged over all (s, a) entries, unmasked ones counting
+    zero. A target that is not finite, or a span that overflows, leaves the
+    map without meaning: that raises DivergenceError naming the iteration
+    and the member's seed.
     """
-    lo = float(targets.min())
-    span = float(targets.max()) - lo
-    if not math.isfinite(span):
+    flat = targets.reshape(len(targets), -1)
+    lo = flat.min(axis=1)
+    span = flat.max(axis=1) - lo
+    bad = np.flatnonzero(~np.isfinite(span))
+    if bad.size:
+        i = bad[0]
         raise DivergenceError(
-            f"iteration {iteration}: backup targets are not finite or span more "
-            f"than the float range (min {lo!r}, span {span!r})")
-    if span == 0.0:
-        return None, lo, 0.0
-    return (targets.reshape(-1) - lo) / span, lo, span
-
-
-def _read_out(targets: QTable, mask: np.ndarray, estimator: EstimatorConfig,
-              rng: np.random.Generator, iteration: int = 0):
-    """Read the masked target entries out once; returns (q_tilde, queries,
-    q_variance).
-
-    Entries outside the mask keep their exact targets at zero cost.
-    q_variance is the expected variance of one readout of q_tilde, averaged
-    over all (s, a) entries, unmasked ones counting zero. A lone update
-    counts as iteration 0, the readout stream key it draws from by default.
-    """
-    normalized, lo, span = _normalize_targets(targets, iteration)
-    if normalized is None:
-        return targets.copy(), 0, 0.0
-    values = normalized[mask]
-    flat = targets.reshape(-1).copy()
-    flat[mask] = lo + span * readout_batch(values, estimator, rng)
-    queries = int(mask.sum()) * ae_query_cost(estimator)
-    # span * (span * v) keeps q_variance 0, not inf * 0, when every read
-    # is exact and span * span overflows
-    q_variance = span * (span * float(readout_variance(values, estimator).sum()) / mask.size)
-    return flat.reshape(targets.shape), queries, q_variance
+            f"iteration {iteration}: the backup targets of seed {seeds[i]} are not "
+            f"finite or span more than the float range (min {float(lo[i])!r}, "
+            f"span {float(span[i])!r})")
+    q_tilde = flat.copy()
+    queries, q_variance = [0] * len(flat), [0.0] * len(flat)
+    rows = np.flatnonzero(span > 0.0)
+    if rows.size:
+        # one boolean index over the whole batch: the read entries of the
+        # members whose targets are not constant, row by row
+        read = mask & (span > 0.0)[:, None]
+        lo_r, span_r = lo[rows, None], span[rows, None]
+        values = (flat[read].reshape(rows.size, -1) - lo_r) / span_r
+        reads = np.empty_like(values)
+        for j, i in enumerate(rows):
+            reads[j] = readout_batch(values[j], estimators[i], rngs[i])
+            queries[i] = values.shape[1] * ae_query_cost(estimators[i])
+            # span * (span * v) keeps q_variance 0, not inf * 0, when every
+            # read is exact and span * span overflows
+            s = float(span[i])
+            q_variance[i] = s * (s * float(readout_variance(values[j], estimators[i]).sum())
+                                 / mask.size)
+        q_tilde[read] = (lo_r + span_r * reads).reshape(-1)
+    return q_tilde.reshape(targets.shape), queries, q_variance
 
 
 def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
@@ -240,7 +249,8 @@ def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
     Targets t(s,a) = r + gamma * P V_pi are computed exactly from the model,
     normalized into [0, 1], read out entrywise under config.estimator, and
     mapped back. In ae_oracle mode the result satisfies
-    ||q_tilde - T_pi q||_inf <= epsilon * span(targets).
+    ||q_tilde - T_pi q||_inf <= epsilon * span(targets). Without an rng it
+    reads from the stream of a run's iteration 0.
     """
     if config.gamma is not None:
         mdp = mdp.with_gamma(config.gamma)
@@ -248,8 +258,9 @@ def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
         rng = stream(config.seed, _READOUT, 0)
     targets = bellman_backup(mdp, q, policy)
     mask = _readout_mask(mdp, config.skip_terminal_rows)
-    q_tilde, queries, _ = _read_out(targets, mask, config.estimator, rng)
-    return q_tilde, queries
+    q_tilde, queries, _ = _read_out(targets[None], mask, [config.estimator], [rng], 0,
+                                    [config.seed])
+    return q_tilde[0], queries[0]
 
 
 def policy_improve(q: QTable) -> Policy:
@@ -267,53 +278,101 @@ def policy_improve(q: QTable) -> Policy:
 def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     """Execute up to K iterations; returns (records, final_policy).
 
-    Iteration k is quantum_bellman_update with the readout stream of key k,
-    followed by greedy improvement. Stops early when max |q_tilde - q| drops
-    below convergence_tol. Bellman error is tracked as max/mean of
-    |V_{k+1} - V_k| with V the greedy value of the table. Raises
-    DivergenceError when an iteration's backup targets leave the finite
-    float range or its read-out table leaves the reward bound.
+    Iteration k backs up the table under its greedy policy, reads the
+    targets out from the readout stream of key k (as quantum_bellman_update
+    does) and improves greedily on the read-out table. Stops early when max
+    |q_tilde - q| drops below convergence_tol. Bellman error is tracked as
+    max/mean of |V_{k+1} - V_k| with V the greedy value of the table.
+    Raises DivergenceError when an iteration's backup targets leave the
+    finite float range or its read-out table leaves the reward bound. This
+    is the one-member call of run_qpolicy_lockstep.
     """
-    mdp_eff = mdp.with_gamma(config.gamma) if config.gamma is not None else mdp
-    q = np.zeros((mdp_eff.num_states, mdp_eff.num_actions))
-    policy = policy_improve(q)
-    records: list[IterationRecord] = []
-    cumulative = 0
-    mask = _readout_mask(mdp_eff, config.skip_terminal_rows)
+    return run_qpolicy_lockstep(mdp, [config])[0]
+
+
+def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
+    """run_qpolicy for several configs in one loop; returns one (records,
+    final_policy) per config, in order.
+
+    Member i's records and policy are those of run_qpolicy(mdp, configs[i])
+    bit for bit, whatever runs beside it: it reads out from its own
+    stream(seed, _READOUT, k) through its own readout_batch call, and it
+    leaves the batch at its own max_iterations or convergence_tol. Each
+    iteration makes the backup, the normalisation, the bound check and the
+    greedy improvement once over the (members, S, A) batch. The members
+    must share the effective gamma and skip_terminal_rows; a
+    DivergenceError names the member's seed.
+    """
+    configs = list(configs)
+    gammas = {mdp.gamma if c.gamma is None else c.gamma for c in configs}
+    skips = {c.skip_terminal_rows for c in configs}
+    if len(gammas) > 1 or len(skips) > 1:
+        raise ValueError("lockstep members must share gamma and skip_terminal_rows, got "
+                         f"gammas {sorted(gammas)} and skip_terminal_rows {sorted(skips)}")
+    if not configs:
+        return []
+    mdp_eff = mdp.with_gamma(gammas.pop())
+    mask = _readout_mask(mdp_eff, skips.pop())
     lo, hi = _value_bound(mdp_eff)
     slack = _BOUND_RTOL * max(-lo, hi)
 
+    active = list(range(len(configs)))  # the member of each batch row
+    q = np.zeros((len(configs), mdp_eff.num_states, mdp_eff.num_actions))
+    v = q.max(axis=2)
+    actions = greedy_actions(q)
+    records: list[list[IterationRecord]] = [[] for _ in configs]
+    policies: list[Policy | None] = [None] * len(configs)
+    cumulative = [0] * len(configs)
+
     # tables near the float limit read inf in the bookkeeping below; a
     # diverging run is reported by DivergenceError alone
-    with np.errstate(over="ignore"):
-        for k in range(config.max_iterations):
-            targets = bellman_backup(mdp_eff, q, policy)
-            q_tilde, queries, q_var = _read_out(
-                targets, mask, config.estimator, stream(config.seed, _READOUT, k), k)
-            v_next = q_tilde.max(axis=1)
-            q_min, q_max = float(q_tilde.min()), float(v_next.max())
-            if q_min < lo - slack or q_max > hi + slack:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(max(c.max_iterations for c in configs)):
+            members = [configs[i] for i in active]
+            seeds = [c.seed for c in members]
+            on_policy = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
+            targets = mdp_eff.rewards + mdp_eff.gamma * mdp_eff.expect(on_policy)
+            q_tilde, queries, q_vars = _read_out(
+                targets, mask, [c.estimator for c in members],
+                [stream(seed, _READOUT, k) for seed in seeds], k, seeds)
+            v_next = q_tilde.max(axis=2)
+            q_min = q_tilde.reshape(len(members), -1).min(axis=1)
+            q_max = v_next.max(axis=1)
+            out = np.flatnonzero(~((q_min >= lo - slack) & (q_max <= hi + slack)))
+            if out.size:
+                j = out[0]
                 raise DivergenceError(
-                    f"iteration {k}: the read-out table spans [{q_min!r}, {q_max!r}], "
-                    f"outside the reward bound [{lo!r}, {hi!r}]")
-            policy = policy_improve(q_tilde)
+                    f"iteration {k}: the read-out table of seed {seeds[j]} spans "
+                    f"[{float(q_min[j])!r}, {float(q_max[j])!r}], outside the reward "
+                    f"bound [{lo!r}, {hi!r}]")
+            actions = greedy_actions(q_tilde)
 
-            diff = np.abs(v_next - q.max(axis=1))
-            cumulative += queries
-            records.append(IterationRecord(
-                iteration=k,
-                bellman_error_max=float(diff.max()),
-                bellman_error_mean=float(diff.mean()),
-                q_variance=q_var,
-                queries_iteration=queries,
-                queries_cumulative=cumulative,
-                policy_actions=policy.actions.copy(),
-            ))
-            table_shift = float(np.max(np.abs(q_tilde - q)))
-            q = q_tilde
-            if table_shift < config.convergence_tol:
-                break
-    return records, policy
+            diff = np.abs(v_next - v)
+            err_max, err_mean = diff.max(axis=1).tolist(), diff.mean(axis=1).tolist()
+            shift = np.abs(q_tilde - q).reshape(len(members), -1).max(axis=1).tolist()
+            stay = []
+            for j, (i, config) in enumerate(zip(active, members)):
+                cumulative[i] += queries[j]
+                records[i].append(IterationRecord(
+                    iteration=k,
+                    bellman_error_max=err_max[j],
+                    bellman_error_mean=err_mean[j],
+                    q_variance=q_vars[j],
+                    queries_iteration=queries[j],
+                    queries_cumulative=cumulative[i],
+                    policy_actions=actions[j].copy(),
+                ))
+                if shift[j] < config.convergence_tol or k + 1 == config.max_iterations:
+                    policies[i] = Policy.deterministic(actions[j].copy())
+                else:
+                    stay.append(j)
+            q, v = q_tilde, v_next
+            if len(stay) < len(active):
+                if not stay:
+                    break
+                active = [active[j] for j in stay]
+                q, v, actions = q[stay], v[stay], actions[stay]
+    return list(zip(records, policies))
 
 
 # ---------------------------------------------------------------------------

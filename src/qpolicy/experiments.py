@@ -22,8 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from .emulator import AE_ORACLE, EstimatorConfig, NoiseModel, ae_query_cost
-from .engine import IterationRecord, QPolicyConfig, policy_improve, run_qpolicy
-# mc_policy_evaluation stays bound here, where perfbench/tracing.py hooks it
+# run_qpolicy and mc_policy_evaluation stay bound here, where
+# perfbench/tracing.py hooks them
+from .engine import (  # noqa: F401
+    IterationRecord,
+    QPolicyConfig,
+    policy_improve,
+    run_qpolicy,
+    run_qpolicy_lockstep,
+)
 from .mdp import TabularMDP, mc_policy_evaluation, mc_policy_evaluation_lockstep  # noqa: F401
 from .rng import child_seed, stream
 
@@ -247,16 +254,18 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig,
                                mc_budget: int = 1000, iterations: int = 50,
                                seeds: Sequence[int] = tuple(range(10)),
                                horizon: int = 100) -> list[MethodResult]:
-    """Run the engine and the MC baseline for the same iteration budget; the
-    MC arm steps every seed's run in lockstep (run_mc_policy_iteration)."""
+    """Run the engine and the MC baseline for the same iteration budget; each
+    arm steps every seed's run in lockstep (run_qpolicy_lockstep,
+    run_mc_policy_iteration)."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     mc_runs = run_mc_policy_iteration(mdp, mc_budget, iterations, seeds, horizon)
+    engine_runs = run_qpolicy_lockstep(mdp, [
+        replace(qp_config, seed=seed, max_iterations=iterations,
+                estimator=replace(qp_config.estimator, seed=seed))
+        for seed in seeds])
     results = []
-    for seed, mc_records in zip(seeds, mc_runs):
-        cfg = replace(qp_config, seed=seed, max_iterations=iterations,
-                      estimator=replace(qp_config.estimator, seed=seed))
-        records, _ = run_qpolicy(mdp, cfg)
+    for seed, (records, _), mc_records in zip(seeds, engine_runs, mc_runs):
         results.append(MethodResult(
             method="qpolicy",
             seed=seed,
@@ -342,14 +351,22 @@ def _cell_config(base: QPolicyConfig, *, seed: int, epsilon: float | None = None
 
 
 def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
-    """Run keyed configs in turn; keys with one effective config share its run."""
-    runs, done = {}, {}
+    """Run keyed configs; keys with one effective config share its run, and
+    the distinct runs go through one run_qpolicy_lockstep call per (gamma,
+    skip_terminal_rows) they share."""
+    effective = {key: astuple(cfg.effective()) for key, cfg in jobs.items()}
+    distinct = {}  # effective config -> the first config that has it
     for key, cfg in jobs.items():
-        effective = astuple(cfg.effective())
-        if effective not in runs:
-            runs[effective] = run_qpolicy(mdp, cfg)[0]
-        done[key] = runs[effective]
-    return done
+        distinct.setdefault(effective[key], cfg)
+    groups = {}  # (gamma, skip_terminal_rows) -> effective configs
+    for eff, cfg in distinct.items():
+        shared = (mdp.gamma if cfg.gamma is None else cfg.gamma, cfg.skip_terminal_rows)
+        groups.setdefault(shared, []).append(eff)
+    runs = {}
+    for group in groups.values():
+        results = run_qpolicy_lockstep(mdp, [distinct[eff] for eff in group])
+        runs.update((eff, records) for eff, (records, _) in zip(group, results))
+    return {key: runs[effective[key]] for key in jobs}
 
 
 def run_ablation(mdp: TabularMDP, grid: AblationGrid, base_config: QPolicyConfig) -> dict:

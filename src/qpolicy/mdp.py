@@ -119,13 +119,14 @@ class TabularMDP:
                    terminal_states=terminal_states, start_state=start_state)
 
     def expect(self, v: np.ndarray) -> np.ndarray:
-        """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s')."""
+        """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s'); a
+        stack of value vectors, shape (..., S), gives a (..., S, A) stack."""
         # padding reads the row's own last next state, so an infinite value
         # elsewhere in v cannot turn a row into 0 * inf; a diverging caller
         # reports the overflow itself, so numpy stays quiet about it
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = (self.next_probs * v[self.next_states]).sum(axis=1)
-        return rows.reshape(self.num_states, self.num_actions)
+            rows = (self.next_probs * v[..., self.next_states]).sum(axis=-1)
+        return rows.reshape(v.shape[:-1] + (self.num_states, self.num_actions))
 
     def transition_matrix(self) -> np.ndarray:
         """Dense (S, A, S) tensor of the operator, built on every call.
@@ -230,9 +231,13 @@ class Policy:
         return cls.stochastic(np.full((num_states, num_actions), 1.0 / num_actions))
 
     def matrix(self, num_actions: int) -> np.ndarray:
-        """Policy as a dense (S, A) probability matrix."""
+        """Policy as a dense (S, A) probability matrix; raises ValueError for
+        an action that is not a whole number in [0, num_actions)."""
         if self.kind == "stochastic":
             return self.probs
+        if not _actions_below(self.actions, num_actions):
+            raise ValueError(f"a deterministic policy's actions must be whole numbers "
+                             f"in [0, {num_actions})")
         out = np.zeros((len(self.actions), num_actions))
         out[np.arange(len(self.actions)), self.actions] = 1.0
         return out
@@ -244,14 +249,23 @@ class Policy:
 
 
 def greedy_actions(q: QTable, tol: float = 1e-9) -> np.ndarray:
-    """Row-wise argmax with ties (within tol) broken by lowest action index.
+    """Row-wise argmax with ties (within tol) broken by lowest action index;
+    a stack of tables, shape (..., S, A), gives a (..., S) stack.
 
     The tolerance makes tie-breaking stable across independently computed
     tables whose tied entries differ only by float rounding.
     """
     q = np.asarray(q, dtype=float)
-    near_max = q >= q.max(axis=1, keepdims=True) - tol
-    return near_max.argmax(axis=1)
+    near_max = q >= q.max(axis=-1, keepdims=True) - tol
+    return near_max.argmax(axis=-1)
+
+
+def _actions_below(actions: np.ndarray, num_actions: int) -> bool:
+    """Whether actions is one whole number (an intp, as Policy stores it) in
+    [0, num_actions) per state."""
+    # as unsigned, a negative action is huge, so one comparison checks both ends
+    return (actions.ndim == 1 and actions.dtype == np.intp
+            and not np.count_nonzero(actions.view(np.uintp) >= num_actions))
 
 
 def check_policy(mdp: TabularMDP, policy: Policy) -> None:
@@ -263,9 +277,7 @@ def check_policy(mdp: TabularMDP, policy: Policy) -> None:
         if policy.probs.shape != (s_count, a_count):
             raise ValueError(f"a stochastic policy needs probs of shape ({s_count}, {a_count}), "
                              f"got {policy.probs.shape}")
-    elif (policy.actions.shape != (s_count,) or policy.actions.dtype != np.intp
-          # as unsigned, a negative action is huge, so one comparison checks both ends
-          or np.count_nonzero(policy.actions.view(np.uintp) >= a_count)):
+    elif policy.actions.shape != (s_count,) or not _actions_below(policy.actions, a_count):
         raise ValueError(f"a deterministic policy needs one action in [0, {a_count}) per "
                          f"state, each a whole number, for {s_count} states")
 
@@ -402,10 +414,21 @@ def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) 
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    check_policy(mdp, policy)
+    # V_pi(q) as policy_values gives it, the gather built once for all sweeps
+    if policy.kind == "deterministic":
+        chosen = np.arange(mdp.num_states) * mdp.num_actions + policy.actions
+
+        def v_pi(q):
+            return q.take(chosen)
+    else:
+        def v_pi(q):
+            return (policy.probs * q).sum(axis=1)
     threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
     q = np.zeros((mdp.num_states, mdp.num_actions))
     for _ in range(_MAX_SWEEPS):
-        q_next = bellman_backup(mdp, q, policy)
+        with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
+            q_next = mdp.rewards + mdp.gamma * mdp.expect(v_pi(q))
         delta = np.max(np.abs(q_next - q))
         q = q_next
         if delta < threshold:

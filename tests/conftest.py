@@ -3,6 +3,7 @@ import os
 import pytest
 
 import qpolicy
+from qpolicy import experiments
 from qpolicy.mdp import build_frozenlake, build_gridworld
 
 from oracles import grid_rows, lake_rows
@@ -36,3 +37,16 @@ def subprocess_env():
     src = os.path.dirname(os.path.dirname(qpolicy.__file__))
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+@pytest.fixture()
+def one_config_per_call(monkeypatch):
+    """Make the sweeps run each engine config through a lockstep call of its
+    own; the list holds the member count of each call the sweeps make."""
+    lockstep, sizes = experiments.run_qpolicy_lockstep, []
+
+    def one_per_call(mdp, configs):
+        sizes.append(len(configs))
+        return [run for config in configs for run in lockstep(mdp, [config])]
+    monkeypatch.setattr(experiments, "run_qpolicy_lockstep", one_per_call)
+    return sizes

@@ -252,35 +252,44 @@ def test_c13_noise_study(lake):
                 f"without, over 50 paired seeds; p=0 arm is bit-identical")
 
 
-def test_c14_cli_determinism(grid, tmp_path, subprocess_env):
+def test_c14_cli_determinism(grid, tmp_path, subprocess_env, one_config_per_call):
     from qpolicy.mdp import save_mdp
     env_path = tmp_path / "grid.json"
     save_mdp(grid, env_path)
 
-    def run_cmd(argv, out_dir, threads):
-        env = dict(subprocess_env, QPOLICY_THREADS=str(threads))
+    def csv_bytes(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+    def run_cmd(argv, out_dir):
         proc = subprocess.run(
             [sys.executable, "-m", "qpolicy.cli"] + argv + ["--out", str(out_dir)],
-            env=env, capture_output=True, text=True, timeout=600)
+            env=subprocess_env, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
-        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+        return csv_bytes(out_dir)
+
+    def run_one_config_per_call(argv, out_dir):
+        assert main(argv + ["--out", str(out_dir)]) == EXIT_OK
+        return csv_bytes(out_dir)
 
     run_args = ["run", "--env", str(env_path), "--epsilon", "0.01",
                 "--shots", "512", "--iters", "25", "--seed", "7"]
-    first = run_cmd(run_args, tmp_path / "r1", 1)
-    second = run_cmd(run_args, tmp_path / "r2", 1)
+    first = run_cmd(run_args, tmp_path / "r1")
+    second = run_cmd(run_args, tmp_path / "r2")
     assert first == second
 
     ablate_args = ["ablate", "--env", str(env_path), "--epsilons", "0.01,0.05",
                    "--shot-counts", "128,512", "--iters", "8", "--seeds", "3"]
-    t1 = run_cmd(ablate_args, tmp_path / "t1", 1)
-    t8 = run_cmd(ablate_args, tmp_path / "t8", 8)
-    t8_again = run_cmd(ablate_args, tmp_path / "t8b", 8)
-    assert t1 == t8 == t8_again
+    batch = run_cmd(ablate_args, tmp_path / "a1")
+    batch_again = run_cmd(ablate_args, tmp_path / "a2")
+    solo = run_one_config_per_call(ablate_args, tmp_path / "a3")
+    assert batch == batch_again == solo
 
     noise_args = ["noise-study", "--env", str(env_path), "--p-values", "0,0.02",
                   "--iters", "8", "--seeds", "3"]
-    n1 = run_cmd(noise_args, tmp_path / "n1", 1)
-    n8 = run_cmd(noise_args, tmp_path / "n8", 8)
-    assert n1 == n8
-    _report(14, "byte-identical CSVs across reruns and QPOLICY_THREADS in {1, 8}")
+    batch = run_cmd(noise_args, tmp_path / "n1")
+    batch_again = run_cmd(noise_args, tmp_path / "n2")
+    solo = run_one_config_per_call(noise_args, tmp_path / "n3")
+    assert batch == batch_again == solo
+    # each study's 2 x 3 distinct runs, in one call whose members run one by one
+    assert one_config_per_call == [6, 6]
+    _report(14, "byte-identical CSVs across reruns, lockstep or one config per call")

@@ -81,19 +81,20 @@ class TestRun:
     @pytest.mark.parametrize("mode", ["shot_sampling", "ae_oracle"])
     def test_overflowing_run_exits_1(self, grid_env, tmp_path, subprocess_env, mode):
         # every positive reward at 1.7e308 overflows the second backup; run
-        # as a user would, so that numpy warnings would reach stderr
+        # as a user would, so that numpy warnings would reach stderr. Both
+        # seeds run in one lockstep loop, and the error names the first.
         doc = json.loads(open(grid_env, encoding="utf-8").read())
         doc["rewards"] = [[1.7e308 if r > 0 else r for r in row] for row in doc["rewards"]]
         env = tmp_path / "huge.json"
         env.write_text(json.dumps(doc))
         proc = subprocess.run(
             [sys.executable, "-m", "qpolicy.cli", "run", "--env", str(env), "--mode", mode,
-             "--iters", "5", "--out", str(tmp_path / "o")],
+             "--iters", "5", "--seeds", "4,9", "--out", str(tmp_path / "o")],
             env=subprocess_env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_RUNTIME
         assert "RuntimeWarning" not in proc.stderr
         lines = proc.stderr.strip().splitlines()
-        assert len(lines) == 1 and "iteration 1:" in lines[0]
+        assert len(lines) == 1 and "iteration 1: the backup targets of seed 4" in lines[0]
 
     def test_large_epsilon_oracle_stays_bounded(self, grid_env, tmp_path):
         # unclipped reads made this run grow past 1e34; clipped, every greedy
@@ -276,7 +277,7 @@ class TestSettings:
                                                  argv, message):
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
-        for name in ("run_qpolicy", "run_ablation", "run_query_complexity_study"):
+        for name in ("run_qpolicy_lockstep", "run_ablation", "run_query_complexity_study"):
             monkeypatch.setattr(f"qpolicy.cli.{name}", no_run)
         assert main(argv[:1] + ["--env", grid_env] + argv[1:]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
@@ -294,9 +295,9 @@ class TestSettings:
         assert not out.exists()
 
     def test_value_error_inside_a_run_exits_1(self, grid_env, tmp_path, capsys, monkeypatch):
-        def failing_run(mdp, config):
+        def failing_run(mdp, configs):
             raise ValueError("q table must be finite")
-        monkeypatch.setattr("qpolicy.cli.run_qpolicy", failing_run)
+        monkeypatch.setattr("qpolicy.cli.run_qpolicy_lockstep", failing_run)
         code = main(["run", "--env", grid_env, "--iters", "2", "--out", str(tmp_path / "o")])
         assert code == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("runtime error: q table must be finite")
@@ -400,24 +401,40 @@ class TestEmptySeeds:
         assert not out.exists()
 
 
-class TestThreadDeterminism:
-    def _run_ablate(self, grid_env, out_dir, env, threads):
-        env = dict(env, QPOLICY_THREADS=str(threads))
+class TestLockstepDeterminism:
+    """A study's bytes are the same on a rerun, and whether its engine
+    configs run as one lockstep batch or one config per call."""
+
+    ABLATE = ["ablate", "--epsilons", "0.01,0.05", "--shot-counts", "128,256",
+              "--iters", "6", "--seeds", "2"]
+    NOISE = ["noise-study", "--p-values", "0,0.02", "--iters", "6", "--seeds", "2"]
+
+    @staticmethod
+    def _csv_bytes(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+
+    def _run_in_subprocess(self, argv, grid_env, out_dir, env):
         proc = subprocess.run(
-            [sys.executable, "-m", "qpolicy.cli", "ablate", "--env", grid_env,
-             "--epsilons", "0.01,0.05", "--shot-counts", "128,256",
-             "--iters", "6", "--seeds", "2", "--out", str(out_dir)],
+            [sys.executable, "-m", "qpolicy.cli", *argv, "--env", grid_env,
+             "--out", str(out_dir)],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}
+        return self._csv_bytes(out_dir)
 
-    def test_thread_count_does_not_change_bytes(self, grid_env, tmp_path, subprocess_env):
-        files_1 = self._run_ablate(grid_env, tmp_path / "t1", subprocess_env, threads=1)
-        files_8 = self._run_ablate(grid_env, tmp_path / "t8", subprocess_env, threads=8)
-        assert files_1.keys() == files_8.keys()
-        for name in files_1:
-            assert files_1[name] == files_8[name]
+    def test_rerun_does_not_change_bytes(self, grid_env, tmp_path, subprocess_env):
+        first = self._run_in_subprocess(self.ABLATE, grid_env, tmp_path / "a", subprocess_env)
+        again = self._run_in_subprocess(self.ABLATE, grid_env, tmp_path / "b", subprocess_env)
+        assert len(first) == 5 and first == again
+
+    @pytest.mark.parametrize("argv", [ABLATE, NOISE], ids=["ablate", "noise-study"])
+    def test_one_config_per_call_does_not_change_bytes(self, argv, grid_env, tmp_path,
+                                                        subprocess_env, one_config_per_call):
+        batch = self._run_in_subprocess(argv, grid_env, tmp_path / "batch", subprocess_env)
+        assert main([*argv, "--env", grid_env, "--out", str(tmp_path / "solo")]) == EXIT_OK
+        # 2 shot counts, or 2 noise arms, x 2 seeds: four distinct runs
+        assert one_config_per_call == [4]
+        assert self._csv_bytes(tmp_path / "solo") == batch
 
 
 def _scipy_modules_after(code: str, env: dict) -> str:

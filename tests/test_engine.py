@@ -11,12 +11,12 @@ from qpolicy.engine import (
     IndexMap,
     QPolicyConfig,
     decode_qtable,
-    _read_out,
     _readout_mask,
     encode_qtable,
     policy_improve,
     quantum_bellman_update,
     run_qpolicy,
+    run_qpolicy_lockstep,
     verify_convergence_bound,
     verify_stability,
 )
@@ -29,11 +29,18 @@ from qpolicy.mdp import (
 )
 
 from oracles import TWO_STATE_TWO_ACTION_ROWS, absorbing_single, enumerate_optimal_values, \
-    two_state_two_action
+    random_mdp, two_state_two_action
 
 
 def exact_cfg(**kw):
     return QPolicyConfig.exact(**kw)
+
+
+def _read_out(targets, mask, estimator, rng):
+    """engine._read_out for one (S, A) target table."""
+    q_tilde, queries, q_variance = engine._read_out(targets[None], mask, [estimator], [rng],
+                                                    0, [0])
+    return q_tilde[0], queries[0], q_variance[0]
 
 
 class TestIndexMap:
@@ -398,6 +405,130 @@ class TestRunQPolicy:
             QPolicyConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             QPolicyConfig(epsilon=-1.0)
+
+
+def _config(mode, seed, iterations, tol=1e-12, **estimator):
+    return QPolicyConfig(estimator=EstimatorConfig(mode=mode, seed=seed, **estimator),
+                         seed=seed, max_iterations=iterations, convergence_tol=tol)
+
+
+# mixed modes, noise, iteration budgets and tolerances; the exact members stop
+# at iterations 16 and 27 of 300, and the last member repeats the first
+LOCKSTEP_MEMBERS = [
+    _config(SHOT_SAMPLING, 3, 30, shots=512),
+    _config(AE_ORACLE, 3, 25, epsilon=0.05, noise=NoiseModel(0.02)),
+    _config(AE_ORACLE, 0, 300, 1e-3, epsilon=1e-12),
+    _config(AE_ORACLE, 0, 300, 1e-6, epsilon=1e-12),
+    _config(SHOT_SAMPLING, 8, 1, shots=64, noise=NoiseModel(0.1)),
+    _config(AE_ORACLE, 11, 60, 0.05, epsilon=0.001, c_ae=0.04),
+    _config(SHOT_SAMPLING, 3, 30, shots=512),
+]
+
+
+def _serial_run(mdp, config):
+    """The engine loop for one config, one (S, A) table at a time: a full
+    bellman_backup under the greedy Policy, one readout of the normalised
+    masked targets, the bound check and policy_improve. run_qpolicy and
+    every lockstep member must give its records and policy bit for bit."""
+    if config.gamma is not None:
+        mdp = mdp.with_gamma(config.gamma)
+    est = config.estimator
+    mask = _readout_mask(mdp, config.skip_terminal_rows)
+    bound = np.array([min(mdp.rewards.min(), 0.0),
+                      max(mdp.rewards.max(), 0.0)]) / (1.0 - mdp.gamma)
+    slack = 1e-9 * max(-bound[0], bound[1])
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    policy, records, cumulative = policy_improve(q), [], 0
+    for k in range(config.max_iterations):
+        targets = bellman_backup(mdp, q, policy)
+        lo, span = targets.min(), targets.max() - targets.min()
+        q_tilde, queries, q_var = targets.copy(), 0, 0.0
+        if span > 0:
+            values = ((targets.reshape(-1) - lo) / span)[mask]
+            rng = engine.stream(config.seed, engine._READOUT, k)
+            reads = engine.readout_batch(values, est, rng)
+            q_tilde.reshape(-1)[mask] = lo + span * reads
+            queries = int(mask.sum()) * engine.ae_query_cost(est)
+            q_var = float(span * (span * float(engine.readout_variance(values, est).sum())
+                                  / mask.size))
+        v_next = q_tilde.max(axis=1)
+        if q_tilde.min() < bound[0] - slack or v_next.max() > bound[1] + slack:
+            raise DivergenceError(f"iteration {k}: outside the reward bound")
+        policy = policy_improve(q_tilde)
+        diff = np.abs(v_next - q.max(axis=1))
+        cumulative += queries
+        records.append(engine.IterationRecord(
+            k, float(diff.max()), float(diff.mean()), q_var, queries, cumulative,
+            policy.actions.copy()))
+        shift, q = np.max(np.abs(q_tilde - q)), q_tilde
+        if shift < config.convergence_tol:
+            break
+    return records, policy
+
+
+def _same_run(got, want):
+    (records, policy), (want_records, want_policy) = got, want
+    assert np.array_equal(policy.actions, want_policy.actions)
+    assert len(records) == len(want_records)
+    for a, b in zip(records, want_records):
+        assert (a.iteration, a.bellman_error_max, a.bellman_error_mean, a.q_variance,
+                a.queries_iteration, a.queries_cumulative) == \
+            (b.iteration, b.bellman_error_max, b.bellman_error_mean, b.q_variance,
+             b.queries_iteration, b.queries_cumulative)
+        assert np.array_equal(a.policy_actions, b.policy_actions)
+
+
+class TestRunQPolicyLockstep:
+    @pytest.mark.parametrize("name", ["grid4", "frozen8"])
+    def test_each_member_equals_its_own_run_in_either_order(self, name, request):
+        mdp = request.getfixturevalue(name)
+        solo = [run_qpolicy(mdp, c) for c in LOCKSTEP_MEMBERS]
+        if name == "grid4":
+            assert [len(r) for r, _ in solo] == [30, 25, 16, 27, 1, 10, 30]
+        for got, c in zip(solo, LOCKSTEP_MEMBERS):
+            _same_run(got, _serial_run(mdp, c))
+        for got, want in zip(run_qpolicy_lockstep(mdp, LOCKSTEP_MEMBERS), solo):
+            _same_run(got, want)
+        backwards = run_qpolicy_lockstep(mdp, LOCKSTEP_MEMBERS[::-1])
+        for got, want in zip(backwards, solo[::-1]):
+            _same_run(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_members_without_terminal_skip_or_with_gamma(self, seed):
+        mdp = random_mdp(12, 3, 0.9, seed)
+        members = [replace(c, gamma=0.8, skip_terminal_rows=False)
+                   for c in LOCKSTEP_MEMBERS[:4]]
+        for got, c in zip(run_qpolicy_lockstep(mdp, members), members):
+            _same_run(got, _serial_run(mdp, c))
+
+    def test_no_members_no_runs(self, grid4):
+        assert run_qpolicy_lockstep(grid4, []) == []
+
+    @pytest.mark.parametrize("fields", [{"gamma": 0.9}, {"skip_terminal_rows": False}])
+    def test_members_must_share_gamma_and_terminal_skip(self, grid4, fields):
+        first = LOCKSTEP_MEMBERS[0]
+        with pytest.raises(ValueError, match="must share gamma and skip_terminal_rows"):
+            run_qpolicy_lockstep(grid4, [first, replace(first, **fields)])
+
+    def test_a_gamma_equal_to_the_models_is_shared(self, grid4):
+        first = LOCKSTEP_MEMBERS[0]
+        explicit = replace(first, gamma=grid4.gamma)
+        runs = run_qpolicy_lockstep(grid4, [first, explicit])
+        _same_run(runs[1], runs[0])
+
+    def test_divergence_names_the_members_seed(self, grid4, monkeypatch):
+        # only the 7-shot member's readout doubles its input, so only it
+        # leaves the reward bound, at the iteration its own run does
+        read = engine.readout_batch
+        monkeypatch.setattr(engine, "readout_batch", lambda values, config, rng: (
+            2.0 * values if config.shots == 7 else read(values, config, rng)))
+        bad = _config(SHOT_SAMPLING, 42, 100, shots=7)
+        with pytest.raises(DivergenceError) as solo:
+            run_qpolicy(grid4, bad)
+        assert "of seed 42 spans" in str(solo.value)
+        with pytest.raises(DivergenceError) as lockstep:
+            run_qpolicy_lockstep(grid4, LOCKSTEP_MEMBERS[:2] + [bad])
+        assert str(lockstep.value) == str(solo.value)
 
 
 class TestVerifyStability:

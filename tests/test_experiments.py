@@ -8,7 +8,7 @@ from scipy.special import stdtrit
 
 from qpolicy import experiments
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
-from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy
+from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy, run_qpolicy_lockstep
 from qpolicy.experiments import (
     AblationGrid,
     _cell_config,
@@ -265,13 +265,15 @@ class TestAblation:
 
 @pytest.fixture()
 def engine_calls(monkeypatch):
-    """Configs of the runs the sweeps start, through the name they call."""
-    calls = []
+    """The runs the sweeps start, through the name they call: members holds
+    one config per lockstep member, batches one member list per call."""
+    calls = SimpleNamespace(members=[], batches=[])
 
-    def counting(mdp, config):
-        calls.append(config)
-        return run_qpolicy(mdp, config)
-    monkeypatch.setattr(experiments, "run_qpolicy", counting)
+    def counting(mdp, configs):
+        calls.batches.append(list(configs))
+        calls.members.extend(configs)
+        return run_qpolicy_lockstep(mdp, configs)
+    monkeypatch.setattr(experiments, "run_qpolicy_lockstep", counting)
     return calls
 
 
@@ -312,7 +314,8 @@ class TestEffectiveConfigRuns:
                             shot_counts=[128, 512, 1024, 2048, 4096],
                             seeds=range(5), iterations=6)
         cells = run_ablation(grid4, grid, base)
-        assert len(engine_calls) == runs
+        assert len(engine_calls.members) == runs
+        assert len(engine_calls.batches) == 1
         assert sum(len(cell) for cell in cells.values()) == 75
         for (eps, shots), cell in cells.items():
             for run in cell:
@@ -330,7 +333,7 @@ class TestEffectiveConfigRuns:
         config = with_mode(shot_config(iters=8), mode)
         other = changed(config, where, fields)
         done = _run_jobs(grid4, {"a": config, "b": other})
-        assert len(engine_calls) == 1
+        assert len(engine_calls.members) == 1
         assert done["a"] is done["b"]
         assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
 
@@ -345,7 +348,10 @@ class TestEffectiveConfigRuns:
         config = with_mode(shot_config(iters=8), mode)
         other = changed(config, where, fields)
         done = _run_jobs(grid4, {"a": config, "b": other})
-        assert len(engine_calls) == 2
+        assert len(engine_calls.members) == 2
+        # members of one lockstep call share gamma and skip_terminal_rows
+        apart = {"gamma", "skip_terminal_rows"} & fields.keys()
+        assert len(engine_calls.batches) == (2 if apart else 1)
         assert records_equal(done["a"], run_qpolicy(grid4, config)[0])
         assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
 

@@ -274,6 +274,14 @@ def test_policy_validation():
     assert Policy.deterministic([1.7, 0.0]).actions.tolist() == [1.7, 0.0]
 
 
+@pytest.mark.parametrize("actions", [[-1, 0], [4, 0], [1.5, 0]],
+                         ids=["minus_one", "A", "fractional"])
+def test_policy_matrix_rejects_actions_outside_the_range(actions):
+    # -1 wrapped round to action 3, and 1.5 was truncated to 1
+    with pytest.raises(ValueError, match=r"whole numbers in \[0, 4\)"):
+        Policy.deterministic(actions).matrix(4)
+
+
 POLICY_READERS = {
     "policy_values": lambda mdp, pi: policy_values(mdp, pi, np.zeros((16, 4))),
     "bellman_backup": lambda mdp, pi: bellman_backup(mdp, np.zeros((16, 4)), pi),
@@ -342,6 +350,31 @@ class TestExactEvaluation:
     def test_rejects_bad_tol(self, grid4):
         with pytest.raises(ValueError):
             exact_policy_evaluation(grid4, Policy.uniform(16, 4), 0.0)
+
+    @pytest.mark.parametrize("name", ["grid4", "frozen8"])
+    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
+    def test_checks_once_and_equals_the_backup_sweep(self, name, kind, request,
+                                                     monkeypatch):
+        mdp = request.getfixturevalue(name)
+        rng = np.random.default_rng(4)
+        policy = (Policy.deterministic(rng.integers(0, 4, mdp.num_states))
+                  if kind == "deterministic"
+                  else Policy.stochastic(rng.dirichlet(np.ones(4), mdp.num_states)))
+        # the sweep of full backups, each checking the policy afresh
+        tol = 1e-10
+        threshold = tol * (1.0 - mdp.gamma) / mdp.gamma
+        q = np.zeros((mdp.num_states, 4))
+        while True:
+            q_next = bellman_backup(mdp, q, policy)
+            delta, q = np.max(np.abs(q_next - q)), q_next
+            if delta < threshold:
+                break
+        original, checks = mdp_module.check_policy, []
+        monkeypatch.setattr(mdp_module, "check_policy",
+                            lambda *args: checks.append(args) or original(*args))
+        got = exact_policy_evaluation(mdp, policy, tol)
+        assert len(checks) == 1
+        assert got.tobytes() == q.tobytes()
 
 
 class TestValueIteration:

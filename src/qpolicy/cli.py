@@ -215,21 +215,28 @@ def _engine_config(base: QPolicyConfig, s: dict, seed: int) -> QPolicyConfig:
         return replace(
             base, estimator=estimator, seed=seed, epsilon=given.get("epsilon", base.epsilon),
             max_iterations=given.get("iters", base.max_iterations),
-            convergence_tol=given.get("tol", base.convergence_tol),
-            gamma=given.get("gamma", base.gamma))
+            convergence_tol=given.get("tol", base.convergence_tol))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _load_environment(path: str | None, env) -> TabularMDP:
+def _load_environment(path: str | None, env, gamma: float | None) -> TabularMDP:
+    """The environment file at path, else the config file's builder spec
+    env, at the discount gamma when one is given: every run of a study, and
+    its manifest, see that one discount."""
     if path is not None:
         try:
-            return load_mdp(path)
+            mdp = load_mdp(path)
         except (OSError, json.JSONDecodeError, LookupError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot load environment {path}: {exc}") from exc
-    if not isinstance(env, dict):
+    elif isinstance(env, dict):
+        mdp = _build_environment(env)
+    else:
         raise ConfigError("no environment given: pass --env or a config environment object")
-    return _build_environment(env)
+    try:
+        return mdp if gamma is None else mdp.with_gamma(gamma)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _build_environment(spec: dict) -> TabularMDP:
@@ -470,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             func, _, defaults = COMMANDS[args.command]
             s = _settings(args, defaults)
-            func(args, s, _load_environment(args.env, s["environment"]))
+            func(args, s, _load_environment(args.env, s["environment"], s.get("gamma")))
         return EXIT_OK
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ and improves the policy greedily on the read-out table. Each read lies in
 hence within the reward bound over 1 - gamma; a run whose table leaves that
 bound stops with DivergenceError. Query accounting covers every
 estimator invocation; rows whose targets are known exactly (terminal states
-pinned at zero) can be skipped at zero cost. The reported readout variance
+pinned at zero) are skipped at zero cost. The reported readout variance
 is the estimator's expected variance, in closed form. run_qpolicy_lockstep
 steps several runs through one loop, each run's records the same as if it
 ran alone.
@@ -85,16 +85,15 @@ class QPolicyConfig:
     """Knobs for one policy-iteration run.
 
     epsilon mirrors into the default estimator when none is supplied; an
-    explicit estimator wins. gamma, when set, overrides the MDP discount.
+    explicit estimator wins. The discount is the MDP's (TabularMDP.with_gamma
+    gives a model at another one).
     """
 
     epsilon: float = 0.01
     estimator: EstimatorConfig | None = None
     max_iterations: int = 100
     convergence_tol: float = 1e-8
-    gamma: float | None = None
     seed: int = 0
-    skip_terminal_rows: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -103,8 +102,6 @@ class QPolicyConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma override must lie in [0, 1)")
         if self.estimator is None:
             self.estimator = EstimatorConfig(
                 mode=AE_ORACLE, epsilon=self.epsilon, seed=self.seed
@@ -186,10 +183,11 @@ def _value_bound(mdp: TabularMDP) -> tuple[float, float]:
             max(float(mdp.rewards.max()), 0.0) * scale)
 
 
-def _readout_mask(mdp: TabularMDP, skip_terminal: bool) -> np.ndarray:
-    """Flat boolean mask of (s, a) entries that go through the estimator."""
+def _readout_mask(mdp: TabularMDP) -> np.ndarray:
+    """Flat boolean mask of (s, a) entries that go through the estimator:
+    all but the terminal rows, whose targets are exactly 0."""
     mask = np.ones((mdp.num_states, mdp.num_actions), dtype=bool)
-    if skip_terminal and mdp.terminal_states:
+    if mdp.terminal_states:
         mask[sorted(mdp.terminal_states), :] = False
     return mask.reshape(-1)
 
@@ -252,12 +250,10 @@ def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
     ||q_tilde - T_pi q||_inf <= epsilon * span(targets). Without an rng it
     reads from the stream of a run's iteration 0.
     """
-    if config.gamma is not None:
-        mdp = mdp.with_gamma(config.gamma)
     if rng is None:
         rng = stream(config.seed, _READOUT, 0)
     targets = bellman_backup(mdp, q, policy)
-    mask = _readout_mask(mdp, config.skip_terminal_rows)
+    mask = _readout_mask(mdp)
     q_tilde, queries, _ = _read_out(targets[None], mask, [config.estimator], [rng], 0,
                                     [config.seed])
     return q_tilde[0], queries[0]
@@ -299,25 +295,18 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
     stream(seed, _READOUT, k) through its own readout_batch call, and it
     leaves the batch at its own max_iterations or convergence_tol. Each
     iteration makes the backup, the normalisation, the bound check and the
-    greedy improvement once over the (members, S, A) batch. The members
-    must share the effective gamma and skip_terminal_rows; a
-    DivergenceError names the member's seed.
+    greedy improvement once over the (members, S, A) batch. Every member
+    runs at the MDP's discount; a DivergenceError names the member's seed.
     """
     configs = list(configs)
-    gammas = {mdp.gamma if c.gamma is None else c.gamma for c in configs}
-    skips = {c.skip_terminal_rows for c in configs}
-    if len(gammas) > 1 or len(skips) > 1:
-        raise ValueError("lockstep members must share gamma and skip_terminal_rows, got "
-                         f"gammas {sorted(gammas)} and skip_terminal_rows {sorted(skips)}")
     if not configs:
         return []
-    mdp_eff = mdp.with_gamma(gammas.pop())
-    mask = _readout_mask(mdp_eff, skips.pop())
-    lo, hi = _value_bound(mdp_eff)
+    mask = _readout_mask(mdp)
+    lo, hi = _value_bound(mdp)
     slack = _BOUND_RTOL * max(-lo, hi)
 
     active = list(range(len(configs)))  # the member of each batch row
-    q = np.zeros((len(configs), mdp_eff.num_states, mdp_eff.num_actions))
+    q = np.zeros((len(configs), mdp.num_states, mdp.num_actions))
     v = q.max(axis=2)
     actions = greedy_actions(q)
     records: list[list[IterationRecord]] = [[] for _ in configs]
@@ -331,7 +320,7 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
             members = [configs[i] for i in active]
             seeds = [c.seed for c in members]
             on_policy = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
-            targets = mdp_eff.rewards + mdp_eff.gamma * mdp_eff.expect(on_policy)
+            targets = mdp.rewards + mdp.gamma * mdp.expect(on_policy)
             q_tilde, queries, q_vars = _read_out(
                 targets, mask, [c.estimator for c in members],
                 [stream(seed, _READOUT, k) for seed in seeds], k, seeds)

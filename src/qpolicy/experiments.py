@@ -261,9 +261,7 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig,
         raise ValueError("iterations must be >= 1")
     mc_runs = run_mc_policy_iteration(mdp, mc_budget, iterations, seeds, horizon)
     engine_runs = run_qpolicy_lockstep(mdp, [
-        replace(qp_config, seed=seed, max_iterations=iterations,
-                estimator=replace(qp_config.estimator, seed=seed))
-        for seed in seeds])
+        _cell_config(qp_config, seed=seed, iterations=iterations) for seed in seeds])
     results = []
     for seed, (records, _), mc_records in zip(seeds, engine_runs, mc_runs):
         results.append(MethodResult(
@@ -352,20 +350,13 @@ def _cell_config(base: QPolicyConfig, *, seed: int, epsilon: float | None = None
 
 def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
     """Run keyed configs; keys with one effective config share its run, and
-    the distinct runs go through one run_qpolicy_lockstep call per (gamma,
-    skip_terminal_rows) they share."""
+    the distinct runs go through one run_qpolicy_lockstep call."""
     effective = {key: astuple(cfg.effective()) for key, cfg in jobs.items()}
     distinct = {}  # effective config -> the first config that has it
     for key, cfg in jobs.items():
         distinct.setdefault(effective[key], cfg)
-    groups = {}  # (gamma, skip_terminal_rows) -> effective configs
-    for eff, cfg in distinct.items():
-        shared = (mdp.gamma if cfg.gamma is None else cfg.gamma, cfg.skip_terminal_rows)
-        groups.setdefault(shared, []).append(eff)
-    runs = {}
-    for group in groups.values():
-        results = run_qpolicy_lockstep(mdp, [distinct[eff] for eff in group])
-        runs.update((eff, records) for eff, (records, _) in zip(group, results))
+    results = run_qpolicy_lockstep(mdp, list(distinct.values()))
+    runs = {eff: records for eff, (records, _) in zip(distinct, results)}
     return {key: runs[effective[key]] for key in jobs}
 
 

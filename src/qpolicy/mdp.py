@@ -405,15 +405,35 @@ def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
         return mdp.rewards + mdp.gamma * mdp.expect(v)
 
 
-def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
-    """Fixed point of T_pi to within tol in the infinity norm.
-
-    Iterates synchronous backups until successive tables differ by less
+def _sweep(step, mdp: TabularMDP, tol: float, what: str) -> QTable:
+    """Iterate q <- step(q) from q = 0 until successive tables differ by less
     than tol * (1 - gamma) / gamma, which bounds the remaining distance to
-    the fixed point by tol.
+    the fixed point of a gamma-contraction by tol.
+
+    A change that is not finite means the values overflowed, and no later
+    sweep can converge: that raises RuntimeError naming the sweep. It is
+    checked only once a sweep has failed the threshold.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
+        for sweep in range(_MAX_SWEEPS):
+            q_next = step(q)
+            delta = np.max(np.abs(q_next - q))
+            q = q_next
+            if delta < threshold:
+                return q
+            if not math.isfinite(delta):
+                raise RuntimeError(f"{what} diverged: sweep {sweep} changed the table by "
+                                   f"{float(delta)!r}")
+    raise RuntimeError(f"{what} failed to converge")
+
+
+def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
+    """Fixed point of T_pi to within tol in the infinity norm, by synchronous
+    backups (see _sweep)."""
     check_policy(mdp, policy)
     # V_pi(q) as policy_values gives it, the gather built once for all sweeps
     if policy.kind == "deterministic":
@@ -424,31 +444,15 @@ def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) 
     else:
         def v_pi(q):
             return (policy.probs * q).sum(axis=1)
-    threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    q = np.zeros((mdp.num_states, mdp.num_actions))
-    for _ in range(_MAX_SWEEPS):
-        with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
-            q_next = mdp.rewards + mdp.gamma * mdp.expect(v_pi(q))
-        delta = np.max(np.abs(q_next - q))
-        q = q_next
-        if delta < threshold:
-            return q
-    raise RuntimeError("policy evaluation failed to converge")
+    return _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(v_pi(q)), mdp, tol,
+                  "policy evaluation")
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]:
     """Optimal Q within tol plus the greedy policy (ties to lowest index)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    q = np.zeros((mdp.num_states, mdp.num_actions))
-    for _ in range(_MAX_SWEEPS):
-        q_next = mdp.rewards + mdp.gamma * mdp.expect(q.max(axis=1))
-        delta = np.max(np.abs(q_next - q))
-        q = q_next
-        if delta < threshold:
-            return q, Policy.deterministic(greedy_actions(q))
-    raise RuntimeError("value iteration failed to converge")
+    q = _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(q.max(axis=1)), mdp, tol,
+               "value iteration")
+    return q, Policy.deterministic(greedy_actions(q))
 
 
 def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,

@@ -254,6 +254,7 @@ class TestSettings:
          "slippery must be a boolean, got 'no'"),
         ("run", {"environment": {"builder": "gridworld", "width": 4, "height": 4,
                                  "goal": [3, 3, 7]}}, "goal must be (row, col), got (3, 3, 7)"),
+        ("run", {"gamma": 1}, "gamma must lie in [0, 1), got 1.0"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
         doc.setdefault("environment", {"builder": "gridworld", "width": 4, "height": 4,
@@ -372,6 +373,47 @@ class TestStudies:
         doc = json.loads(capsys.readouterr().out)
         assert doc["qubits"] == 6
         assert doc["gates_per_bellman_update"] == 50
+
+
+class TestDiscount:
+    """--gamma, or the config key gamma, sets the model's discount once: every
+    run of a study, both compare-queries arms and the manifest see it."""
+
+    STUDIES = {
+        "run": ["run", "--iters", "5", "--seeds", "2"],
+        "ablate": ["ablate", "--epsilons", "0.01,0.05", "--shot-counts", "64,128",
+                   "--iters", "5", "--seeds", "2"],
+        "compare-queries": ["compare-queries", "--iters", "5", "--mc-budget", "50",
+                            "--seeds", "2", "--scaling"],
+    }
+
+    @staticmethod
+    def _files(out_dir):
+        return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+    @pytest.mark.parametrize("study", STUDIES)
+    def test_flag_equals_an_environment_at_that_discount(self, grid_env, tmp_path, study):
+        env05 = tmp_path / "grid05.json"
+        assert main(["gen-env", "gridworld", "--width", "4", "--height", "4", "--slip", "0.2",
+                     "--gamma", "0.5", "--out", str(env05)]) == EXIT_OK
+        argv = self.STUDIES[study]
+        assert main([*argv, "--env", grid_env, "--gamma", "0.5",
+                     "--out", str(tmp_path / "flag")]) == EXIT_OK
+        assert main([*argv, "--env", str(env05), "--out", str(tmp_path / "file")]) == EXIT_OK
+        flag = self._files(tmp_path / "flag")
+        assert "manifest.json" in flag and flag == self._files(tmp_path / "file")
+        manifest = json.loads(flag["manifest.json"])
+        assert manifest["environment"]["gamma"] == 0.5
+        assert "gamma" not in manifest["config"]
+
+    @pytest.mark.parametrize("command, gamma", [("run", "1.5"), ("compare-queries", "1")])
+    def test_discount_flag_out_of_range_exits_2(self, grid_env, tmp_path, capsys, command,
+                                                gamma):
+        out = tmp_path / "o"
+        assert main([command, "--env", grid_env, "--iters", "2", "--gamma", gamma,
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "gamma must lie in [0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEmptySeeds:

@@ -120,17 +120,9 @@ class TestQuantumBellmanUpdate:
         cfg = QPolicyConfig(
             epsilon=0.01,
             estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=1.0),
-            skip_terminal_rows=False,
         )
         _, queries = quantum_bellman_update(grid4, q, policy, cfg)
-        assert queries == 64 * 100
-        cfg_skip = QPolicyConfig(
-            epsilon=0.01,
-            estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=1.0),
-            skip_terminal_rows=True,
-        )
-        _, queries_skip = quantum_bellman_update(grid4, q, policy, cfg_skip)
-        assert queries_skip == 60 * 100  # 4 goal-state pairs are pinned at zero
+        assert queries == 60 * 100  # 4 goal-state pairs are pinned at zero
 
     def test_constant_targets_cost_nothing(self):
         mdp = absorbing_single(reward=0.0, gamma=0.5)
@@ -192,7 +184,7 @@ class TestReadoutVariance:
 
     def test_terminal_rows_count_zero(self, grid4):
         targets = bellman_backup(grid4, self._targets(), Policy.uniform(16, 4))
-        mask = _readout_mask(grid4, skip_terminal=True)
+        mask = _readout_mask(grid4)
         assert mask.sum() == 60
         est = EstimatorConfig(mode=SHOT_SAMPLING, shots=256)
         _, _, closed = _read_out(targets, mask, est, np.random.default_rng(1))
@@ -430,10 +422,8 @@ def _serial_run(mdp, config):
     bellman_backup under the greedy Policy, one readout of the normalised
     masked targets, the bound check and policy_improve. run_qpolicy and
     every lockstep member must give its records and policy bit for bit."""
-    if config.gamma is not None:
-        mdp = mdp.with_gamma(config.gamma)
     est = config.estimator
-    mask = _readout_mask(mdp, config.skip_terminal_rows)
+    mask = _readout_mask(mdp)
     bound = np.array([min(mdp.rewards.min(), 0.0),
                       max(mdp.rewards.max(), 0.0)]) / (1.0 - mdp.gamma)
     slack = 1e-9 * max(-bound[0], bound[1])
@@ -495,26 +485,14 @@ class TestRunQPolicyLockstep:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_members_without_terminal_skip_or_with_gamma(self, seed):
-        mdp = random_mdp(12, 3, 0.9, seed)
-        members = [replace(c, gamma=0.8, skip_terminal_rows=False)
-                   for c in LOCKSTEP_MEMBERS[:4]]
+        # no terminal rows to skip, at a discount the model was given afterwards
+        mdp = random_mdp(12, 3, 0.9, seed).with_gamma(0.8)
+        members = LOCKSTEP_MEMBERS[:4]
         for got, c in zip(run_qpolicy_lockstep(mdp, members), members):
             _same_run(got, _serial_run(mdp, c))
 
     def test_no_members_no_runs(self, grid4):
         assert run_qpolicy_lockstep(grid4, []) == []
-
-    @pytest.mark.parametrize("fields", [{"gamma": 0.9}, {"skip_terminal_rows": False}])
-    def test_members_must_share_gamma_and_terminal_skip(self, grid4, fields):
-        first = LOCKSTEP_MEMBERS[0]
-        with pytest.raises(ValueError, match="must share gamma and skip_terminal_rows"):
-            run_qpolicy_lockstep(grid4, [first, replace(first, **fields)])
-
-    def test_a_gamma_equal_to_the_models_is_shared(self, grid4):
-        first = LOCKSTEP_MEMBERS[0]
-        explicit = replace(first, gamma=grid4.gamma)
-        runs = run_qpolicy_lockstep(grid4, [first, explicit])
-        _same_run(runs[1], runs[0])
 
     def test_divergence_names_the_members_seed(self, grid4, monkeypatch):
         # only the 7-shot member's readout doubles its input, so only it

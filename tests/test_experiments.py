@@ -209,6 +209,16 @@ class TestQueryStudy:
             assert result.final_bellman_error == result.records[-1].bellman_error_max
             assert result.total_queries == budget * iterations
 
+    def test_engine_arm_runs_the_base_at_each_seed(self, grid4, engine_calls):
+        base = calibrated_query_config(50, 0)
+        results = run_query_complexity_study(grid4, base, mc_budget=20, iterations=3,
+                                             seeds=[4, 0])
+        configs = [replace(base, seed=seed, max_iterations=3,
+                           estimator=replace(base.estimator, seed=seed)) for seed in (4, 0)]
+        assert engine_calls.batches == [configs]
+        for result, config in zip(results[0::2], configs):
+            assert records_equal(result.records, run_qpolicy(grid4, config)[0])
+
     def test_engine_arm_cheaper_and_better(self, grid4):
         results = run_query_complexity_study(
             grid4, calibrated_query_config(50, 0), mc_budget=1000,
@@ -287,8 +297,6 @@ READ_IN_BOTH_MODES = [
     ("config", {"seed": 1}),
     ("config", {"max_iterations": 5}),
     ("config", {"convergence_tol": 1e-3}),
-    ("config", {"gamma": 0.9}),
-    ("config", {"skip_terminal_rows": False}),
 ]
 
 
@@ -323,6 +331,18 @@ class TestEffectiveConfigRuns:
                                    iterations=6)
                 assert records_equal(run.records, run_qpolicy(grid4, own)[0])
 
+    @pytest.mark.parametrize("sweep", ["ablation", "noise"])
+    def test_a_sweep_makes_one_lockstep_call(self, grid4, engine_calls, sweep):
+        base = shot_config(iters=4)
+        if sweep == "ablation":
+            grid = AblationGrid(epsilons=[0.01, 0.05], shot_counts=[64, 128], seeds=[0, 1],
+                                iterations=4)
+            run_ablation(grid4, grid, base)
+        else:
+            run_noise_comparison(grid4, [0.0, 0.02], base, seeds=[0, 1])
+        assert len(engine_calls.batches) == 1
+        assert len(engine_calls.members) == 4  # 2 shot counts, or 2 arms, x 2 seeds
+
     @pytest.mark.parametrize("mode, where, fields", field_cases([
         (SHOT_SAMPLING, "estimator", {"epsilon": 0.2, "c_ae": 3.0}),
         (SHOT_SAMPLING, "config", {"epsilon": 0.2}),
@@ -349,9 +369,7 @@ class TestEffectiveConfigRuns:
         other = changed(config, where, fields)
         done = _run_jobs(grid4, {"a": config, "b": other})
         assert len(engine_calls.members) == 2
-        # members of one lockstep call share gamma and skip_terminal_rows
-        apart = {"gamma", "skip_terminal_rows"} & fields.keys()
-        assert len(engine_calls.batches) == (2 if apart else 1)
+        assert len(engine_calls.batches) == 1
         assert records_equal(done["a"], run_qpolicy(grid4, config)[0])
         assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
 

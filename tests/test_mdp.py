@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from collections import defaultdict
 
@@ -399,6 +400,23 @@ class TestValueIteration:
     def test_tie_break_lowest_index(self):
         assert greedy_actions(np.array([[2.0, 2.0, 0.0, 2.0]]))[0] == 0
         assert greedy_actions(np.array([[0.0, 5.0, 3.0, 1.0]]))[0] == 1
+
+
+SOLVERS = {
+    "exact_policy_evaluation": lambda mdp: exact_policy_evaluation(mdp, Policy.deterministic([0])),
+    "value_iteration": value_iteration,
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_solver_raises_once_the_values_overflow(solver):
+    # 1e308 + 0.99 * 1e308 is inf, so the second sweep's change is not
+    # finite, and no later sweep can converge: from there on it is nan
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="diverged: sweep 1 changed the table by inf"):
+        SOLVERS[solver](absorbing_single(reward=1e308, gamma=0.99))
+    assert time.perf_counter() - start < 1.0
 
 
 class TestBellmanBackup:

@@ -84,8 +84,9 @@ class IndexMap:
 class QPolicyConfig:
     """Knobs for one policy-iteration run.
 
-    epsilon mirrors into the default estimator when none is supplied; an
-    explicit estimator wins. The discount is the MDP's (TabularMDP.with_gamma
+    epsilon is only the precision of the default estimator, made when none
+    is supplied; nothing else reads it, so an explicit estimator's epsilon
+    is the one that counts. The discount is the MDP's (TabularMDP.with_gamma
     gives a model at another one).
     """
 

@@ -406,8 +406,10 @@ def estimate_resources(mdp: TabularMDP, config: QPolicyConfig, kappa: float = 1.
                        c_overhead: float = DEFAULT_C_OVERHEAD) -> ResourceEstimate:
     """Logical-qubit and gate-count model for one run on hardware.
 
-    qubits = ceil(log2(|S| * |A|)); the gate constants are calibration
-    parameters, not derived quantities.
+    qubits = ceil(log2(|S| * |A|)); each readout is priced as an ae_oracle
+    readout at the estimator's epsilon and c_ae, the precision the run reads
+    out to. The gate constants are calibration parameters, not derived
+    quantities.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
@@ -415,7 +417,7 @@ def estimate_resources(mdp: TabularMDP, config: QPolicyConfig, kappa: float = 1.
     qubits = (pairs - 1).bit_length()
     gates_update = round(c_gate * mdp.sparsity_d * kappa)
     ae_queries = ae_query_cost(EstimatorConfig(
-        mode=AE_ORACLE, epsilon=config.epsilon, c_ae=config.estimator.c_ae))
+        mode=AE_ORACLE, epsilon=config.estimator.epsilon, c_ae=config.estimator.c_ae))
     gates_iteration = round(gates_update * ae_queries * c_overhead)
     return ResourceEstimate(
         qubits=qubits,

@@ -7,7 +7,7 @@ tensor; rewards are expected immediate rewards r(s, a). JSON files keep
 ragged (next_state, probability) rows, derived from the arrays on save.
 Terminal states self-loop with zero reward so value recursions need no
 special casing. Everything here is deterministic given its inputs; the
-only stochastic operation, Monte Carlo evaluation, takes an explicit seed.
+only random operation, Monte Carlo evaluation, takes an explicit seed.
 """
 from __future__ import annotations
 
@@ -190,61 +190,33 @@ def _pad_rows(row_of: np.ndarray, states: np.ndarray, probs: np.ndarray,
 
 @dataclass
 class Policy:
-    """Deterministic or stochastic policy over a tabular MDP."""
+    """Deterministic stationary policy: one action per state of a tabular MDP."""
 
-    kind: str  # "deterministic" | "stochastic"
-    actions: np.ndarray | None = None  # (S,) ints, deterministic only
-    probs: np.ndarray | None = None    # (S, A), stochastic only
+    actions: np.ndarray  # (S,), intp when every entry is a whole number
 
     def __post_init__(self):
-        if self.kind == "deterministic":
-            if self.actions is None:
-                raise ValueError("deterministic policy needs an actions array")
-            actions = np.asarray(self.actions)
-            if actions.dtype != np.intp:
-                # whole numbers become intp; any other value is kept as given,
-                # for check_policy to reject rather than truncate
-                whole = np.isfinite(actions) & (np.floor(actions) == actions)
-                actions = actions.astype(np.intp) if whole.all() else actions
-            self.actions = actions
-        elif self.kind == "stochastic":
-            if self.probs is None:
-                raise ValueError("stochastic policy needs a probs matrix")
-            self.probs = np.asarray(self.probs, dtype=float)
-            if np.any(self.probs < 0):
-                raise ValueError("policy probabilities must be nonnegative")
-            if np.max(np.abs(self.probs.sum(axis=1) - 1.0)) > PROB_TOL:
-                raise ValueError("policy rows must sum to 1")
-        else:
-            raise ValueError(f"unknown policy kind {self.kind!r}")
+        actions = np.asarray(self.actions)
+        if actions.dtype != np.intp:
+            # whole numbers become intp; any other value is kept as given,
+            # for check_policy to reject rather than truncate
+            whole = np.isfinite(actions) & (np.floor(actions) == actions)
+            actions = actions.astype(np.intp) if whole.all() else actions
+        self.actions = actions
 
     @classmethod
     def deterministic(cls, actions) -> "Policy":
-        return cls(kind="deterministic", actions=actions)
-
-    @classmethod
-    def stochastic(cls, probs) -> "Policy":
-        return cls(kind="stochastic", probs=np.asarray(probs, dtype=float))
-
-    @classmethod
-    def uniform(cls, num_states: int, num_actions: int) -> "Policy":
-        return cls.stochastic(np.full((num_states, num_actions), 1.0 / num_actions))
+        return cls(actions)
 
     def matrix(self, num_actions: int) -> np.ndarray:
-        """Policy as a dense (S, A) probability matrix; raises ValueError for
-        an action that is not a whole number in [0, num_actions)."""
-        if self.kind == "stochastic":
-            return self.probs
+        """Policy as a one-hot (S, A) probability matrix; raises ValueError
+        for an action that is not a whole number in [0, num_actions)."""
         if not _actions_below(self.actions, num_actions):
-            raise ValueError(f"a deterministic policy's actions must be whole numbers "
-                             f"in [0, {num_actions})")
+            raise ValueError(f"a policy's actions must be whole numbers in [0, {num_actions})")
         out = np.zeros((len(self.actions), num_actions))
         out[np.arange(len(self.actions)), self.actions] = 1.0
         return out
 
     def action_of(self, s: int) -> int:
-        if self.kind != "deterministic":
-            raise ValueError("action_of is defined for deterministic policies only")
         return int(self.actions[s])
 
 
@@ -270,22 +242,27 @@ def _actions_below(actions: np.ndarray, num_actions: int) -> bool:
 
 def check_policy(mdp: TabularMDP, policy: Policy) -> None:
     """Raise ValueError unless policy is one for mdp: one whole-number action
-    in [0, A) per state, or a stochastic probs of shape (S, A). Every reader
-    of a policy calls it, so no action wraps round or is truncated."""
-    s_count, a_count = mdp.num_states, mdp.num_actions
-    if policy.kind == "stochastic":
-        if policy.probs.shape != (s_count, a_count):
-            raise ValueError(f"a stochastic policy needs probs of shape ({s_count}, {a_count}), "
-                             f"got {policy.probs.shape}")
-    elif policy.actions.shape != (s_count,) or not _actions_below(policy.actions, a_count):
-        raise ValueError(f"a deterministic policy needs one action in [0, {a_count}) per "
-                         f"state, each a whole number, for {s_count} states")
+    in [0, A) per state. Every reader of a policy calls it, so no action
+    wraps round or is truncated."""
+    if policy.actions.shape != (mdp.num_states,) \
+            or not _actions_below(policy.actions, mdp.num_actions):
+        raise ValueError(f"a policy needs one action in [0, {mdp.num_actions}) per state, "
+                         f"each a whole number, for {mdp.num_states} states")
+
+
+def _chosen(mdp: TabularMDP, policy: Policy) -> np.ndarray:
+    """Flat (S*A) index s * A + pi(s) of each state's chosen pair, which is
+    also its row of the operator."""
+    return np.arange(mdp.num_states) * mdp.num_actions + policy.actions
 
 
 def policy_values(mdp: TabularMDP, policy: Policy, q: QTable) -> np.ndarray:
-    """V(s) = sum_a pi(a|s) Q(s, a)."""
+    """V(s) = Q(s, pi(s)), gathered, so no other entry of q is read."""
     check_policy(mdp, policy)
-    return (policy.matrix(mdp.num_actions) * q).sum(axis=1)
+    q = np.asarray(q, dtype=float)
+    if q.shape != (mdp.num_states, mdp.num_actions):
+        raise ValueError(f"q table shape {q.shape} does not match the MDP")
+    return q.take(_chosen(mdp, policy))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +374,6 @@ _MAX_SWEEPS = 10_000_000
 
 def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
     """One synchronous backup (T_pi q)(s,a) = r + gamma * P @ V_pi(q)."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (mdp.num_states, mdp.num_actions):
-        raise ValueError(f"q table shape {q.shape} does not match the MDP")
     v = policy_values(mdp, policy, q)
     with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
         return mdp.rewards + mdp.gamma * mdp.expect(v)
@@ -436,15 +410,8 @@ def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) 
     backups (see _sweep)."""
     check_policy(mdp, policy)
     # V_pi(q) as policy_values gives it, the gather built once for all sweeps
-    if policy.kind == "deterministic":
-        chosen = np.arange(mdp.num_states) * mdp.num_actions + policy.actions
-
-        def v_pi(q):
-            return q.take(chosen)
-    else:
-        def v_pi(q):
-            return (policy.probs * q).sum(axis=1)
-    return _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(v_pi(q)), mdp, tol,
+    chosen = _chosen(mdp, policy)
+    return _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(q.take(chosen)), mdp, tol,
                   "policy evaluation")
 
 
@@ -480,11 +447,10 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     Member i's estimate is mc_policy_evaluation(mdp, policies[i],
     num_trajectories, horizon, seeds[i]) bit for bit: it draws from its own
     stream(seeds[i], 0), first its starts and then, at each step it moves,
-    one uniform per trajectory, live or not, for the next states and, under
-    a stochastic policy, one more for the actions. The members are stepped
-    together, so each step costs one set of array operations over every
-    member's live trajectories. The policies must be all deterministic or
-    all stochastic.
+    one uniform per trajectory, live or not, for the next states; the policy
+    then fixes each next action. The members are stepped together, so each
+    step costs one set of array operations over every member's live
+    trajectories.
 
     A trajectory that reaches a terminal state is absorbed: from there on it
     earns 0 and visits only terminal pairs, whose estimate is 0 however
@@ -505,29 +471,18 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
         raise ValueError("horizon must be >= 1")
     if len(policies) != len(seeds) or len(seeds) == 0:
         raise ValueError("need one seed per policy, and at least one of each")
-    kinds = {policy.kind for policy in policies}
-    if len(kinds) > 1:
-        raise ValueError("member policies must be all deterministic or all stochastic")
     for policy in policies:
         check_policy(mdp, policy)
-    deterministic = kinds == {"deterministic"}
     s_count, a_count = mdp.num_states, mdp.num_actions
     pair_count = s_count * a_count
     members, n = len(seeds), num_trajectories
     rngs = [stream(seed, 0) for seed in seeds]
-    # policy tables indexed by m * S + s for member m at state s: the
-    # operator row s * A + pi(s) of a deterministic policy, or the CDF over
-    # actions of a stochastic one
-    if deterministic:
-        row_of = (np.arange(s_count) * a_count
-                  + np.stack([policy.actions for policy in policies])).ravel()
-    else:
-        cum_pi = np.cumsum(np.stack([policy.matrix(a_count) for policy in policies]), axis=2)
-        action_cdf = np.ascontiguousarray(cum_pi[:, :, :-1].reshape(-1, a_count - 1).T)
+    # the operator row s * A + pi(s) of member m at state s, at m * S + s
+    row_of = np.concatenate([_chosen(mdp, policy) for policy in policies])
     # the next state is the row's entry at the count of its CDF values below
     # the uniform, capped at the last entry; counting over the first d - 1
     # columns gives the cap, as cumulative sums of nonnegative floats never
-    # decrease (likewise for actions)
+    # decrease
     next_cdf = np.ascontiguousarray(np.cumsum(mdp.next_probs, axis=1)[:, :-1].T)
     width = mdp.next_states.shape[1]
     next_state = mdp.next_states.ravel()
@@ -542,7 +497,7 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     rows = np.concatenate([rng.integers(0, pair_count, size=n) for rng in rngs])
     steps = np.full(members, horizon)
     moving = list(range(members))  # members with live trajectories
-    uniforms = np.empty((1 if deterministic else 2, members, n))
+    uniforms = np.empty((members, n))
     for t in range(horizon):
         pairs[t, live] = rows
         if t == horizon - 1:
@@ -558,22 +513,12 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
                 if not moving:
                     break
         for m in moving:
-            uniforms[0, m] = rngs[m].random(n)
-            if not deterministic:
-                uniforms[1, m] = rngs[m].random(n)
+            uniforms[m] = rngs[m].random(n)
         index = rows * width
-        u = uniforms[0].ravel()[live]
+        u = uniforms.ravel()[live]
         for column in next_cdf:
             index += column[rows] < u
-        states = next_state[index]
-        if deterministic:
-            rows = row_of[offset + states]
-        else:
-            member_states = offset + states
-            rows = states * a_count
-            u = uniforms[1].ravel()[live]
-            for column in action_cdf:
-                rows += column[member_states] < u
+        rows = row_of[offset + next_state[index]]
 
     rewards = np.append(mdp.rewards.ravel(), 0.0)  # pair -1, absorbed, earns 0
     estimates = np.empty((members, s_count, a_count))

@@ -56,7 +56,6 @@ def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, rows: list, policy: Policy,
     s_count, a_count = mdp.num_states, mdp.num_actions
     rng = stream(seed, 0)
     cum_p = np.cumsum(dense_transitions(rows), axis=2)
-    cum_pi = np.cumsum(policy.matrix(a_count), axis=1)
     n = num_trajectories
     start = rng.integers(0, s_count * a_count, size=n)
     states, actions = start // a_count, start % a_count
@@ -68,11 +67,7 @@ def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, rows: list, policy: Policy,
         step_r[:, t] = mdp.rewards[states, actions]
         u = rng.random(n)
         states = np.minimum((cum_p[states, actions] < u[:, None]).sum(axis=1), s_count - 1)
-        if policy.kind == "deterministic":
-            actions = policy.actions[states]
-        else:
-            u2 = rng.random(n)
-            actions = np.minimum((cum_pi[states] < u2[:, None]).sum(axis=1), a_count - 1)
+        actions = policy.actions[states]
     returns = np.zeros((n, horizon + 1))
     for t in range(horizon - 1, -1, -1):
         returns[:, t] = step_r[:, t] + mdp.gamma * returns[:, t + 1]

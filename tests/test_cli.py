@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestRun:
         # every positive reward at 1.7e308 overflows the second backup; run
         # as a user would, so that numpy warnings would reach stderr. Both
         # seeds run in one lockstep loop, and the error names the first.
-        doc = json.loads(open(grid_env, encoding="utf-8").read())
+        doc = json.loads(Path(grid_env).read_text(encoding="utf-8"))
         doc["rewards"] = [[1.7e308 if r > 0 else r for r in row] for row in doc["rewards"]]
         env = tmp_path / "huge.json"
         env.write_text(json.dumps(doc))
@@ -130,7 +131,7 @@ class TestRun:
         ("repeated_pair", "entry 64: a second row for (s, a) = (0, 0)"),
     ])
     def test_invalid_env_file_exits_2(self, grid_env, tmp_path, capsys, defect, message):
-        doc = json.loads(open(grid_env, encoding="utf-8").read())
+        doc = json.loads(Path(grid_env).read_text(encoding="utf-8"))
         first = doc["transitions"][0]
         if defect == "nan_probability":
             first["rows"] = [[1, float("nan")]]

@@ -94,7 +94,7 @@ class TestEncodeQTable:
 class TestQuantumBellmanUpdate:
     def test_hard_bound_in_ae_mode(self, grid4):
         rng = np.random.default_rng(0)
-        policy = Policy.uniform(16, 4)
+        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
         for trial in range(20):
             q = rng.normal(size=(16, 4))
             eps = float(rng.choice([0.3, 0.1, 0.02]))
@@ -109,13 +109,13 @@ class TestQuantumBellmanUpdate:
             assert np.abs(q_tilde - targets).max() <= eps * span + 1e-12
 
     def test_exact_mode_matches_backup(self, grid4):
-        policy = Policy.uniform(16, 4)
+        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
         q = np.linspace(0, 1, 64).reshape(16, 4)
         q_tilde, _ = quantum_bellman_update(grid4, q, policy, exact_cfg(seed=3))
         assert np.abs(q_tilde - bellman_backup(grid4, q, policy)).max() <= 1e-9
 
     def test_query_accounting(self, grid4):
-        policy = Policy.uniform(16, 4)
+        policy = Policy.deterministic(np.zeros(16, dtype=int))
         q = np.zeros((16, 4))
         cfg = QPolicyConfig(
             epsilon=0.01,
@@ -183,7 +183,8 @@ class TestReadoutVariance:
         assert closed == pytest.approx(sampled, rel=0.03)
 
     def test_terminal_rows_count_zero(self, grid4):
-        targets = bellman_backup(grid4, self._targets(), Policy.uniform(16, 4))
+        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
+        targets = bellman_backup(grid4, self._targets(), policy)
         mask = _readout_mask(grid4)
         assert mask.sum() == 60
         est = EstimatorConfig(mode=SHOT_SAMPLING, shots=256)
@@ -530,7 +531,7 @@ class TestVerifyStability:
 
     def test_rejects_negative_epsilon(self, grid4):
         with pytest.raises(ValueError):
-            verify_stability(grid4, Policy.uniform(16, 4), -0.1)
+            verify_stability(grid4, Policy.deterministic(np.zeros(16, dtype=int)), -0.1)
 
 
 class TestVerifyConvergenceBound:

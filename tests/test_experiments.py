@@ -23,7 +23,7 @@ from qpolicy.experiments import (
     run_query_complexity_study,
     summarize,
 )
-from qpolicy.mdp import Policy, bellman_backup, mc_policy_evaluation
+from qpolicy.mdp import Policy, bellman_backup, mc_policy_evaluation, policy_values
 from qpolicy.rng import child_seed
 
 
@@ -65,13 +65,13 @@ class TestComputeBellmanError:
             compute_bellman_error([0.0], [0.0, 1.0])
 
     def test_policy_evaluation_iterates_contract(self, grid4):
-        policy = Policy.uniform(16, 4)
+        policy = Policy.deterministic(np.random.default_rng(0).integers(0, 4, 16))
         q = np.zeros((16, 4))
-        v_prev = (policy.matrix(4) * q).sum(axis=1)
+        v_prev = policy_values(grid4, policy, q)
         deltas = []
         for _ in range(25):
             q = bellman_backup(grid4, q, policy)
-            v = (policy.matrix(4) * q).sum(axis=1)
+            v = policy_values(grid4, policy, q)
             deltas.append(compute_bellman_error(v_prev, v)[0])
             v_prev = v
         for t, d in enumerate(deltas):
@@ -153,6 +153,17 @@ class TestResources:
         assert abs(est.gates_per_iteration - 5600) <= 0.15 * 5600
         assert abs(est.seconds_per_iteration_at_1khz - 5.6) <= 0.15 * 5.6
         assert est.sparsity_d == 4
+
+    def test_priced_at_the_estimators_epsilon(self, grid4):
+        # the run reads out at the estimator's 0.01, 100 queries a readout,
+        # whatever QPolicyConfig.epsilon says
+        cfg = QPolicyConfig(epsilon=0.05, estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01),
+                            max_iterations=1)
+        (record,), _ = run_qpolicy(grid4, cfg)
+        assert record.queries_iteration == 60 * 100  # 4 goal-state pairs are pinned at zero
+        est = estimate_resources(grid4, cfg)
+        assert est.gates_per_iteration == round(est.gates_per_bellman_update * 100 * 1.12)
+        assert est == estimate_resources(grid4, QPolicyConfig(epsilon=0.01))
 
     def test_qubit_formula_large_state_space(self):
         fake = SimpleNamespace(num_states=10 ** 6, num_actions=4, sparsity_d=4)

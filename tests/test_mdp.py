@@ -261,10 +261,6 @@ def test_bad_environment_document_rejected(doc, message):
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        Policy.stochastic([[0.5, 0.4]])
-    with pytest.raises(ValueError):
-        Policy.stochastic([[1.5, -0.5]])
     det = Policy.deterministic([1, 0])
     mat = det.matrix(2)
     assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
@@ -299,11 +295,19 @@ POLICY_READERS = {
     Policy.deterministic(np.full(16, 4)),
     Policy.deterministic(np.full(16, 1.7)),  # would be truncated to DOWN
     Policy.deterministic(np.zeros(15, dtype=int)),
-    Policy.stochastic(np.full((16, 5), 0.2)),
-], ids=["minus_one", "A", "fractional", "one_state_short", "probs_one_action_wide"])
+], ids=["minus_one", "A", "fractional", "one_state_short"])
 def test_policy_checked_against_the_mdp(grid4, reader, policy):
     with pytest.raises(ValueError, match="policy needs"):
         POLICY_READERS[reader](grid4, policy)
+
+
+def test_unchosen_entries_are_not_read(grid4):
+    # only q[s, pi(s)] is read, so an inf at an action no state takes stays out
+    q = np.zeros((16, 4))
+    q[0, 1] = np.inf
+    policy = Policy.deterministic(np.zeros(16, dtype=int))
+    assert np.array_equal(policy_values(grid4, policy, q), np.zeros(16))
+    assert np.array_equal(bellman_backup(grid4, q, policy), grid4.rewards)
 
 
 def test_sparsity_d_bounded(grid4, frozen8):
@@ -323,7 +327,8 @@ class TestExactEvaluation:
 
     def test_gamma_zero_is_reward(self, grid4):
         mdp = grid4.with_gamma(0.0)
-        q = exact_policy_evaluation(mdp, Policy.uniform(16, 4), 1e-8)
+        policy = Policy.deterministic(np.random.default_rng(0).integers(0, 4, 16))
+        q = exact_policy_evaluation(mdp, policy, 1e-8)
         assert np.array_equal(q, mdp.rewards)
 
     def test_matches_linear_solve_on_grid(self, grid4, grid4_rows):
@@ -350,17 +355,12 @@ class TestExactEvaluation:
 
     def test_rejects_bad_tol(self, grid4):
         with pytest.raises(ValueError):
-            exact_policy_evaluation(grid4, Policy.uniform(16, 4), 0.0)
+            exact_policy_evaluation(grid4, Policy.deterministic(np.zeros(16, dtype=int)), 0.0)
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
-    @pytest.mark.parametrize("kind", ["deterministic", "stochastic"])
-    def test_checks_once_and_equals_the_backup_sweep(self, name, kind, request,
-                                                     monkeypatch):
+    def test_checks_once_and_equals_the_backup_sweep(self, name, request, monkeypatch):
         mdp = request.getfixturevalue(name)
-        rng = np.random.default_rng(4)
-        policy = (Policy.deterministic(rng.integers(0, 4, mdp.num_states))
-                  if kind == "deterministic"
-                  else Policy.stochastic(rng.dirichlet(np.ones(4), mdp.num_states)))
+        policy = Policy.deterministic(np.random.default_rng(4).integers(0, 4, mdp.num_states))
         # the sweep of full backups, each checking the policy afresh
         tol = 1e-10
         threshold = tol * (1.0 - mdp.gamma) / mdp.gamma
@@ -433,7 +433,7 @@ class TestBellmanBackup:
 
     def test_contraction_on_random_pairs(self, grid4):
         rng = np.random.default_rng(7)
-        pi = Policy.uniform(16, 4)
+        pi = Policy.deterministic(rng.integers(0, 4, 16))
         for _ in range(100):
             q1 = rng.normal(size=(16, 4))
             q2 = rng.normal(size=(16, 4))
@@ -448,7 +448,7 @@ class TestBellmanBackup:
 
     def test_shape_mismatch(self, grid4):
         with pytest.raises(ValueError):
-            bellman_backup(grid4, np.zeros((3, 4)), Policy.uniform(16, 4))
+            bellman_backup(grid4, np.zeros((3, 4)), Policy.deterministic(np.zeros(16, dtype=int)))
 
 
 def test_greedy_improvement_monotone(grid4):
@@ -490,7 +490,7 @@ def check_against_dense(mdp, rows, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1, 1, size=mdp.num_states)
     assert np.abs(mdp.expect(v) - dense.dot(v)).max() <= 1e-12
-    policy = Policy.stochastic(rng.dirichlet(np.ones(mdp.num_actions), size=mdp.num_states))
+    policy = Policy.deterministic(rng.integers(0, mdp.num_actions, mdp.num_states))
     q = rng.uniform(-1, 1, size=(mdp.num_states, mdp.num_actions))
     expected = mdp.rewards + mdp.gamma * dense.dot(policy_values(mdp, policy, q))
     assert np.abs(bellman_backup(mdp, q, policy) - expected).max() <= 1e-12
@@ -587,16 +587,27 @@ SAMPLER_ENVS = {
 
 
 def sampler_policies(mdp: TabularMDP) -> dict:
-    """Greedy, uniform, a skewed stochastic policy, and all-UP (action 0),
-    which on the slippery grid rarely and on the deterministic one never
-    reaches the goal."""
+    """Greedy; random, seeded actions, which on a deterministic lake may
+    cycle for ever; toward_terminal, seeded actions that each step, by the
+    first entry of their row, closer to a terminal where one can, so that
+    on a deterministic MDP every trajectory is absorbed within S steps; and
+    all-UP (action 0), which on the slippery grid rarely and on the
+    deterministic one never reaches the goal."""
     s_count, a_count = mdp.num_states, mdp.num_actions
     _, greedy = value_iteration(mdp, 1e-8)
-    skewed = np.random.default_rng(s_count).dirichlet(np.ones(a_count), size=s_count)
+    rng = np.random.default_rng(s_count)
+    first = mdp.next_states[:, 0].reshape(s_count, a_count)
+    # moves to a terminal, by breadth-first relaxation
+    distance = np.full(s_count, s_count)
+    distance[sorted(mdp.terminal_states)] = 0
+    for _ in range(s_count):
+        distance = np.minimum(distance, distance[first].min(axis=1) + 1)
+    closer = distance[first] < distance[:, None]
     return {
         "greedy": greedy,
-        "uniform": Policy.uniform(s_count, a_count),
-        "skewed": Policy.stochastic(skewed),
+        "random": Policy.deterministic(rng.integers(0, a_count, s_count)),
+        "toward_terminal": Policy.deterministic((rng.random((s_count, a_count))
+                                                 + closer).argmax(axis=1)),
         "all_up": Policy.deterministic(np.zeros(s_count, dtype=int)),
     }
 
@@ -624,7 +635,7 @@ def count_uniform_draws(monkeypatch) -> dict:
 
 class TestMonteCarlo:
     def test_query_count_is_trajectories(self, grid4):
-        _, queries = mc_policy_evaluation(grid4, Policy.uniform(16, 4), 1000,
+        _, queries = mc_policy_evaluation(grid4, sampler_policies(grid4)["random"], 1000,
                                           horizon=10, seed=0)
         assert queries == 1000
 
@@ -668,7 +679,7 @@ class TestMonteCarlo:
     def test_bitwise_equal_to_dense_cdf_sampler(self, name, request):
         mdp, rows = request.getfixturevalue(name), request.getfixturevalue(f"{name}_rows")
         _, greedy = value_iteration(mdp, 1e-8)
-        for seed, policy in enumerate([greedy, Policy.uniform(mdp.num_states, 4)]):
+        for seed, policy in enumerate([greedy, sampler_policies(mdp)["random"]]):
             q_mc, _ = mc_policy_evaluation(mdp, policy, 300, horizon=40, seed=seed)
             q_ref = dense_cdf_mc_policy_evaluation(mdp, rows, policy, 300, 40, seed)
             assert q_mc.tobytes() == q_ref.tobytes()
@@ -687,7 +698,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("name, policy", [
         ("grid4", "greedy"), ("lake4_deterministic", "greedy"),
-        ("lake4_deterministic", "uniform"), ("lake4_deterministic", "skewed"),
+        ("lake4_deterministic", "toward_terminal"), ("grid4_deterministic", "toward_terminal"),
     ])
     def test_rollout_ends_once_every_trajectory_is_absorbed(self, name, policy,
                                                             monkeypatch):
@@ -695,8 +706,7 @@ class TestMonteCarlo:
         chosen = sampler_policies(mdp)[policy]
         draws = count_uniform_draws(monkeypatch)
         q_mc, _ = mc_policy_evaluation(mdp, chosen, 500, horizon=400, seed=3)
-        # one next-state draw per step, and one action draw under a
-        # stochastic policy, each for all 500 trajectories
+        # one next-state draw per step for all 500 trajectories
         (sizes,) = draws.values()
         assert 0 < len(sizes) < 100 and set(sizes) == {500}
         monkeypatch.undo()
@@ -734,7 +744,7 @@ class TestMonteCarlo:
 
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):
-            mc_policy_evaluation(grid4, Policy.uniform(16, 4), 0, seed=0)
+            mc_policy_evaluation(grid4, Policy.deterministic(np.zeros(16, dtype=int)), 0, seed=0)
 
 
 class TestLockstep:
@@ -747,7 +757,7 @@ class TestLockstep:
         policies = sampler_policies(mdp)
         # greedy and all-UP members end at different steps on the grids and lakes
         batches = [[policies["greedy"], policies["all_up"], policies["greedy"]],
-                   [policies["uniform"], policies["skewed"]], [policies["all_up"]]]
+                   [policies["random"], policies["toward_terminal"]], [policies["all_up"]]]
         cases = [(300, 40), (1, 1), (1, 60), (17, 3), (200, 1)]
         for first_seed, (batch, (n, horizon)) in enumerate(
                 (b, c) for b in batches for c in cases):
@@ -761,7 +771,7 @@ class TestLockstep:
 
     @pytest.mark.parametrize("name, kinds", [
         ("grid4_deterministic", ("greedy", "all_up")),
-        ("lake4_deterministic", ("uniform", "skewed", "uniform")),
+        ("lake4_deterministic", ("random", "toward_terminal", "random")),
     ])
     def test_member_draws_only_while_it_has_live_trajectories(self, name, kinds,
                                                               monkeypatch):
@@ -775,12 +785,10 @@ class TestLockstep:
         for policy, seed in zip(batch, seeds):
             mc_policy_evaluation(mdp, policy, 200, horizon=50, seed=seed)
         assert lockstep == dict(draws)
-        # n uniforms a step, one more set under a stochastic policy; the
-        # step at the horizon moves no trajectory and draws nothing
-        per_step = 1 if batch[0].kind == "deterministic" else 2
+        # n uniforms a step; the step at the horizon moves no trajectory and
+        # draws nothing
         for sizes in lockstep.values():
-            assert set(sizes) == {200} and len(sizes) % per_step == 0
-            assert 0 < len(sizes) <= 49 * per_step
+            assert set(sizes) == {200} and 0 < len(sizes) <= 49
         if kinds[1] == "all_up":
             # greedy reaches the goal from every start within 8 moves; all-UP
             # leaves most starts short of it, so that member moves at every step
@@ -788,12 +796,6 @@ class TestLockstep:
         draws.clear()
         mc_policy_evaluation_lockstep(mdp, batch, 1, 1, seeds)
         assert sorted(draws) == seeds and not any(draws.values())
-
-    def test_mixed_policy_kinds_rejected(self, grid4):
-        policies = sampler_policies(grid4)
-        with pytest.raises(ValueError, match="all deterministic or all stochastic"):
-            mc_policy_evaluation_lockstep(grid4, [policies["greedy"], policies["uniform"]],
-                                          10, 5, [0, 1])
 
     @pytest.mark.parametrize("actions", [np.full(16, 4), np.full(16, -1), np.zeros(15)])
     def test_rejects_actions_outside_the_mdp(self, grid4, actions):

@@ -295,7 +295,8 @@ POLICY_READERS = {
     Policy.deterministic(np.full(16, 4)),
     Policy.deterministic(np.full(16, 1.7)),  # would be truncated to DOWN
     Policy.deterministic(np.zeros(15, dtype=int)),
-], ids=["minus_one", "A", "fractional", "one_state_short"])
+    Policy.deterministic(np.full((16, 5), 0.2)),  # (S, A + 1) action probabilities
+], ids=["minus_one", "A", "fractional", "one_state_short", "probs_one_action_wide"])
 def test_policy_checked_against_the_mdp(grid4, reader, policy):
     with pytest.raises(ValueError, match="policy needs"):
         POLICY_READERS[reader](grid4, policy)
@@ -802,6 +803,13 @@ class TestLockstep:
         # action 4 of state s would read row (s + 1, 0), and -1 row (s - 1, 3)
         with pytest.raises(ValueError, match="one action in"):
             mc_policy_evaluation(grid4, Policy.deterministic(actions), 10, seed=0)
+
+    @pytest.mark.parametrize("bad_at", [0, 2])
+    def test_checks_every_member(self, grid4, bad_at):
+        batch = [sampler_policies(grid4)["greedy"]] * 3
+        batch[bad_at] = Policy.deterministic(np.full(16, 4))
+        with pytest.raises(ValueError, match="policy needs"):
+            mc_policy_evaluation_lockstep(grid4, batch, 10, 5, [0, 1, 2])
 
     def test_rejects_members_without_a_seed_each(self, grid4):
         greedy = sampler_policies(grid4)["greedy"]

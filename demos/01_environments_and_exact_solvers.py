@@ -24,7 +24,7 @@ print(f"gridworld: {grid.num_states} states, {grid.num_actions} actions, "
 q_star, policy = value_iteration(grid, tol=1e-10)
 print("\ngreedy policy (G = goal):")
 for r in range(4):
-    row = "".join("G" if r * 4 + c == 15 else ARROWS[policy.action_of(r * 4 + c)]
+    row = "".join("G" if r * 4 + c == 15 else ARROWS[policy.actions[r * 4 + c]]
                   for c in range(4))
     print("   " + row)
 print(f"optimal start-state value: {q_star.max(axis=1)[0]:.4f}")

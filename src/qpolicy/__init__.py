@@ -25,13 +25,10 @@ from .emulator import (
 )
 from .engine import (
     DivergenceError,
-    IndexMap,
     IterationRecord,
     QPolicyConfig,
     encode_qtable,
-    decode_qtable,
     policy_improve,
-    quantum_bellman_update,
     run_qpolicy,
     run_qpolicy_lockstep,
     verify_convergence_bound,

@@ -13,7 +13,7 @@ runs never corrupt artifacts. Exit codes: 0 success, 2 configuration error,
 1 runtime failure. A multi-run command runs each distinct effective config
 once (see experiments.run_ablation), all of them in one lockstep engine loop
 (engine.run_qpolicy_lockstep) whose records equal those of running each
-alone; QPOLICY_THREADS is ignored.
+alone.
 """
 from __future__ import annotations
 

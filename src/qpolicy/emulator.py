@@ -80,11 +80,6 @@ class MeasurementHistogram:
         """{index: count} map with string keys, ready for json.dump."""
         return {str(i): int(c) for i, c in sorted(self.counts.items())}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict, num_qubits: int) -> "MeasurementHistogram":
-        counts = {int(i): int(c) for i, c in doc.items()}
-        return cls(counts=counts, shots=sum(counts.values()), num_qubits=num_qubits)
-
 
 @dataclass
 class EstimatorConfig:

@@ -3,15 +3,17 @@
 Each iteration computes exact one-step backup targets from the model (the
 action the Bellman unitary would implement), maps the target table affinely
 into [0, 1], reads every entry back once through the configured estimator,
-and improves the policy greedily on the read-out table. Each read lies in
-[0, 1], so the read-out table stays within the hull of its targets and
-hence within the reward bound over 1 - gamma; a run whose table leaves that
-bound stops with DivergenceError. Query accounting covers every
-estimator invocation; rows whose targets are known exactly (terminal states
-pinned at zero) are skipped at zero cost. The reported readout variance
-is the estimator's expected variance, in closed form. run_qpolicy_lockstep
-steps several runs through one loop, each run's records the same as if it
-ran alone.
+and improves the policy greedily on the read-out table. Iteration k backs
+q_k up under its own greedy policy, which makes the target T* q_k (up to
+the 1e-9 tie tolerance of greedy_actions): the loop is value iteration with
+read-out backups. Each read lies in [0, 1], so the read-out table stays
+within the hull of its targets and hence within the reward bound over
+1 - gamma; a run whose table leaves that bound stops with DivergenceError.
+Query accounting covers every estimator invocation; rows whose targets are
+known exactly (terminal states pinned at zero) are skipped at zero cost.
+The reported readout variance is the estimator's expected variance, in
+closed form. run_qpolicy_lockstep steps several runs through one loop,
+each run's records the same as if it ran alone.
 """
 from __future__ import annotations
 
@@ -23,15 +25,14 @@ import numpy as np
 from .emulator import (
     AE_ORACLE,
     EstimatorConfig,
-    StateVector,
     ae_query_cost,
     amplitude_encode,
-    decode_amplitudes,
     readout_batch,
     readout_variance,
     shift_for_encoding,
 )
-from .mdp import (
+# bellman_backup stays bound here, where perfbench/tracing.py hooks it
+from .mdp import (  # noqa: F401
     Policy,
     QTable,
     TabularMDP,
@@ -56,28 +57,6 @@ _BOUND_RTOL = 1e-9
 class DivergenceError(RuntimeError):
     """An iteration's backup targets left the finite float range, or its
     read-out table left the reward bound over 1 - gamma."""
-
-
-@dataclass(frozen=True)
-class IndexMap:
-    """Bijection between (s, a) pairs and flat indices idx = s * A + a."""
-
-    num_states: int
-    num_actions: int
-
-    @property
-    def size(self) -> int:
-        return self.num_states * self.num_actions
-
-    def flat(self, s: int, a: int) -> int:
-        if not (0 <= s < self.num_states and 0 <= a < self.num_actions):
-            raise ValueError(f"({s}, {a}) outside the index map")
-        return s * self.num_actions + a
-
-    def pair(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.size:
-            raise ValueError(f"flat index {idx} outside the index map")
-        return divmod(idx, self.num_actions)
 
 
 @dataclass
@@ -139,16 +118,15 @@ class IterationRecord:
 # Encoding the table
 # ---------------------------------------------------------------------------
 
-def encode_qtable(q: QTable, index_map: IndexMap):
-    """Flatten by idx(s, a), min-shift, amplitude encode.
+def encode_qtable(q: QTable):
+    """Flatten row by row (entry (s, a) at s * A + a), min-shift, amplitude
+    encode; emulator.decode_amplitudes inverts it.
 
     Returns (state, scale, offset). A constant table has no normalized
     encoding; it is flagged with state=None, scale=0 and handled classically
     downstream (the offset is the exact answer, at zero query cost).
     """
     q = np.asarray(q, dtype=float)
-    if q.shape != (index_map.num_states, index_map.num_actions):
-        raise ValueError("q table shape does not match the index map")
     if not np.all(np.isfinite(q)):
         raise ValueError("q table must be finite")
     shifted, offset = shift_for_encoding(q.reshape(-1))
@@ -156,15 +134,6 @@ def encode_qtable(q: QTable, index_map: IndexMap):
         return None, 0.0, offset
     state, scale, _ = amplitude_encode(shifted)
     return state, scale, offset
-
-
-def decode_qtable(state: StateVector | None, scale: float, offset: float,
-                  index_map: IndexMap) -> QTable:
-    """Invert encode_qtable back to a dense (S, A) table."""
-    if state is None:
-        return np.full((index_map.num_states, index_map.num_actions), offset)
-    flat = decode_amplitudes(state, scale, offset, index_map.size)
-    return flat.reshape(index_map.num_states, index_map.num_actions)
 
 
 # ---------------------------------------------------------------------------
@@ -240,32 +209,12 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
     return q_tilde.reshape(targets.shape), queries, q_variance
 
 
-def quantum_bellman_update(mdp: TabularMDP, q: QTable, policy: Policy,
-                           config: QPolicyConfig,
-                           rng: np.random.Generator | None = None):
-    """One emulated Bellman evaluation; returns (q_tilde, queries).
-
-    Targets t(s,a) = r + gamma * P V_pi are computed exactly from the model,
-    normalized into [0, 1], read out entrywise under config.estimator, and
-    mapped back. In ae_oracle mode the result satisfies
-    ||q_tilde - T_pi q||_inf <= epsilon * span(targets). Without an rng it
-    reads from the stream of a run's iteration 0.
-    """
-    if rng is None:
-        rng = stream(config.seed, _READOUT, 0)
-    targets = bellman_backup(mdp, q, policy)
-    mask = _readout_mask(mdp)
-    q_tilde, queries, _ = _read_out(targets[None], mask, [config.estimator], [rng], 0,
-                                    [config.seed])
-    return q_tilde[0], queries[0]
-
-
 def policy_improve(q: QTable) -> Policy:
     """Greedy deterministic policy; ties broken by lowest action index."""
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
         raise ValueError("q table must be finite")
-    return Policy.deterministic(greedy_actions(q))
+    return Policy(greedy_actions(q))
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +225,10 @@ def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
     """Execute up to K iterations; returns (records, final_policy).
 
     Iteration k backs up the table under its greedy policy, reads the
-    targets out from the readout stream of key k (as quantum_bellman_update
-    does) and improves greedily on the read-out table. Stops early when max
-    |q_tilde - q| drops below convergence_tol. Bellman error is tracked as
-    max/mean of |V_{k+1} - V_k| with V the greedy value of the table.
+    targets out from the readout stream of key k and improves greedily on
+    the read-out table. Stops early when max |q_tilde - q| drops below
+    convergence_tol. Bellman error is tracked as max/mean of
+    |V_{k+1} - V_k| with V the greedy value of the table.
     Raises DivergenceError when an iteration's backup targets leave the
     finite float range or its read-out table leaves the reward bound. This
     is the one-member call of run_qpolicy_lockstep.
@@ -353,7 +302,7 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
                     policy_actions=actions[j].copy(),
                 ))
                 if shift[j] < config.convergence_tol or k + 1 == config.max_iterations:
-                    policies[i] = Policy.deterministic(actions[j].copy())
+                    policies[i] = Policy(actions[j].copy())
                 else:
                     stay.append(j)
             q, v = q_tilde, v_next
@@ -439,8 +388,7 @@ def verify_convergence_bound(mdp: TabularMDP, epsilon: float, seed: int = 0,
         if epsilon > 0:
             q = q + stream(seed, 5, k).uniform(-epsilon, epsilon, size=q.shape)
         new_policy = policy_improve(q)
-        if epsilon == 0 and np.array_equal(new_policy.actions, policy.actions):
-            policy = new_policy
+        if epsilon == 0 and new_policy == policy:
             break
         policy = new_policy
     q_star, _ = value_iteration(mdp, 1e-10)

@@ -190,7 +190,8 @@ def _pad_rows(row_of: np.ndarray, states: np.ndarray, probs: np.ndarray,
 
 @dataclass
 class Policy:
-    """Deterministic stationary policy: one action per state of a tabular MDP."""
+    """Deterministic stationary policy: one action per state of a tabular MDP.
+    Two policies are equal when their actions are."""
 
     actions: np.ndarray  # (S,), intp when every entry is a whole number
 
@@ -203,9 +204,8 @@ class Policy:
             actions = actions.astype(np.intp) if whole.all() else actions
         self.actions = actions
 
-    @classmethod
-    def deterministic(cls, actions) -> "Policy":
-        return cls(actions)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Policy) and np.array_equal(self.actions, other.actions)
 
     def matrix(self, num_actions: int) -> np.ndarray:
         """Policy as a one-hot (S, A) probability matrix; raises ValueError
@@ -215,9 +215,6 @@ class Policy:
         out = np.zeros((len(self.actions), num_actions))
         out[np.arange(len(self.actions)), self.actions] = 1.0
         return out
-
-    def action_of(self, s: int) -> int:
-        return int(self.actions[s])
 
 
 def greedy_actions(q: QTable, tol: float = 1e-9) -> np.ndarray:
@@ -419,7 +416,7 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]
     """Optimal Q within tol plus the greedy policy (ties to lowest index)."""
     q = _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(q.max(axis=1)), mdp, tol,
                "value iteration")
-    return q, Policy.deterministic(greedy_actions(q))
+    return q, Policy(greedy_actions(q))
 
 
 def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,

@@ -89,7 +89,7 @@ def enumerate_optimal_values(mdp: TabularMDP, rows: list) -> np.ndarray:
     """Per-state optimal value over all deterministic policies (small MDPs)."""
     best = np.full(mdp.num_states, -np.inf)
     for actions in itertools.product(range(mdp.num_actions), repeat=mdp.num_states):
-        policy = Policy.deterministic(np.array(actions))
+        policy = Policy(np.array(actions))
         q = linear_solve_q(mdp, policy, rows)
         v = q[np.arange(mdp.num_states), np.array(actions)]
         best = np.maximum(best, v)

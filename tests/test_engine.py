@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from qpolicy import engine
-from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
+from qpolicy.emulator import (
+    AE_ORACLE,
+    SHOT_SAMPLING,
+    EstimatorConfig,
+    NoiseModel,
+    decode_amplitudes,
+)
 from qpolicy.engine import (
+    _READOUT,
     DivergenceError,
-    IndexMap,
     QPolicyConfig,
-    decode_qtable,
     _readout_mask,
     encode_qtable,
     policy_improve,
-    quantum_bellman_update,
     run_qpolicy,
     run_qpolicy_lockstep,
     verify_convergence_bound,
@@ -27,6 +31,7 @@ from qpolicy.mdp import (
     policy_values,
     value_iteration,
 )
+from qpolicy.rng import stream
 
 from oracles import TWO_STATE_TWO_ACTION_ROWS, absorbing_single, enumerate_optimal_values, \
     random_mdp, two_state_two_action
@@ -43,107 +48,80 @@ def _read_out(targets, mask, estimator, rng):
     return q_tilde[0], queries[0], q_variance[0]
 
 
-class TestIndexMap:
-    def test_bijection(self):
-        imap = IndexMap(5, 3)
-        seen = set()
-        for s in range(5):
-            for a in range(3):
-                idx = imap.flat(s, a)
-                assert imap.pair(idx) == (s, a)
-                seen.add(idx)
-        assert seen == set(range(15))
-
-    def test_out_of_range(self):
-        imap = IndexMap(2, 2)
-        with pytest.raises(ValueError):
-            imap.flat(2, 0)
-        with pytest.raises(ValueError):
-            imap.pair(4)
-
-
 class TestEncodeQTable:
     def test_grid_table_needs_six_qubits(self, grid4):
-        imap = IndexMap(16, 4)
-        state, scale, offset = encode_qtable(np.arange(64.0).reshape(16, 4), imap)
+        state, scale, offset = encode_qtable(np.arange(64.0).reshape(16, 4))
         assert state.num_qubits == 6
 
     def test_constant_table_is_degenerate(self):
-        imap = IndexMap(2, 2)
-        state, scale, offset = encode_qtable(np.full((2, 2), 3.5), imap)
+        state, scale, offset = encode_qtable(np.full((2, 2), 3.5))
         assert state is None
         assert scale == 0.0
         assert offset == 3.5
-        decoded = decode_qtable(state, scale, offset, imap)
-        assert np.array_equal(decoded, np.full((2, 2), 3.5))
 
     def test_roundtrip_random_table(self):
         rng = np.random.default_rng(1)
-        imap = IndexMap(5, 3)  # 15 entries padded to 16
-        q = rng.normal(size=(5, 3))
-        state, scale, offset = encode_qtable(q, imap)
-        back = decode_qtable(state, scale, offset, imap)
+        q = rng.normal(size=(5, 3))  # 15 entries padded to 16
+        state, scale, offset = encode_qtable(q)
+        back = decode_amplitudes(state, scale, offset, q.size).reshape(q.shape)
         assert np.abs(back - q).max() <= 1e-10
 
     def test_rejects_nonfinite(self):
-        imap = IndexMap(2, 2)
         with pytest.raises(ValueError):
-            encode_qtable(np.array([[np.inf, 0.0], [0.0, 0.0]]), imap)
+            encode_qtable(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
 class TestQuantumBellmanUpdate:
+    """One read-out backup as the loop makes it: bellman_backup targets read
+    out through engine._read_out from the stream(seed, _READOUT, k) draws."""
+
     def test_hard_bound_in_ae_mode(self, grid4):
         rng = np.random.default_rng(0)
-        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
+        policy = Policy(np.random.default_rng(1).integers(0, 4, 16))
         for trial in range(20):
             q = rng.normal(size=(16, 4))
             eps = float(rng.choice([0.3, 0.1, 0.02]))
-            cfg = QPolicyConfig(
-                epsilon=eps,
-                estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=eps, seed=trial),
-                seed=trial,
-            )
-            q_tilde, _ = quantum_bellman_update(grid4, q, policy, cfg)
             targets = bellman_backup(grid4, q, policy)
+            q_tilde, _, _ = _read_out(targets, _readout_mask(grid4),
+                                      EstimatorConfig(mode=AE_ORACLE, epsilon=eps, seed=trial),
+                                      stream(trial, _READOUT, 0))
             span = targets.max() - targets.min()
             assert np.abs(q_tilde - targets).max() <= eps * span + 1e-12
 
     def test_exact_mode_matches_backup(self, grid4):
-        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
+        policy = Policy(np.random.default_rng(1).integers(0, 4, 16))
         q = np.linspace(0, 1, 64).reshape(16, 4)
-        q_tilde, _ = quantum_bellman_update(grid4, q, policy, exact_cfg(seed=3))
-        assert np.abs(q_tilde - bellman_backup(grid4, q, policy)).max() <= 1e-9
+        targets = bellman_backup(grid4, q, policy)
+        q_tilde, _, _ = _read_out(targets, _readout_mask(grid4), exact_cfg(seed=3).estimator,
+                                  stream(3, _READOUT, 0))
+        assert np.abs(q_tilde - targets).max() <= 1e-9
 
     def test_query_accounting(self, grid4):
-        policy = Policy.deterministic(np.zeros(16, dtype=int))
-        q = np.zeros((16, 4))
-        cfg = QPolicyConfig(
-            epsilon=0.01,
-            estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=1.0),
-        )
-        _, queries = quantum_bellman_update(grid4, q, policy, cfg)
+        targets = bellman_backup(grid4, np.zeros((16, 4)), Policy(np.zeros(16, dtype=int)))
+        _, queries, _ = _read_out(targets, _readout_mask(grid4),
+                                  EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=1.0),
+                                  stream(0, _READOUT, 0))
         assert queries == 60 * 100  # 4 goal-state pairs are pinned at zero
 
     def test_constant_targets_cost_nothing(self):
         mdp = absorbing_single(reward=0.0, gamma=0.5)
-        q_tilde, queries = quantum_bellman_update(
-            mdp, np.zeros((1, 1)), Policy.deterministic([0]), exact_cfg())
+        targets = bellman_backup(mdp, np.zeros((1, 1)), Policy([0]))
+        q_tilde, queries, _ = _read_out(targets, _readout_mask(mdp), exact_cfg().estimator,
+                                        stream(0, _READOUT, 0))
         assert queries == 0
         assert np.array_equal(q_tilde, np.zeros((1, 1)))
-
 
     def test_shot_readout_stays_within_reward_bound(self, grid4):
         # a shot readout lands inside the span of its targets, so iterating
         # the update keeps every table within the reward bound over 1 - gamma
-        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512))
+        estimator = EstimatorConfig(mode=SHOT_SAMPLING, shots=512)
+        mask = _readout_mask(grid4)
         lo = min(0.0, grid4.rewards.min()) / (1.0 - grid4.gamma)
         hi = max(0.0, grid4.rewards.max()) / (1.0 - grid4.gamma)
-        rng = np.random.default_rng(0)
         q = np.zeros((16, 4))
-        policy = policy_improve(q)
         for k in range(3000):
-            q, _ = quantum_bellman_update(grid4, q, policy, cfg, rng)
-            policy = policy_improve(q)
+            q, _, _ = _read_out(bellman_backup(grid4, q, policy_improve(q)), mask, estimator,
+                                stream(0, _READOUT, k))
             assert lo - 1e-9 <= q.min() and q.max() <= hi + 1e-9, k
 
 
@@ -183,7 +161,7 @@ class TestReadoutVariance:
         assert closed == pytest.approx(sampled, rel=0.03)
 
     def test_terminal_rows_count_zero(self, grid4):
-        policy = Policy.deterministic(np.random.default_rng(1).integers(0, 4, 16))
+        policy = Policy(np.random.default_rng(1).integers(0, 4, 16))
         targets = bellman_backup(grid4, self._targets(), policy)
         mask = _readout_mask(grid4)
         assert mask.sum() == 60
@@ -226,7 +204,7 @@ class TestPolicyImprove:
         assert policy_improve(np.array([[2.0, 2.0, 0.0, 2.0]])).actions[0] == 0
 
     def test_improvement_theorem(self, grid4):
-        policy = Policy.deterministic(np.zeros(16, dtype=int))
+        policy = Policy(np.zeros(16, dtype=int))
         q = exact_policy_evaluation(grid4, policy, 1e-9)
         improved = policy_improve(q)
         v_old = policy_values(grid4, policy, q)
@@ -354,7 +332,8 @@ class TestRunQPolicy:
         )
         records, _ = run_qpolicy(grid4, cfg)
         q0 = np.zeros((16, 4))
-        q_tilde, _ = quantum_bellman_update(grid4, q0, policy_improve(q0), cfg)
+        q_tilde, _, _ = _read_out(bellman_backup(grid4, q0, policy_improve(q0)),
+                                  _readout_mask(grid4), cfg.estimator, stream(seed, _READOUT, 0))
         assert records[0].bellman_error_max == pytest.approx(
             np.abs(q_tilde.max(axis=1)).max(), abs=0)
 
@@ -525,13 +504,13 @@ class TestVerifyStability:
 
     def test_single_state_closed_form(self):
         mdp = absorbing_single(reward=1.0, gamma=0.5)
-        report = verify_stability(mdp, Policy.deterministic([0]), 0.1, trials=10, seed=2)
+        report = verify_stability(mdp, Policy([0]), 0.1, trials=10, seed=2)
         assert report.violations == 0
         assert report.max_value_change == 0.0  # only one policy exists
 
     def test_rejects_negative_epsilon(self, grid4):
         with pytest.raises(ValueError):
-            verify_stability(grid4, Policy.deterministic(np.zeros(16, dtype=int)), -0.1)
+            verify_stability(grid4, Policy(np.zeros(16, dtype=int)), -0.1)
 
 
 class TestVerifyConvergenceBound:

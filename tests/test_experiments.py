@@ -65,7 +65,7 @@ class TestComputeBellmanError:
             compute_bellman_error([0.0], [0.0, 1.0])
 
     def test_policy_evaluation_iterates_contract(self, grid4):
-        policy = Policy.deterministic(np.random.default_rng(0).integers(0, 4, 16))
+        policy = Policy(np.random.default_rng(0).integers(0, 4, 16))
         q = np.zeros((16, 4))
         v_prev = policy_values(grid4, policy, q)
         deltas = []

@@ -261,22 +261,31 @@ def test_bad_environment_document_rejected(doc, message):
 
 
 def test_policy_validation():
-    det = Policy.deterministic([1, 0])
+    det = Policy([1, 0])
     mat = det.matrix(2)
     assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(mat.sum(axis=1), 1.0)
-    whole = Policy.deterministic([1.0, 0.0]).actions
+    whole = Policy([1.0, 0.0]).actions
     assert whole.dtype == np.intp and whole.tolist() == [1, 0]
     # kept as given for check_policy to reject, not truncated to 1
-    assert Policy.deterministic([1.7, 0.0]).actions.tolist() == [1.7, 0.0]
+    assert Policy([1.7, 0.0]).actions.tolist() == [1.7, 0.0]
 
 
-@pytest.mark.parametrize("actions", [[-1, 0], [4, 0], [1.5, 0]],
+def test_policies_equal_exactly_when_their_actions_are():
+    assert Policy([0, 1]) == Policy([0, 1])
+    assert Policy([0, 1]) == Policy(np.array([0.0, 1.0]))
+    assert Policy([0, 1]) != Policy([1, 0])
+    assert Policy([0, 1]) != Policy([0, 1, 0])
+    assert Policy([0, 1]) != [0, 1]
+    assert Policy([0, 1]) != np.array([0, 1])
+
+
+@pytest.mark.parametrize("actions",[[-1, 0], [4, 0], [1.5, 0]],
                          ids=["minus_one", "A", "fractional"])
 def test_policy_matrix_rejects_actions_outside_the_range(actions):
     # -1 wrapped round to action 3, and 1.5 was truncated to 1
     with pytest.raises(ValueError, match=r"whole numbers in \[0, 4\)"):
-        Policy.deterministic(actions).matrix(4)
+        Policy(actions).matrix(4)
 
 
 POLICY_READERS = {
@@ -291,11 +300,11 @@ POLICY_READERS = {
 
 @pytest.mark.parametrize("reader", sorted(POLICY_READERS))
 @pytest.mark.parametrize("policy", [
-    Policy.deterministic(np.full(16, -1)),  # would wrap round to RIGHT everywhere
-    Policy.deterministic(np.full(16, 4)),
-    Policy.deterministic(np.full(16, 1.7)),  # would be truncated to DOWN
-    Policy.deterministic(np.zeros(15, dtype=int)),
-    Policy.deterministic(np.full((16, 5), 0.2)),  # (S, A + 1) action probabilities
+    Policy(np.full(16, -1)),  # would wrap round to RIGHT everywhere
+    Policy(np.full(16, 4)),
+    Policy(np.full(16, 1.7)),  # would be truncated to DOWN
+    Policy(np.zeros(15, dtype=int)),
+    Policy(np.full((16, 5), 0.2)),  # (S, A + 1) action probabilities
 ], ids=["minus_one", "A", "fractional", "one_state_short", "probs_one_action_wide"])
 def test_policy_checked_against_the_mdp(grid4, reader, policy):
     with pytest.raises(ValueError, match="policy needs"):
@@ -306,7 +315,7 @@ def test_unchosen_entries_are_not_read(grid4):
     # only q[s, pi(s)] is read, so an inf at an action no state takes stays out
     q = np.zeros((16, 4))
     q[0, 1] = np.inf
-    policy = Policy.deterministic(np.zeros(16, dtype=int))
+    policy = Policy(np.zeros(16, dtype=int))
     assert np.array_equal(policy_values(grid4, policy, q), np.zeros(16))
     assert np.array_equal(bellman_backup(grid4, q, policy), grid4.rewards)
 
@@ -323,12 +332,12 @@ def test_sparsity_d_bounded(grid4, frozen8):
 class TestExactEvaluation:
     def test_absorbing_geometric(self):
         mdp = absorbing_single(reward=1.0, gamma=0.5)
-        q = exact_policy_evaluation(mdp, Policy.deterministic([0]), 1e-10)
+        q = exact_policy_evaluation(mdp, Policy([0]), 1e-10)
         assert q[0, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_gamma_zero_is_reward(self, grid4):
         mdp = grid4.with_gamma(0.0)
-        policy = Policy.deterministic(np.random.default_rng(0).integers(0, 4, 16))
+        policy = Policy(np.random.default_rng(0).integers(0, 4, 16))
         q = exact_policy_evaluation(mdp, policy, 1e-8)
         assert np.array_equal(q, mdp.rewards)
 
@@ -342,7 +351,7 @@ class TestExactEvaluation:
     def test_linear_solve_agreement_invariant(self, seed):
         rows, rewards = random_rows(num_states=30, num_actions=3, seed=seed)
         mdp = TabularMDP.from_rows(30, 3, rows, rewards, 0.9)
-        policy = Policy.deterministic((np.arange(30) + seed) % 3)
+        policy = Policy((np.arange(30) + seed) % 3)
         tol = 1e-8
         q_iter = exact_policy_evaluation(mdp, policy, tol)
         q_solve = linear_solve_q(mdp, policy, rows)
@@ -350,18 +359,18 @@ class TestExactEvaluation:
 
     def test_linear_solve_agreement_on_lake(self, frozen8, frozen8_rows):
         tol = 1e-8
-        policy = Policy.deterministic(np.arange(64) % 4)
+        policy = Policy(np.arange(64) % 4)
         q_iter = exact_policy_evaluation(frozen8, policy, tol)
         assert np.abs(q_iter - linear_solve_q(frozen8, policy, frozen8_rows)).max() < 10 * tol
 
     def test_rejects_bad_tol(self, grid4):
         with pytest.raises(ValueError):
-            exact_policy_evaluation(grid4, Policy.deterministic(np.zeros(16, dtype=int)), 0.0)
+            exact_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), 0.0)
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_checks_once_and_equals_the_backup_sweep(self, name, request, monkeypatch):
         mdp = request.getfixturevalue(name)
-        policy = Policy.deterministic(np.random.default_rng(4).integers(0, 4, mdp.num_states))
+        policy = Policy(np.random.default_rng(4).integers(0, 4, mdp.num_states))
         # the sweep of full backups, each checking the policy afresh
         tol = 1e-10
         threshold = tol * (1.0 - mdp.gamma) / mdp.gamma
@@ -404,7 +413,7 @@ class TestValueIteration:
 
 
 SOLVERS = {
-    "exact_policy_evaluation": lambda mdp: exact_policy_evaluation(mdp, Policy.deterministic([0])),
+    "exact_policy_evaluation": lambda mdp: exact_policy_evaluation(mdp, Policy([0])),
     "value_iteration": value_iteration,
 }
 
@@ -428,13 +437,13 @@ class TestBellmanBackup:
 
     def test_fixed_point_exact_chain(self):
         mdp = two_state_chain(0.9)
-        pi = Policy.deterministic([0, 0])
+        pi = Policy([0, 0])
         q = np.array([[1.0], [0.0]])
         assert np.array_equal(bellman_backup(mdp, q, pi), q)
 
     def test_contraction_on_random_pairs(self, grid4):
         rng = np.random.default_rng(7)
-        pi = Policy.deterministic(rng.integers(0, 4, 16))
+        pi = Policy(rng.integers(0, 4, 16))
         for _ in range(100):
             q1 = rng.normal(size=(16, 4))
             q2 = rng.normal(size=(16, 4))
@@ -444,20 +453,20 @@ class TestBellmanBackup:
 
     def test_zero_table_gives_rewards(self):
         mdp = absorbing_single(0.7, 0.3)
-        out = bellman_backup(mdp, np.zeros((1, 1)), Policy.deterministic([0]))
+        out = bellman_backup(mdp, np.zeros((1, 1)), Policy([0]))
         assert np.array_equal(out, mdp.rewards)
 
     def test_shape_mismatch(self, grid4):
         with pytest.raises(ValueError):
-            bellman_backup(grid4, np.zeros((3, 4)), Policy.deterministic(np.zeros(16, dtype=int)))
+            bellman_backup(grid4, np.zeros((3, 4)), Policy(np.zeros(16, dtype=int)))
 
 
 def test_greedy_improvement_monotone(grid4):
     rng = np.random.default_rng(3)
     for _ in range(5):
-        policy = Policy.deterministic(rng.integers(0, 4, size=16))
+        policy = Policy(rng.integers(0, 4, size=16))
         q = exact_policy_evaluation(grid4, policy, 1e-9)
-        improved = Policy.deterministic(greedy_actions(q))
+        improved = Policy(greedy_actions(q))
         v_old = policy_values(grid4, policy, q)
         v_new = policy_values(grid4, improved, exact_policy_evaluation(grid4, improved, 1e-9))
         assert np.all(v_new >= v_old - 1e-9)
@@ -491,7 +500,7 @@ def check_against_dense(mdp, rows, seed):
     rng = np.random.default_rng(seed)
     v = rng.uniform(-1, 1, size=mdp.num_states)
     assert np.abs(mdp.expect(v) - dense.dot(v)).max() <= 1e-12
-    policy = Policy.deterministic(rng.integers(0, mdp.num_actions, mdp.num_states))
+    policy = Policy(rng.integers(0, mdp.num_actions, mdp.num_states))
     q = rng.uniform(-1, 1, size=(mdp.num_states, mdp.num_actions))
     expected = mdp.rewards + mdp.gamma * dense.dot(policy_values(mdp, policy, q))
     assert np.abs(bellman_backup(mdp, q, policy) - expected).max() <= 1e-12
@@ -606,10 +615,10 @@ def sampler_policies(mdp: TabularMDP) -> dict:
     closer = distance[first] < distance[:, None]
     return {
         "greedy": greedy,
-        "random": Policy.deterministic(rng.integers(0, a_count, s_count)),
-        "toward_terminal": Policy.deterministic((rng.random((s_count, a_count))
+        "random": Policy(rng.integers(0, a_count, s_count)),
+        "toward_terminal": Policy((rng.random((s_count, a_count))
                                                  + closer).argmax(axis=1)),
-        "all_up": Policy.deterministic(np.zeros(s_count, dtype=int)),
+        "all_up": Policy(np.zeros(s_count, dtype=int)),
     }
 
 
@@ -720,7 +729,7 @@ class TestMonteCarlo:
     def test_memory_has_no_state_action_term(self, grid100):
         # all-UP rarely reaches the goal, so almost every trajectory stays live;
         # a (trajectories x S*A) table alone would take 153 MiB here
-        policy = Policy.deterministic(np.zeros(grid100.num_states, dtype=int))
+        policy = Policy(np.zeros(grid100.num_states, dtype=int))
         tracemalloc.start()
         try:
             mc_policy_evaluation(grid100, policy, 4000, horizon=100, seed=0)
@@ -734,7 +743,7 @@ class TestMonteCarlo:
         # 100 steps: the int32 pair history takes 3.1 MiB, and the returns and
         # first-visit keys come from one member's slice at a time (about
         # 12 MiB in all), where all members' at once would take over 50 MiB
-        policy = Policy.deterministic(np.zeros(grid100.num_states, dtype=int))
+        policy = Policy(np.zeros(grid100.num_states, dtype=int))
         tracemalloc.start()
         try:
             mc_policy_evaluation_lockstep(grid100, [policy] * 8, 1000, 100, list(range(8)))
@@ -745,7 +754,7 @@ class TestMonteCarlo:
 
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):
-            mc_policy_evaluation(grid4, Policy.deterministic(np.zeros(16, dtype=int)), 0, seed=0)
+            mc_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), 0, seed=0)
 
 
 class TestLockstep:
@@ -802,12 +811,12 @@ class TestLockstep:
     def test_rejects_actions_outside_the_mdp(self, grid4, actions):
         # action 4 of state s would read row (s + 1, 0), and -1 row (s - 1, 3)
         with pytest.raises(ValueError, match="one action in"):
-            mc_policy_evaluation(grid4, Policy.deterministic(actions), 10, seed=0)
+            mc_policy_evaluation(grid4, Policy(actions), 10, seed=0)
 
     @pytest.mark.parametrize("bad_at", [0, 2])
     def test_checks_every_member(self, grid4, bad_at):
         batch = [sampler_policies(grid4)["greedy"]] * 3
-        batch[bad_at] = Policy.deterministic(np.full(16, 4))
+        batch[bad_at] = Policy(np.full(16, 4))
         with pytest.raises(ValueError, match="policy needs"):
             mc_policy_evaluation_lockstep(grid4, batch, 10, 5, [0, 1, 2])
 

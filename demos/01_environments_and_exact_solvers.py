@@ -31,8 +31,8 @@ print(f"optimal start-state value: {q_star.max(axis=1)[0]:.4f}")
 
 # policy evaluation agrees with solving (I - gamma P) V = r directly
 q_eval = exact_policy_evaluation(grid, policy, tol=1e-10)
-p_pi = np.einsum("sa,sax->sx", policy.matrix(4), grid.transition_matrix())
-r_pi = (policy.matrix(4) * grid.rewards).sum(axis=1)
+p_pi = grid.transition_matrix()[np.arange(16), policy.actions]
+r_pi = grid.rewards[np.arange(16), policy.actions]
 v_solve = np.linalg.solve(np.eye(16) - grid.gamma * p_pi, r_pi)
 gap = np.abs(policy_values(grid, policy, q_eval) - v_solve).max()
 print(f"\niterative evaluation vs linear solve: max gap {gap:.2e}")

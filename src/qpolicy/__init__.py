@@ -1,10 +1,10 @@
 """Quantum-emulated policy iteration for tabular MDPs.
 
 The package splits into five layers: `mdp` (environments and exact
-classical solvers), `emulator` (state-vector primitives, measurement,
-noise, scalar readout), `engine` (the iteration loop, one readout per
-iteration, and query accounting), `experiments` (seeded studies and
-summaries), and `cli` (the command line front end).
+classical solvers), `emulator` (exact state encoding and the scalar
+readout laws under depolarizing noise), `engine` (the iteration loop, one
+readout per iteration, and query accounting), `experiments` (seeded
+studies and summaries), and `cli` (the command line front end).
 """
 
 __version__ = "0.1.0"
@@ -13,14 +13,9 @@ from .emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
     EstimatorConfig,
-    MeasurementHistogram,
     NoiseModel,
     StateVector,
     amplitude_encode,
-    amplitude_estimate,
-    apply_depolarizing,
-    expected_index,
-    measure,
     shift_for_encoding,
 )
 from .engine import (

@@ -1,17 +1,18 @@
-"""State-vector emulation of the quantum primitives behind the policy engine.
+"""Exact state encoding and the scalar readout laws behind the policy engine.
 
-Preparation is exact: amplitudes are written directly, reproducing what an
-exact state-preparation circuit would output, so gate counts live only in
-the resource estimator. Noise is realized by quantum trajectories, sampling
-one Pauli error per qubit per prepare-and-measure cycle; the ensemble over
-seeds reproduces the depolarizing channel
-    E(rho) = (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z).
+Encoding is exact: amplitude_encode writes the amplitudes directly, as an
+exact state-preparation circuit would, so gate counts live only in the
+resource estimator. The engine's encode_qtable encodes a whole table this
+way, and a state's outcome law is |amplitude|^2.
 
-For computational-basis measurement a sampled Pauli pattern acts as an index
-bit flip: X and Y flip the measured bit, Z and the identity leave it alone.
-The noisy sampler below uses that equivalence (flip each index bit with
-probability 2p/3) instead of materializing one perturbed state per shot;
-the outcome distribution is identical.
+Every read the engine makes goes through readout_batch, which draws each
+value v in [0, 1] from one of two closed-form laws around its depolarized
+value, the Pr(1) of the readout qubit after the channel
+    E(rho) = (1 - p) rho + (p/3) (X rho X + Y rho Y + Z rho Z):
+ae_oracle adds a uniform error on [-epsilon, +epsilon] and clips to [0, 1],
+at cost ceil(c_ae / epsilon); shot_sampling takes the mean of `shots`
+Bernoulli draws, at cost shots. readout_variance gives the variance of
+either law in closed form.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .rng import stream
 
 NORM_TOL = 1e-9
 
@@ -45,14 +44,10 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    def probabilities(self) -> np.ndarray:
-        probs = np.abs(self.amplitudes) ** 2
-        return probs / probs.sum()  # squash norm drift below NORM_TOL
-
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Depolarizing strength applied per qubit per prepare-measure cycle."""
+    """Depolarizing strength p of the channel on the readout qubit."""
 
     depolarizing_p: float = 0.0
 
@@ -62,32 +57,16 @@ class NoiseModel:
 
 
 @dataclass
-class MeasurementHistogram:
-    """Counts of computational-basis outcomes from shot sampling."""
-
-    counts: dict
-    shots: int
-    num_qubits: int
-
-    def __post_init__(self):
-        if sum(self.counts.values()) != self.shots:
-            raise ValueError("histogram counts must sum to shots")
-        dim = 1 << self.num_qubits
-        if any(not 0 <= i < dim for i in self.counts):
-            raise ValueError("histogram contains an out-of-range index")
-
-    def to_json_dict(self) -> dict:
-        """{index: count} map with string keys, ready for json.dump."""
-        return {str(i): int(c) for i, c in sorted(self.counts.items())}
-
-
-@dataclass
 class EstimatorConfig:
     """How scalar values in [0, 1] are read out, and what each readout costs.
 
     shot_sampling draws `shots` one-shot measurements (cost = shots);
     ae_oracle returns the value to additive precision epsilon at cost
     ceil(c_ae / epsilon).
+
+    Nothing in the library reads seed: the engine draws its readout streams
+    from QPolicyConfig.seed. The field stays because manifests record it and
+    the benchmark worker passes it.
     """
 
     mode: str = SHOT_SAMPLING
@@ -162,89 +141,6 @@ def shift_for_encoding(q_row) -> tuple[np.ndarray, float]:
     return q_row - offset, offset
 
 
-def decode_amplitudes(state: StateVector, scale: float, offset: float,
-                      length: int) -> np.ndarray:
-    """Invert shift_for_encoding + amplitude_encode (drops the padding)."""
-    return np.real(state.amplitudes[:length]) * scale + offset
-
-
-# ---------------------------------------------------------------------------
-# Noise and measurement
-# ---------------------------------------------------------------------------
-
-def _apply_pauli(amps: np.ndarray, which: int, qubit: int, n: int) -> np.ndarray:
-    """Apply X (0), Y (1) or Z (2) on `qubit` of an n-qubit state vector."""
-    out = amps.reshape((2,) * n).copy()
-    axis = n - 1 - qubit  # qubit 0 is the least significant index bit
-    if which == 0:  # X
-        out = np.flip(out, axis=axis)
-    elif which == 1:  # Y
-        out = np.flip(out, axis=axis)
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[axis], hi[axis] = 0, 1
-        out[tuple(lo)] *= -1j
-        out[tuple(hi)] *= 1j
-    else:  # Z
-        hi = [slice(None)] * n
-        hi[axis] = 1
-        out[tuple(hi)] *= -1
-    return out.reshape(-1)
-
-
-def apply_depolarizing(state: StateVector, p: float, qubit: int, seed: int = 0) -> StateVector:
-    """One stochastic trajectory of the single-qubit depolarizing channel.
-
-    With probability 1 - p the state is returned unchanged (bit-exactly);
-    otherwise X, Y or Z is applied with probability p/3 each.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if not 0 <= qubit < max(state.num_qubits, 1):
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits} qubits")
-    if p == 0.0 or state.num_qubits == 0:
-        return state
-    u = stream(seed, 3).random()
-    if u >= p:
-        return state
-    which = int(u / (p / 3.0))  # 0, 1, 2 with probability p/3 each
-    amps = _apply_pauli(np.asarray(state.amplitudes), min(which, 2), qubit, state.num_qubits)
-    return StateVector(amps, state.num_qubits)
-
-
-def measure(state: StateVector, shots: int, noise: NoiseModel | None = None,
-            seed: int = 0) -> MeasurementHistogram:
-    """Sample basis indices from |amplitude|^2, shots times.
-
-    With noise, each shot independently applies the per-qubit depolarizing
-    cycle before readout, realized as index bit flips with probability 2p/3
-    per qubit (exactly the X/Y share of the sampled Pauli patterns).
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    rng = stream(seed, 7)
-    probs = state.probabilities()
-    indices = rng.choice(probs.size, size=shots, p=probs)
-    p = 0.0 if noise is None else noise.depolarizing_p
-    if p > 0.0 and state.num_qubits > 0:
-        flips = rng.random((shots, state.num_qubits)) < (2.0 * p / 3.0)
-        masks = flips.dot(1 << np.arange(state.num_qubits))
-        indices = indices ^ masks
-    values, counts = np.unique(indices, return_counts=True)
-    return MeasurementHistogram(
-        counts={int(v): int(c) for v, c in zip(values, counts)},
-        shots=shots,
-        num_qubits=state.num_qubits,
-    )
-
-
-def expected_index(hist: MeasurementHistogram) -> float:
-    """E[index] = sum_i i * counts[i] / shots, the readout value proxy."""
-    if hist.shots < 1 or not hist.counts:
-        raise ValueError("histogram is empty")
-    return sum(i * c for i, c in hist.counts.items()) / hist.shots
-
-
 # ---------------------------------------------------------------------------
 # Scalar value readout
 # ---------------------------------------------------------------------------
@@ -281,7 +177,8 @@ def readout_batch(values: np.ndarray, config: EstimatorConfig,
     depolarized value.
     """
     values = np.asarray(values, dtype=float)
-    if values.size and (values.min() < 0.0 or values.max() > 1.0):
+    # written so that a NaN, for which every comparison is False, fails it
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("readout values must lie in [0, 1]")
     noisy = depolarized_value(values, config.noise.depolarizing_p)
     if config.mode == AE_ORACLE:
@@ -315,19 +212,3 @@ def _clipped_uniform_variance(center: np.ndarray, epsilon: float) -> np.ndarray:
     second = ((hi ** 3 - lo ** 3) / 3.0 + lo ** 2 * (epsilon + lo)
               + hi ** 2 * (epsilon - hi)) / width
     return second - mean ** 2
-
-
-def amplitude_estimate(true_value: float, config: EstimatorConfig) -> tuple[float, int]:
-    """Estimate one probability amplitude; returns (estimate, queries).
-
-    ae_oracle: true value plus uniform error on [-epsilon, +epsilon],
-    clipped to [0, 1], cost ceil(c_ae / epsilon). shot_sampling: empirical
-    mean of `shots` Bernoulli draws, cost shots. Deterministic given
-    config.seed. With noise, the estimate targets the depolarized value (the
-    state actually measured).
-    """
-    if not 0.0 <= true_value <= 1.0:
-        raise ValueError("true_value must lie in [0, 1]")
-    rng = stream(config.seed, 11)
-    est = readout_batch(np.array([true_value]), config, rng)
-    return float(est[0]), ae_query_cost(config)

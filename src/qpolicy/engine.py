@@ -119,8 +119,8 @@ class IterationRecord:
 # ---------------------------------------------------------------------------
 
 def encode_qtable(q: QTable):
-    """Flatten row by row (entry (s, a) at s * A + a), min-shift, amplitude
-    encode; emulator.decode_amplitudes inverts it.
+    """Flatten row by row (entry (s, a) at s * A + a), min-shift and
+    amplitude encode; real(amplitudes[:q.size]) * scale + offset inverts it.
 
     Returns (state, scale, offset). A constant table has no normalized
     encoding; it is flagged with state=None, scale=0 and handled classically

@@ -207,15 +207,6 @@ class Policy:
     def __eq__(self, other) -> bool:
         return isinstance(other, Policy) and np.array_equal(self.actions, other.actions)
 
-    def matrix(self, num_actions: int) -> np.ndarray:
-        """Policy as a one-hot (S, A) probability matrix; raises ValueError
-        for an action that is not a whole number in [0, num_actions)."""
-        if not _actions_below(self.actions, num_actions):
-            raise ValueError(f"a policy's actions must be whole numbers in [0, {num_actions})")
-        out = np.zeros((len(self.actions), num_actions))
-        out[np.arange(len(self.actions)), self.actions] = 1.0
-        return out
-
 
 def greedy_actions(q: QTable, tol: float = 1e-9) -> np.ndarray:
     """Row-wise argmax with ties (within tol) broken by lowest action index;

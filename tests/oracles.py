@@ -36,7 +36,7 @@ def linear_solve_q(mdp: TabularMDP, policy: Policy, rows: list) -> np.ndarray:
     """Q_pi from solving (I - gamma P_pi) V = r_pi directly, P from the raw
     rows and r, gamma from the MDP."""
     p = dense_transitions(rows)
-    w = policy.matrix(mdp.num_actions)
+    w = np.eye(mdp.num_actions)[policy.actions]
     p_pi = np.einsum("sa,sax->sx", w, p)
     r_pi = (w * mdp.rewards).sum(axis=1)
     v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)

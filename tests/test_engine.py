@@ -10,7 +10,6 @@ from qpolicy.emulator import (
     SHOT_SAMPLING,
     EstimatorConfig,
     NoiseModel,
-    decode_amplitudes,
 )
 from qpolicy.engine import (
     _READOUT,
@@ -63,7 +62,7 @@ class TestEncodeQTable:
         rng = np.random.default_rng(1)
         q = rng.normal(size=(5, 3))  # 15 entries padded to 16
         state, scale, offset = encode_qtable(q)
-        back = decode_amplitudes(state, scale, offset, q.size).reshape(q.shape)
+        back = (np.real(state.amplitudes[:q.size]) * scale + offset).reshape(q.shape)
         assert np.abs(back - q).max() <= 1e-10
 
     def test_rejects_nonfinite(self):

@@ -261,10 +261,6 @@ def test_bad_environment_document_rejected(doc, message):
 
 
 def test_policy_validation():
-    det = Policy([1, 0])
-    mat = det.matrix(2)
-    assert np.array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(mat.sum(axis=1), 1.0)
     whole = Policy([1.0, 0.0]).actions
     assert whole.dtype == np.intp and whole.tolist() == [1, 0]
     # kept as given for check_policy to reject, not truncated to 1
@@ -278,14 +274,6 @@ def test_policies_equal_exactly_when_their_actions_are():
     assert Policy([0, 1]) != Policy([0, 1, 0])
     assert Policy([0, 1]) != [0, 1]
     assert Policy([0, 1]) != np.array([0, 1])
-
-
-@pytest.mark.parametrize("actions",[[-1, 0], [4, 0], [1.5, 0]],
-                         ids=["minus_one", "A", "fractional"])
-def test_policy_matrix_rejects_actions_outside_the_range(actions):
-    # -1 wrapped round to action 3, and 1.5 was truncated to 1
-    with pytest.raises(ValueError, match=r"whole numbers in \[0, 4\)"):
-        Policy(actions).matrix(4)
 
 
 POLICY_READERS = {

@@ -1,4 +1,4 @@
-"""One full engine run: encode, estimate, correct, improve, account.
+"""One full engine run: back up, read out, improve, account.
 
 Shows the per-iteration record stream in both readout regimes. In the
 additive-oracle regime the error decays monotonically until the
@@ -12,7 +12,7 @@ from qpolicy import EstimatorConfig, QPolicyConfig, build_gridworld, run_qpolicy
 grid = build_gridworld(4, 4, slip_prob=0.2, goal=(3, 3), gamma=0.95)
 
 print("additive-oracle readout at epsilon = 1e-12 (noise-free limit):")
-records, policy = run_qpolicy(grid, QPolicyConfig.exact(seed=0, max_iterations=100))
+records, policy = run_qpolicy(grid, QPolicyConfig(epsilon=1e-12, seed=0, max_iterations=100))
 for rec in records[:6]:
     print(f"  iter {rec.iteration:2d}  error {rec.bellman_error_max:.4f}")
 print(f"  ... converged after {len(records)} iterations")

@@ -13,8 +13,7 @@ from qpolicy.experiments import calibrated_query_config, query_summary
 grid = build_gridworld(4, 4, slip_prob=0.2, goal=(3, 3), gamma=0.95)
 
 results = run_query_complexity_study(
-    grid, calibrated_query_config(iterations=50), mc_budget=1000,
-    iterations=50, seeds=range(5))
+    grid, calibrated_query_config(iterations=50), mc_budget=1000, seeds=range(5))
 summary = query_summary(results)
 print(f"{'method':<14}{'queries/iter':>14}{'total':>10}{'final error':>14}")
 for method, row in sorted(summary.items()):
@@ -25,7 +24,7 @@ print(f"budget ratio: {ratio:.3f}")
 
 print("\nmatched-accuracy scaling (sampled budget doubled until its RMSE")
 print("crosses below the oracle's):")
-points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], trials=500, seed=0)
+points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], seed=0)
 print(f"{'epsilon':>8}{'oracle queries':>16}{'sampling budget':>17}")
 for p in points:
     print(f"{p.epsilon:>8}{p.ae_queries:>16}{p.mc_budget:>17}")

@@ -5,7 +5,7 @@ arms are attributable to the varied factor alone.
 """
 import numpy as np
 
-from qpolicy import AblationGrid, EstimatorConfig, QPolicyConfig, build_frozenlake, \
+from qpolicy import EstimatorConfig, QPolicyConfig, build_frozenlake, \
     build_gridworld, run_ablation, run_noise_comparison, summarize
 
 grid = build_gridworld(4, 4, slip_prob=0.2, goal=(3, 3), gamma=0.95)
@@ -16,9 +16,7 @@ base = QPolicyConfig(
 )
 
 print("shot-count sweep, 5 seeds per cell, final error with 95% CI:")
-sweep = AblationGrid(epsilons=[0.01], shot_counts=[128, 512, 2048],
-                     seeds=range(5), iterations=60)
-cells = run_ablation(grid, sweep, base)
+cells = run_ablation(grid, [0.01], [128, 512, 2048], base, seeds=range(5))
 for (eps, shots), runs in sorted(cells.items()):
     finals = [[r.bellman_error_max for r in run.records][-1] for run in runs]
     series = [[run.records[t].bellman_error_max for t in range(60)] for run in runs]

@@ -30,7 +30,6 @@ from .engine import (
     verify_stability,
 )
 from .experiments import (
-    AblationGrid,
     ResourceEstimate,
     SummaryStats,
     compute_bellman_error,

@@ -23,16 +23,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
+from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
 from .engine import QPolicyConfig, run_qpolicy_lockstep
 from .experiments import (
     DEFAULT_C_GATE,
     DEFAULT_C_OVERHEAD,
-    AblationGrid,
     calibrated_query_config,
     estimate_resources,
     matched_accuracy_scaling,
@@ -206,16 +205,8 @@ def _settings(args, defaults: dict) -> dict:
 
 def _engine_config(base: QPolicyConfig, s: dict, seed: int) -> QPolicyConfig:
     """base at this seed, with each engine setting that s gives applied."""
-    given, est = {k: v for k, v in s.items() if v is not None}, base.estimator
     try:
-        estimator = replace(
-            est, seed=seed, mode=given.get("mode", est.mode), shots=given.get("shots", est.shots),
-            epsilon=given.get("epsilon", est.epsilon), c_ae=given.get("c_ae", est.c_ae),
-            noise=NoiseModel(given["noise_p"]) if "noise_p" in given else est.noise)
-        return replace(
-            base, estimator=estimator, seed=seed, epsilon=given.get("epsilon", base.epsilon),
-            max_iterations=given.get("iters", base.max_iterations),
-            convergence_tol=given.get("tol", base.convergence_tol))
+        return base.with_settings(seed, **{k: s.get(k) for k in (*_ENGINE, "iters")})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -340,19 +331,26 @@ def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
     print(f"wrote {len(rows)} rows to {path}")
 
 
-def _arm_name(eps: float, shots: int) -> str:
-    return f"eps{format(eps, 'g')}_shots{shots}"
+def _arm_labels(setting: str, values) -> dict:
+    """value -> format(value, 'g'), its part of an arm's name. Two distinct
+    values with one label would write one arm file: a ConfigError."""
+    labels, first = {}, {}
+    for v in values:
+        labels[v] = format(v, "g")
+        if first.setdefault(labels[v], v) != v:
+            raise ConfigError(f"{setting} {first[labels[v]]!r} and {v!r} would write one arm "
+                              f"file: both are {labels[v]} to 6 significant digits")
+    return labels
 
 
 def _cmd_ablate(args, s: dict, mdp: TabularMDP) -> None:
     seeds = s["seeds"]
     base = _engine_config(DEFAULT_ENGINE, s, seeds[0])
+    labels = _arm_labels("epsilons", s["epsilons"])
     for eps in s["epsilons"]:  # each cell's config must be valid before the sweep
         _engine_config(base, {"epsilon": eps}, seeds[0])
-    grid = AblationGrid(epsilons=s["epsilons"], shot_counts=s["shot_counts"],
-                        seeds=seeds, iterations=s["iters"])
-    cells = run_ablation(mdp, grid, base)
-    _write_arms(s["out"], [(_arm_name(eps, shots), runs)
+    cells = run_ablation(mdp, s["epsilons"], s["shot_counts"], base, seeds)
+    _write_arms(s["out"], [(f"eps{labels[eps]}_shots{shots}", runs)
                            for (eps, shots), runs in sorted(cells.items())])
     _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("ablation", mdp, base, seeds))
@@ -362,7 +360,7 @@ def _cmd_ablate(args, s: dict, mdp: TabularMDP) -> None:
 def _cmd_compare_queries(args, s: dict, mdp: TabularMDP) -> None:
     seeds, out_dir = s["seeds"], s["out"]
     qp_config = _engine_config(calibrated_query_config(s["iters"], seeds[0]), s, seeds[0])
-    results = run_query_complexity_study(mdp, qp_config, s["mc_budget"], s["iters"], seeds)
+    results = run_query_complexity_study(mdp, qp_config, s["mc_budget"], seeds)
     _write_csv(
         os.path.join(out_dir, "comparison_runs.csv"),
         ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
@@ -393,8 +391,9 @@ def _cmd_noise_study(args, s: dict, mdp: TabularMDP) -> None:
     config = _engine_config(DEFAULT_ENGINE, s, seeds[0])
     if 0.0 not in s["p_values"]:  # here, as a ValueError from the study exits 1
         raise ConfigError("p_values must include 0 as the reference arm")
+    labels = _arm_labels("p_values", s["p_values"])
     arms = run_noise_comparison(mdp, s["p_values"], config, seeds)
-    _write_arms(s["out"], [(f"p{format(p, 'g')}", runs) for p, runs in sorted(arms.items())])
+    _write_arms(s["out"], [(f"p{labels[p]}", runs) for p, runs in sorted(arms.items())])
     _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("noise_comparison", mdp, config, seeds))
     print(f"wrote {len(arms)} arm files to {s['out']}")
@@ -414,20 +413,21 @@ def _cmd_resources(args, s: dict, mdp: TabularMDP) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
-_ENGINE = ("mode", "epsilon", "shots", "c_ae", "noise_p", "tol", "gamma")
+# Engine settings: with iters, the names QPolicyConfig.with_settings takes
+_ENGINE = ("mode", "epsilon", "shots", "c_ae", "noise_p", "tol")
 _RUNS = {"seed": 0, "seeds": None, "out": "."}
 
 # Each study command: (function, help, {setting it reads: its default}). A
 # default of None leaves the engine base config's value, or no override.
 COMMANDS = {
     "run": (_cmd_run, "one engine run per seed, records CSV", {
-        **dict.fromkeys(_ENGINE), "iters": 50, **_RUNS}),
+        **dict.fromkeys(_ENGINE), "gamma": None, "iters": 50, **_RUNS}),
     "ablate": (_cmd_ablate, "epsilon x shots sweep", {
         **dict.fromkeys(("mode", "c_ae", "noise_p", "tol", "gamma")),
         "iters": 100, **_RUNS, "epsilons": [0.001, 0.01, 0.05],
         "shot_counts": [128, 512, 1024, 2048, 4096]}),
     "compare-queries": (_cmd_compare_queries, "engine vs Monte Carlo query budget", {
-        **dict.fromkeys(_ENGINE), "iters": 50, **_RUNS, "mc_budget": 1000}),
+        **dict.fromkeys(_ENGINE), "gamma": None, "iters": 50, **_RUNS, "mc_budget": 1000}),
     "noise-study": (_cmd_noise_study, "paired runs across depolarizing strengths", {
         **dict.fromkeys(("mode", "epsilon", "shots", "c_ae", "tol", "gamma")),
         "iters": 50, **_RUNS, "p_values": [0.0, 0.01]}),

@@ -25,6 +25,7 @@ import numpy as np
 from .emulator import (
     AE_ORACLE,
     EstimatorConfig,
+    NoiseModel,
     ae_query_cost,
     amplitude_encode,
     readout_batch,
@@ -93,12 +94,20 @@ class QPolicyConfig:
         return replace(self, epsilon=QPolicyConfig.epsilon,
                        estimator=self.estimator.effective())
 
-    @classmethod
-    def exact(cls, seed: int = 0, **kwargs) -> "QPolicyConfig":
-        """Noise-free limit: additive-oracle readout at epsilon = 1e-12."""
-        est = EstimatorConfig(mode=AE_ORACLE, epsilon=1e-12, seed=seed)
-        kwargs.setdefault("epsilon", 1e-12)
-        return cls(estimator=est, seed=seed, **kwargs)
+    def with_settings(self, seed: int, *, mode=None, shots=None, epsilon=None, c_ae=None,
+                      noise_p=None, iters=None, tol=None) -> "QPolicyConfig":
+        """This config at seed, with each setting that is not None applied,
+        under the command line's names: mode, shots, c_ae and noise_p set the
+        estimator, epsilon both the estimator and this config, iters
+        max_iterations and tol convergence_tol. Raises ValueError for a value
+        the config or its estimator rejects."""
+        given = {"mode": mode, "shots": shots, "epsilon": epsilon, "c_ae": c_ae,
+                 "noise": None if noise_p is None else NoiseModel(noise_p)}
+        own = {"epsilon": epsilon, "max_iterations": iters, "convergence_tol": tol}
+        estimator = replace(self.estimator, seed=seed,
+                            **{k: v for k, v in given.items() if v is not None})
+        return replace(self, seed=seed, estimator=estimator,
+                       **{k: v for k, v in own.items() if v is not None})
 
 
 @dataclass
@@ -111,7 +120,6 @@ class IterationRecord:
     q_variance: float
     queries_iteration: int
     queries_cumulative: int
-    policy_actions: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +307,6 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
                     q_variance=q_vars[j],
                     queries_iteration=queries[j],
                     queries_cumulative=cumulative[i],
-                    policy_actions=actions[j].copy(),
                 ))
                 if shift[j] < config.convergence_tol or k + 1 == config.max_iterations:
                     policies[i] = Policy(actions[j].copy())
@@ -368,17 +375,14 @@ def verify_stability(mdp: TabularMDP, policy: Policy, epsilon_k: float,
     return StabilityReport(trials, violations, bound, worst, epsilon_k)
 
 
-def verify_convergence_bound(mdp: TabularMDP, epsilon: float, seed: int = 0,
-                             iterations: int | None = None) -> ConvergenceReport:
+def verify_convergence_bound(mdp: TabularMDP, epsilon: float, seed: int = 0) -> ConvergenceReport:
     """Approximate policy iteration with injected evaluation error <= epsilon
     for K = ceil(log(1/epsilon) / (1 - gamma)) iterations, compared against
     the optimal values; checks gap <= 2 gamma epsilon / (1 - gamma)^2."""
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
     gamma = mdp.gamma
-    if iterations is not None:
-        k_total = iterations
-    elif epsilon > 0:
+    if epsilon > 0:
         k_total = math.ceil(math.log(1.0 / epsilon) / (1.0 - gamma))
     else:
         k_total = 1000  # exact policy iteration reaches a fixed policy long before this

@@ -16,12 +16,12 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .emulator import AE_ORACLE, EstimatorConfig, NoiseModel, ae_query_cost
+from .emulator import AE_ORACLE, EstimatorConfig, ae_query_cost
 # run_qpolicy and mc_policy_evaluation stay bound here, where
 # perfbench/tracing.py hooks them
 from .engine import (  # noqa: F401
@@ -39,23 +39,7 @@ from .rng import child_seed, stream
 DEFAULT_C_GATE = 12.5
 DEFAULT_C_OVERHEAD = 1.12
 
-
-@dataclass
-class AblationGrid:
-    epsilons: Sequence[float]
-    shot_counts: Sequence[int]
-    seeds: Sequence[int]
-    iterations: int = 100
-
-    def __post_init__(self):
-        if not self.epsilons or not self.shot_counts or not self.seeds:
-            raise ValueError("grid lists must be nonempty")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
-        if any(s <= 0 for s in self.shot_counts):
-            raise ValueError("shot counts must be positive")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+_MC_HORIZON = 100  # steps per rollout of the Monte Carlo arm
 
 
 @dataclass
@@ -201,18 +185,19 @@ def summarize(series_across_seeds: Sequence[Sequence[float]]) -> list[SummarySta
 # Monte Carlo baseline arm
 # ---------------------------------------------------------------------------
 
-def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
-                            seeds: Sequence[int], horizon: int = 100) -> list[list]:
-    """Policy iteration with first-visit MC evaluation, one run per seed; one
-    query = one rollout. The runs advance together: each iteration makes one
-    lockstep sampler call for every seed's policy, and seed i's evaluation
-    at iteration k draws from child_seed(seeds[i], 6, k) alone."""
+def run_mc_policy_iteration(mdp: TabularMDP, budget: int, config: QPolicyConfig,
+                            seeds: Sequence[int]) -> list[list]:
+    """Policy iteration with first-visit MC evaluation, one run per seed, for
+    config.max_iterations iterations (the only field read); one query = one
+    rollout of _MC_HORIZON steps. The runs advance together: each iteration
+    makes one lockstep sampler call for every seed's policy, and seed i's
+    evaluation at iteration k draws from child_seed(seeds[i], 6, k) alone."""
     policies = [policy_improve(np.zeros((mdp.num_states, mdp.num_actions)))] * len(seeds)
     v_prev = [np.zeros(mdp.num_states)] * len(seeds)
     runs = [[] for _ in seeds]
-    for k in range(iterations):
+    for k in range(config.max_iterations):
         tables, queries = mc_policy_evaluation_lockstep(
-            mdp, policies, budget, horizon, [child_seed(seed, 6, k) for seed in seeds])
+            mdp, policies, budget, _MC_HORIZON, [child_seed(seed, 6, k) for seed in seeds])
         for i, q_mc in enumerate(tables):
             policies[i] = policy_improve(q_mc)
             v_next = q_mc.max(axis=1)
@@ -224,7 +209,6 @@ def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
                 q_variance=0.0,
                 queries_iteration=queries,
                 queries_cumulative=queries * (k + 1),
-                policy_actions=policies[i].actions.copy(),
             ))
             v_prev[i] = v_next
     return runs
@@ -250,18 +234,13 @@ def calibrated_query_config(iterations: int = 50, seed: int = 0) -> QPolicyConfi
     )
 
 
-def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig,
-                               mc_budget: int = 1000, iterations: int = 50,
-                               seeds: Sequence[int] = tuple(range(10)),
-                               horizon: int = 100) -> list[MethodResult]:
-    """Run the engine and the MC baseline for the same iteration budget; each
-    arm steps every seed's run in lockstep (run_qpolicy_lockstep,
-    run_mc_policy_iteration)."""
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    mc_runs = run_mc_policy_iteration(mdp, mc_budget, iterations, seeds, horizon)
-    engine_runs = run_qpolicy_lockstep(mdp, [
-        _cell_config(qp_config, seed=seed, iterations=iterations) for seed in seeds])
+def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig, mc_budget: int,
+                               seeds: Sequence[int]) -> list[MethodResult]:
+    """Run the engine and the MC baseline for qp_config.max_iterations
+    iterations each; each arm steps every seed's run in lockstep
+    (run_qpolicy_lockstep, run_mc_policy_iteration)."""
+    mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config, seeds)
+    engine_runs = run_qpolicy_lockstep(mdp, [qp_config.with_settings(seed) for seed in seeds])
     results = []
     for seed, (records, _), mc_records in zip(seeds, engine_runs, mc_runs):
         results.append(MethodResult(
@@ -299,18 +278,18 @@ def query_summary(results: Sequence[MethodResult]) -> dict:
     return out
 
 
-def matched_accuracy_scaling(epsilons: Sequence[float], trials: int = 500,
-                             seed: int = 0, c_ae: float = 1.0,
-                             true_value: float = 0.5,
-                             max_budget: int = 1 << 24) -> list[ScalingPoint]:
+def matched_accuracy_scaling(epsilons: Sequence[float], seed: int) -> list[ScalingPoint]:
     """For each precision, the MC budget whose RMSE matches the oracle's.
 
-    The oracle's RMSE comes from its uniform error law; the MC budget is
-    grown by doubling until the empirical shot RMSE crosses below it.
+    Both RMSEs are taken over 500 trials of reading the value 0.5. The
+    oracle's RMSE comes from its uniform error law, and it is priced at
+    c_ae = 1; the MC budget is doubled from 2 until the empirical shot RMSE
+    crosses below the oracle's, or the budget reaches 2**24.
     """
+    trials, true_value, max_budget = 500, 0.5, 1 << 24
     points = []
     for i, eps in enumerate(sorted(epsilons, reverse=True)):
-        cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=eps, c_ae=c_ae)
+        cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=eps, c_ae=1.0)
         rng = stream(seed, 8, i)
         ae_err = rng.uniform(-eps, eps, size=trials)
         ae_rmse = float(np.sqrt(np.mean(ae_err ** 2)))
@@ -329,25 +308,6 @@ def matched_accuracy_scaling(epsilons: Sequence[float], trials: int = 500,
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _cell_config(base: QPolicyConfig, *, seed: int, epsilon: float | None = None,
-                 shots: int | None = None, noise_p: float | None = None,
-                 iterations: int | None = None) -> QPolicyConfig:
-    est = replace(
-        base.estimator,
-        seed=seed,
-        epsilon=base.estimator.epsilon if epsilon is None else epsilon,
-        shots=base.estimator.shots if shots is None else shots,
-        noise=base.estimator.noise if noise_p is None else NoiseModel(noise_p),
-    )
-    return replace(
-        base,
-        seed=seed,
-        estimator=est,
-        epsilon=base.epsilon if epsilon is None else epsilon,
-        max_iterations=base.max_iterations if iterations is None else iterations,
-    )
-
-
 def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
     """Run keyed configs; keys with one effective config share its run, and
     the distinct runs go through one run_qpolicy_lockstep call."""
@@ -360,24 +320,30 @@ def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
     return {key: runs[effective[key]] for key in jobs}
 
 
-def run_ablation(mdp: TabularMDP, grid: AblationGrid, base_config: QPolicyConfig) -> dict:
-    """Full Cartesian sweep over (epsilon, shots) and seeds. Cells with one
-    effective config share one run's records list: shot mode never reads
-    epsilon, ae_oracle mode never reads shots (QPolicyConfig.effective)."""
-    jobs = {
-        (eps, shots, seed): _cell_config(base_config, seed=seed, epsilon=eps,
-                                         shots=shots, iterations=grid.iterations)
-        for eps in grid.epsilons
-        for shots in grid.shot_counts
-        for seed in grid.seeds
-    }
-    done = _run_jobs(mdp, jobs)
-    return {
-        (eps, shots): [StudyRun(seed=seed, records=done[(eps, shots, seed)])
-                       for seed in grid.seeds]
-        for eps in grid.epsilons
-        for shots in grid.shot_counts
-    }
+def _sweep(mdp: TabularMDP, config: QPolicyConfig, cells: dict, seeds: Sequence[int]) -> dict:
+    """cell -> one StudyRun per seed of config.with_settings(seed, **settings),
+    with the cell's settings; every run goes through one _run_jobs call."""
+    done = _run_jobs(mdp, {(cell, seed): config.with_settings(seed, **settings)
+                           for cell, settings in cells.items() for seed in seeds})
+    return {cell: [StudyRun(seed=seed, records=done[(cell, seed)]) for seed in seeds]
+            for cell in cells}
+
+
+def run_ablation(mdp: TabularMDP, epsilons: Sequence[float], shot_counts: Sequence[int],
+                 config: QPolicyConfig, seeds: Sequence[int]) -> dict:
+    """Full Cartesian sweep over (epsilon, shots) and seeds, each run for
+    config.max_iterations iterations. Cells with one effective config share
+    one run's records list: shot mode never reads epsilon, ae_oracle mode
+    never reads shots (QPolicyConfig.effective)."""
+    if not epsilons or not shot_counts or not seeds:
+        raise ValueError("epsilons, shot counts and seeds must be nonempty")
+    if any(e <= 0 for e in epsilons):
+        raise ValueError("epsilons must be positive")
+    # checked here: an ae_oracle estimator takes any shot count
+    if any(s <= 0 for s in shot_counts):
+        raise ValueError("shot counts must be positive")
+    return _sweep(mdp, config, {(eps, shots): {"epsilon": eps, "shots": shots}
+                                for eps in epsilons for shots in shot_counts}, seeds)
 
 
 def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
@@ -385,16 +351,7 @@ def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
     """Run the engine at each depolarizing strength with shared seeds."""
     if 0.0 not in [float(p) for p in p_values]:
         raise ValueError("p_values must include 0 as the reference arm")
-    jobs = {
-        (float(p), seed): _cell_config(config, seed=seed, noise_p=float(p))
-        for p in p_values
-        for seed in seeds
-    }
-    done = _run_jobs(mdp, jobs)
-    return {
-        float(p): [StudyRun(seed=seed, records=done[(float(p), seed)]) for seed in seeds]
-        for p in p_values
-    }
+    return _sweep(mdp, config, {float(p): {"noise_p": float(p)} for p in p_values}, seeds)
 
 
 # ---------------------------------------------------------------------------

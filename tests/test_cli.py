@@ -296,6 +296,21 @@ class TestSettings:
             == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ablate", "--mode", "ae_oracle", "--epsilons", "0.0010000001,0.001", "--shots", "16"],
+         "epsilons 0.0010000001 and 0.001 would write one arm file"),
+        (["noise-study", "--p-values", "0,0.0100000001,0.01"],
+         "p_values 0.0100000001 and 0.01 would write one arm file"),
+    ], ids=["ablate", "noise-study"])
+    def test_values_sharing_an_arm_name_exit_2(self, grid_env, tmp_path, capsys, argv,
+                                                message):
+        # format(v, 'g') names the arm: both values would go to one file
+        out = tmp_path / "o"
+        assert main(argv[:1] + ["--env", grid_env] + argv[1:] +
+                    ["--iters", "3", "--seeds", "2", "--out", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_value_error_inside_a_run_exits_1(self, grid_env, tmp_path, capsys, monkeypatch):
         def failing_run(mdp, configs):
             raise ValueError("q table must be finite")
@@ -363,6 +378,12 @@ class TestStudies:
         assert code == EXIT_OK
         assert (out / "arm_p0.csv").exists()
         assert (out / "arm_p0.01.csv").exists()
+
+    def test_a_repeated_value_is_one_arm(self, grid_env, tmp_path):
+        out = tmp_path / "noise"
+        assert main(["noise-study", "--env", grid_env, "--p-values", "0,0.01,0.01",
+                     "--iters", "3", "--seeds", "2", "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("arm_*.csv")) == ["arm_p0.01.csv", "arm_p0.csv"]
 
     def test_noise_study_requires_zero(self, grid_env, tmp_path):
         code = main(["noise-study", "--env", grid_env, "--p-values", "0.01",

@@ -37,7 +37,8 @@ from oracles import TWO_STATE_TWO_ACTION_ROWS, absorbing_single, enumerate_optim
 
 
 def exact_cfg(**kw):
-    return QPolicyConfig.exact(**kw)
+    """The noise-free limit: additive-oracle readout at epsilon = 1e-12."""
+    return QPolicyConfig(epsilon=1e-12, **kw)
 
 
 def _read_out(targets, mask, estimator, rng):
@@ -297,7 +298,6 @@ class TestRunQPolicy:
         for a, b in zip(rec_a, rec_b):
             assert a.bellman_error_max == b.bellman_error_max
             assert a.q_variance == b.q_variance
-            assert np.array_equal(a.policy_actions, b.policy_actions)
 
     def test_zero_noise_identical_to_noiseless(self, grid4):
         base = QPolicyConfig(
@@ -378,6 +378,45 @@ class TestRunQPolicy:
             QPolicyConfig(epsilon=-1.0)
 
 
+# each with_settings setting: a value, and the estimator and config fields it sets
+WITH_SETTINGS = {
+    "mode": (AE_ORACLE, {"mode": AE_ORACLE}, {}),
+    "shots": (7, {"shots": 7}, {}),
+    "epsilon": (0.2, {"epsilon": 0.2}, {"epsilon": 0.2}),
+    "c_ae": (3.0, {"c_ae": 3.0}, {}),
+    "noise_p": (0.1, {"noise": NoiseModel(0.1)}, {}),
+    "iters": (7, {}, {"max_iterations": 7}),
+    "tol": (1e-3, {}, {"convergence_tol": 1e-3}),
+}
+
+
+class TestWithSettings:
+    base = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, seed=3), seed=3)
+
+    def at_seed(self, seed, estimator, config):
+        return replace(self.base, seed=seed, **config,
+                       estimator=replace(self.base.estimator, seed=seed, **estimator))
+
+    @pytest.mark.parametrize("setting", list(WITH_SETTINGS))
+    def test_sets_exactly_the_named_fields(self, setting):
+        value, estimator, config = WITH_SETTINGS[setting]
+        want = self.at_seed(5, estimator, config)
+        assert want != self.at_seed(5, {}, {})  # the value is not the base's
+        assert self.base.with_settings(5, **{setting: value}) == want
+
+    def test_no_setting_moves_only_the_seed(self):
+        assert self.base.with_settings(5) == self.at_seed(5, {}, {})
+        assert self.base.with_settings(3) == self.base
+
+    @pytest.mark.parametrize("setting, value", [
+        ("mode", "exact"), ("shots", 0), ("epsilon", -0.1), ("c_ae", 0.0), ("noise_p", 1.5),
+        ("iters", 0), ("tol", 0.0),
+    ])
+    def test_rejected_value_raises(self, setting, value):
+        with pytest.raises(ValueError):
+            self.base.with_settings(0, **{setting: value})
+
+
 def _config(mode, seed, iterations, tol=1e-12, **estimator):
     return QPolicyConfig(estimator=EstimatorConfig(mode=mode, seed=seed, **estimator),
                          seed=seed, max_iterations=iterations, convergence_tol=tol)
@@ -427,8 +466,7 @@ def _serial_run(mdp, config):
         diff = np.abs(v_next - q.max(axis=1))
         cumulative += queries
         records.append(engine.IterationRecord(
-            k, float(diff.max()), float(diff.mean()), q_var, queries, cumulative,
-            policy.actions.copy()))
+            k, float(diff.max()), float(diff.mean()), q_var, queries, cumulative))
         shift, q = np.max(np.abs(q_tilde - q)), q_tilde
         if shift < config.convergence_tol:
             break
@@ -437,14 +475,13 @@ def _serial_run(mdp, config):
 
 def _same_run(got, want):
     (records, policy), (want_records, want_policy) = got, want
-    assert np.array_equal(policy.actions, want_policy.actions)
+    assert policy == want_policy
     assert len(records) == len(want_records)
     for a, b in zip(records, want_records):
         assert (a.iteration, a.bellman_error_max, a.bellman_error_mean, a.q_variance,
                 a.queries_iteration, a.queries_cumulative) == \
             (b.iteration, b.bellman_error_max, b.bellman_error_mean, b.q_variance,
              b.queries_iteration, b.queries_cumulative)
-        assert np.array_equal(a.policy_actions, b.policy_actions)
 
 
 class TestRunQPolicyLockstep:

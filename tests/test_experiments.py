@@ -10,8 +10,6 @@ from qpolicy import experiments
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
 from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy, run_qpolicy_lockstep
 from qpolicy.experiments import (
-    AblationGrid,
-    _cell_config,
     _run_jobs,
     calibrated_query_config,
     compute_bellman_error,
@@ -35,8 +33,7 @@ def records_equal(a, b):
                 or ra.bellman_error_mean != rb.bellman_error_mean
                 or ra.q_variance != rb.q_variance
                 or ra.queries_iteration != rb.queries_iteration
-                or ra.queries_cumulative != rb.queries_cumulative
-                or not np.array_equal(ra.policy_actions, rb.policy_actions)):
+                or ra.queries_cumulative != rb.queries_cumulative):
             return False
     return True
 
@@ -188,17 +185,15 @@ class TestResources:
 class TestQueryStudy:
     def test_mc_accounting_exact(self, grid4):
         results = run_query_complexity_study(
-            grid4, calibrated_query_config(10, 0), mc_budget=500,
-            iterations=10, seeds=[0, 1])
+            grid4, calibrated_query_config(10, 0), mc_budget=500, seeds=[0, 1])
         mc = [r for r in results if r.method == "monte_carlo"]
         assert all(r.queries_per_iteration == 500 for r in mc)
         assert all(r.total_queries == 5000 for r in mc)
 
     def test_mc_arm_equals_a_per_seed_reference_loop(self, grid4):
-        seeds, budget, iterations, horizon = [4, 0, 9], 300, 8, 60
+        seeds, budget, iterations, horizon = [4, 0, 9], 300, 8, 100
         results = run_query_complexity_study(
-            grid4, calibrated_query_config(iterations, 0), mc_budget=budget,
-            iterations=iterations, seeds=seeds, horizon=horizon)
+            grid4, calibrated_query_config(iterations, 0), mc_budget=budget, seeds=seeds)
         assert [(r.method, r.seed) for r in results] == [
             (method, seed) for seed in seeds for method in ("qpolicy", "monte_carlo")]
         for result in results[1::2]:
@@ -215,31 +210,34 @@ class TestQueryStudy:
                     compute_bellman_error(v_prev, v_next)
                 assert (record.queries_iteration, record.queries_cumulative) == (
                     queries, queries * (k + 1))
-                assert np.array_equal(record.policy_actions, policy.actions)
                 v_prev = v_next
             assert result.final_bellman_error == result.records[-1].bellman_error_max
             assert result.total_queries == budget * iterations
 
     def test_engine_arm_runs_the_base_at_each_seed(self, grid4, engine_calls):
-        base = calibrated_query_config(50, 0)
-        results = run_query_complexity_study(grid4, base, mc_budget=20, iterations=3,
-                                             seeds=[4, 0])
-        configs = [replace(base, seed=seed, max_iterations=3,
-                           estimator=replace(base.estimator, seed=seed)) for seed in (4, 0)]
+        base = calibrated_query_config(3, 0)
+        results = run_query_complexity_study(grid4, base, mc_budget=20, seeds=[4, 0])
+        configs = [replace(base, seed=seed, estimator=replace(base.estimator, seed=seed))
+                   for seed in (4, 0)]
         assert engine_calls.batches == [configs]
         for result, config in zip(results[0::2], configs):
             assert records_equal(result.records, run_qpolicy(grid4, config)[0])
 
+    def test_both_arms_run_the_configs_iterations(self, grid4):
+        config = replace(calibrated_query_config(50, 0), max_iterations=3)
+        results = run_query_complexity_study(grid4, config, mc_budget=20, seeds=[0, 1])
+        assert [len(r.records) for r in results] == [3] * 4
+        assert [r.total_queries for r in results if r.method == "monte_carlo"] == [3 * 20] * 2
+
     def test_engine_arm_cheaper_and_better(self, grid4):
         results = run_query_complexity_study(
-            grid4, calibrated_query_config(50, 0), mc_budget=1000,
-            iterations=50, seeds=[0, 1, 2])
+            grid4, calibrated_query_config(50, 0), mc_budget=1000, seeds=[0, 1, 2])
         summary = query_summary(results)
         assert summary["qpolicy"]["total_queries"] <= 0.25 * summary["monte_carlo"]["total_queries"]
         assert summary["qpolicy"]["final_bellman_error"] <= summary["monte_carlo"]["final_bellman_error"]
 
     def test_scaling_slopes(self):
-        points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], trials=500, seed=0)
+        points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], seed=0)
         eps = [p.epsilon for p in points]
         ae_slope = np.polyfit(np.log(eps), np.log([p.ae_queries for p in points]), 1)[0]
         mc_slope = np.polyfit(np.log(eps), np.log([p.mc_budget for p in points]), 1)[0]
@@ -254,8 +252,7 @@ class TestQueryStudy:
 class TestAblation:
     def test_singleton_grid_matches_direct_run(self, grid4):
         base = shot_config(shots=256, iters=15)
-        grid = AblationGrid(epsilons=[0.02], shot_counts=[256], seeds=[3], iterations=15)
-        cells = run_ablation(grid4, grid, base)
+        cells = run_ablation(grid4, [0.02], [256], base, [3])
         runs = cells[(0.02, 256)]
         assert len(runs) == 1 and runs[0].seed == 3
         direct_cfg = QPolicyConfig(
@@ -268,20 +265,30 @@ class TestAblation:
 
     def test_more_shots_lower_error(self, grid4):
         base = shot_config(iters=40)
-        grid = AblationGrid(epsilons=[0.01], shot_counts=[128, 4096],
-                            seeds=range(5), iterations=40)
-        cells = run_ablation(grid4, grid, base)
+        cells = run_ablation(grid4, [0.01], [128, 4096], base, range(5))
         err = {
             shots: np.mean([r.records[-1].bellman_error_max for r in cells[(0.01, shots)]])
             for shots in (128, 4096)
         }
         assert err[4096] <= err[128]
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            AblationGrid(epsilons=[], shot_counts=[128], seeds=[0])
-        with pytest.raises(ValueError):
-            AblationGrid(epsilons=[-0.1], shot_counts=[128], seeds=[0])
+    def test_every_cell_runs_the_configs_iterations(self, grid4):
+        cells = run_ablation(grid4, [0.01, 0.05], [64, 128], shot_config(iters=3), [0, 1])
+        assert [len(run.records) for cell in cells.values() for run in cell] == [3] * 8
+
+    def test_grid_validation(self, grid4, engine_calls):
+        # ae_oracle reads no shot count, so its estimator takes shots=0
+        base = with_mode(shot_config(iters=2), AE_ORACLE)
+        for epsilons, shot_counts, seeds, message in [
+            ([], [128], [0], "nonempty"),
+            ([0.01], [], [0], "nonempty"),
+            ([0.01], [128], [], "nonempty"),
+            ([-0.1], [128], [0], "epsilons must be positive"),
+            ([0.01], [0], [0], "shot counts must be positive"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run_ablation(grid4, epsilons, shot_counts, base, seeds)
+        assert engine_calls.members == []
 
 
 @pytest.fixture()
@@ -329,26 +336,21 @@ class TestEffectiveConfigRuns:
     def test_readme_grid(self, grid4, engine_calls, mode, runs):
         # the README's ablate grid: 3 epsilons x 5 shot counts x 5 seeds = 75 cells
         base = with_mode(shot_config(iters=6), mode)
-        grid = AblationGrid(epsilons=[0.001, 0.01, 0.05],
-                            shot_counts=[128, 512, 1024, 2048, 4096],
-                            seeds=range(5), iterations=6)
-        cells = run_ablation(grid4, grid, base)
+        cells = run_ablation(grid4, [0.001, 0.01, 0.05], [128, 512, 1024, 2048, 4096], base,
+                             range(5))
         assert len(engine_calls.members) == runs
         assert len(engine_calls.batches) == 1
         assert sum(len(cell) for cell in cells.values()) == 75
         for (eps, shots), cell in cells.items():
             for run in cell:
-                own = _cell_config(base, seed=run.seed, epsilon=eps, shots=shots,
-                                   iterations=6)
+                own = base.with_settings(run.seed, epsilon=eps, shots=shots)
                 assert records_equal(run.records, run_qpolicy(grid4, own)[0])
 
     @pytest.mark.parametrize("sweep", ["ablation", "noise"])
     def test_a_sweep_makes_one_lockstep_call(self, grid4, engine_calls, sweep):
         base = shot_config(iters=4)
         if sweep == "ablation":
-            grid = AblationGrid(epsilons=[0.01, 0.05], shot_counts=[64, 128], seeds=[0, 1],
-                                iterations=4)
-            run_ablation(grid4, grid, base)
+            run_ablation(grid4, [0.01, 0.05], [64, 128], base, [0, 1])
         else:
             run_noise_comparison(grid4, [0.0, 0.02], base, seeds=[0, 1])
         assert len(engine_calls.batches) == 1

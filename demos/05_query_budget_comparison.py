@@ -13,7 +13,7 @@ from qpolicy.experiments import calibrated_query_config, query_summary
 grid = build_gridworld(4, 4, slip_prob=0.2, goal=(3, 3), gamma=0.95)
 
 results = run_query_complexity_study(
-    grid, calibrated_query_config(iterations=50), mc_budget=1000, seeds=range(5))
+    grid, calibrated_query_config(), mc_budget=1000, seeds=range(5))
 summary = query_summary(results)
 print(f"{'method':<14}{'queries/iter':>14}{'total':>10}{'final error':>14}")
 for method, row in sorted(summary.items()):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -67,13 +68,19 @@ def _temp_path(path: str) -> str:
     return f"{path}.tmp"
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _csv_text(rows) -> str:
+    """rows as CSV lines, each value written by _fmt."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows([_fmt(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def _write_csv(path: str, header, text: str) -> None:
+    """The header line, then text: rows from _csv_text."""
     tmp = _temp_path(path)
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(_csv_text([header]))
+        fh.write(text)
     os.replace(tmp, path)
 
 
@@ -122,12 +129,19 @@ def _list_of(item: Kind) -> Kind:
 
 
 def _seeds(value):
-    """Text without a comma is a count N, meaning seeds 0..N-1."""
+    """Text without a comma is a count N, meaning seeds 0..N-1. A seed given
+    twice would count as two samples of one run: a ConfigError."""
     if isinstance(value, str) and "," not in value:
         value = list(range(int(value)))
     if value == []:
         raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
-    return _list_of(INTEGER).convert(value)
+    seeds = _list_of(INTEGER).convert(value)
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ConfigError(f"seed {seed} is given twice: each seed is one sample")
+        seen.add(seed)
+    return seeds
 
 
 SEEDS = Kind(str, _seeds, "a list of integers, or a string holding a comma list or a count")
@@ -275,21 +289,31 @@ def _records_rows(records, seed: int):
 
 
 def _write_arms(out_dir: str, arms) -> None:
-    """arm_<name>.csv per (name, runs) pair; summary.csv over arms of >= 2 seeds."""
+    """arm_<name>.csv per (name, runs) pair; summary.csv over arms of >= 2
+    seeds. Arms whose runs hold the same records lists at the same seeds
+    (cells that share a run) get one text and one summary, made once."""
+    made = {}  # (id of records, seed) per run -> (arm file text, summary rows)
     summary_rows = []
     for arm, runs in arms:
-        rows = [row for run in runs for row in _records_rows(run.records, run.seed)]
-        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, rows)
-        if len(runs) >= 2:
-            series = [[r.bellman_error_max for r in run.records] for run in runs]
-            summary_rows.extend(_summary_rows(arm, series))
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, summary_rows)
+        key = tuple((id(run.records), run.seed) for run in runs)
+        if key not in made:
+            made[key] = (_csv_text(row for run in runs
+                                   for row in _records_rows(run.records, run.seed)),
+                         _summary_rows(runs))
+        text, stats = made[key]
+        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, text)
+        summary_rows.extend((arm, *row) for row in stats)
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, _csv_text(summary_rows))
 
 
-def _summary_rows(arm: str, series):
-    padded = _pad_series(series)
-    for i, st in enumerate(summarize(padded)):
-        yield (arm, i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)
+def _summary_rows(runs) -> list:
+    """The summary columns past arm, per iteration, each value written by
+    _fmt; none for fewer than 2 runs."""
+    if len(runs) < 2:
+        return []
+    series = _pad_series([[r.bellman_error_max for r in run.records] for run in runs])
+    return [[_fmt(v) for v in (i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)]
+            for i, st in enumerate(summarize(series))]
 
 
 def _pad_series(series: list[list[float]]) -> list[list[float]]:
@@ -325,7 +349,7 @@ def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
     rows = [row for seed, (records, _) in zip(s["seeds"], runs)
             for row in _records_rows(records, seed)]
     path = os.path.join(s["out"], "records.csv")
-    _write_csv(path, RUN_COLUMNS, rows)
+    _write_csv(path, RUN_COLUMNS, _csv_text(rows))
     _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("run", mdp, configs[-1], s["seeds"]))
     print(f"wrote {len(rows)} rows to {path}")
@@ -359,27 +383,28 @@ def _cmd_ablate(args, s: dict, mdp: TabularMDP) -> None:
 
 def _cmd_compare_queries(args, s: dict, mdp: TabularMDP) -> None:
     seeds, out_dir = s["seeds"], s["out"]
-    qp_config = _engine_config(calibrated_query_config(s["iters"], seeds[0]), s, seeds[0])
+    qp_config = _engine_config(calibrated_query_config(), s, seeds[0])
     results = run_query_complexity_study(mdp, qp_config, s["mc_budget"], seeds)
     _write_csv(
         os.path.join(out_dir, "comparison_runs.csv"),
         ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
-        [(r.method, r.seed, r.queries_per_iteration, r.total_queries,
-          r.final_bellman_error) for r in results],
+        _csv_text((r.method, r.seed, r.queries_per_iteration, r.total_queries,
+                   r.final_bellman_error) for r in results),
     )
     summary = query_summary(results)
     _write_csv(
         os.path.join(out_dir, "comparison.csv"),
         ("method", "queries_per_iteration", "total_queries", "final_bellman_error", "n"),
-        [(m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
-          v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())],
+        _csv_text((m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
+                   v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())),
     )
     if args.scaling:
         points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], seed=seeds[0])
         _write_csv(
             os.path.join(out_dir, "scaling.csv"),
             ("epsilon", "ae_queries", "ae_rmse", "mc_budget", "mc_rmse"),
-            [(p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse) for p in points],
+            _csv_text((p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse)
+                      for p in points),
         )
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("query_complexity", mdp, qp_config, seeds))

@@ -43,7 +43,7 @@ from .mdp import (  # noqa: F401
     policy_values,
     value_iteration,
 )
-from .rng import stream
+from .rng import stream, streams
 
 # Stream key of the readout draws; other consumers use other keys, so draws
 # are order independent.
@@ -250,8 +250,9 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
 
     Member i's records and policy are those of run_qpolicy(mdp, configs[i])
     bit for bit, whatever runs beside it: it reads out from its own
-    stream(seed, _READOUT, k) through its own readout_batch call, and it
-    leaves the batch at its own max_iterations or convergence_tol. Each
+    stream(seed, _READOUT, k), taken from its own streams iterator, through
+    its own readout_batch call, and it leaves the batch at its own
+    max_iterations or convergence_tol. Each
     iteration makes the backup, the normalisation, the bound check and the
     greedy improvement once over the (members, S, A) batch. Every member
     runs at the MDP's discount; a DivergenceError names the member's seed.
@@ -270,6 +271,7 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
     records: list[list[IterationRecord]] = [[] for _ in configs]
     policies: list[Policy | None] = [None] * len(configs)
     cumulative = [0] * len(configs)
+    readout_rngs = [streams(c.seed, _READOUT) for c in configs]  # key k at iteration k
 
     # tables near the float limit read inf in the bookkeeping below; a
     # diverging run is reported by DivergenceError alone
@@ -281,7 +283,7 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
             targets = mdp.rewards + mdp.gamma * mdp.expect(on_policy)
             q_tilde, queries, q_vars = _read_out(
                 targets, mask, [c.estimator for c in members],
-                [stream(seed, _READOUT, k) for seed in seeds], k, seeds)
+                [next(readout_rngs[i]) for i in active], k, seeds)
             v_next = q_tilde.max(axis=2)
             q_min = q_tilde.reshape(len(members), -1).min(axis=1)
             q_max = v_next.max(axis=1)

@@ -218,8 +218,9 @@ def run_mc_policy_iteration(mdp: TabularMDP, budget: int, config: QPolicyConfig,
 # Query complexity
 # ---------------------------------------------------------------------------
 
-def calibrated_query_config(iterations: int = 50, seed: int = 0) -> QPolicyConfig:
-    """Study defaults for the query comparison.
+def calibrated_query_config() -> QPolicyConfig:
+    """Study defaults for the query comparison: 50 iterations at seed 0,
+    which QPolicyConfig.with_settings changes.
 
     c_ae is a calibration knob: 0.04 prices one readout at epsilon = 0.01 at
     4 oracle queries, so a 4x4 grid (60 non-terminal pairs) costs 240
@@ -227,9 +228,8 @@ def calibrated_query_config(iterations: int = 50, seed: int = 0) -> QPolicyConfi
     """
     return QPolicyConfig(
         epsilon=0.01,
-        estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=0.04, seed=seed),
-        seed=seed,
-        max_iterations=iterations,
+        estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=0.04),
+        max_iterations=50,
         convergence_tol=1e-12,
     )
 

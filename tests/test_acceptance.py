@@ -79,7 +79,7 @@ def test_c02_bellman_error_monotone(grid):
 
 def test_c03_query_complexity_table(grid):
     results = run_query_complexity_study(
-        grid, calibrated_query_config(50, 0), mc_budget=1000, seeds=SEEDS_10)
+        grid, calibrated_query_config(), mc_budget=1000, seeds=SEEDS_10)
     mc = [r for r in results if r.method == "monte_carlo"]
     qp = [r for r in results if r.method == "qpolicy"]
     assert all(r.queries_per_iteration == 1000 for r in mc)

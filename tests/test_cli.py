@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from qpolicy import cli
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING
+from qpolicy.experiments import run_ablation, summarize
 from qpolicy.mdp import load_mdp
 
 
@@ -363,6 +366,35 @@ class TestStudies:
         assert (out / "summary.csv").exists()
         assert (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("mode", [SHOT_SAMPLING, AE_ORACLE])
+    def test_arms_sharing_a_run_match_their_own_rows(self, grid_env, tmp_path, mode):
+        """Cells that share a run (shot mode never reads epsilon, ae_oracle
+        never shots) are written once; each arm file and summary.csv still
+        hold the bytes _write_csv writes from that arm's own rows."""
+        epsilons, shot_counts, seeds = [0.01, 0.05], [128, 256], [0, 1]
+        out, ref = tmp_path / "abl", tmp_path / "ref"
+        assert main(["ablate", "--env", grid_env, "--mode", mode, "--epsilons", "0.01,0.05",
+                     "--shot-counts", "128,256", "--iters", "5", "--seeds", "0,1",
+                     "--out", str(out)]) == EXIT_OK
+        base = cli._engine_config(cli.DEFAULT_ENGINE, {"mode": mode, "iters": 5}, 0)
+        cells = run_ablation(load_mdp(grid_env), epsilons, shot_counts, base, seeds)
+        other = (0.05, 128) if mode == SHOT_SAMPLING else (0.01, 256)
+        assert cells[other][0].records is cells[(0.01, 128)][0].records
+        summary = []
+        for (eps, shots), runs in sorted(cells.items()):
+            arm = f"eps{eps:g}_shots{shots}"
+            rows = [(r.iteration, r.bellman_error_max, r.bellman_error_mean, r.q_variance,
+                     r.queries_iteration, r.queries_cumulative, run.seed)
+                    for run in runs for r in run.records]
+            cli._write_csv(str(ref / f"arm_{arm}.csv"), cli.RUN_COLUMNS, cli._csv_text(rows))
+            series = [[r.bellman_error_max for r in run.records] for run in runs]
+            summary += [(arm, i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)
+                        for i, st in enumerate(summarize(cli._pad_series(series)))]
+        cli._write_csv(str(ref / "summary.csv"), cli.SUMMARY_COLUMNS, cli._csv_text(summary))
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(p.name for p in ref.iterdir())
+        for p in ref.iterdir():
+            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+
     def test_compare_queries_table(self, grid_env, tmp_path):
         out = tmp_path / "cmp"
         code = main(["compare-queries", "--env", grid_env, "--iters", "50",
@@ -462,6 +494,26 @@ class TestEmptySeeds:
         assert main(["run", "--env", grid_env, "--config", str(cfg), "--iters", "2",
                      "--out", str(out)]) == EXIT_CONFIG
         assert "seeds must be a list of integers" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedSeeds:
+    @pytest.mark.parametrize("command", ["run", "ablate", "compare-queries", "noise-study"])
+    def test_a_seed_given_twice_exits_2(self, grid_env, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        code = main([command, "--env", grid_env, "--iters", "2", "--seeds", "3,5,3",
+                     "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "seed 3 is given twice" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_seed_given_twice_in_config_exits_2(self, grid_env, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [4, 0, 4]}))
+        out = tmp_path / "o"
+        assert main(["noise-study", "--env", grid_env, "--config", str(cfg), "--iters", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "seed 4 is given twice" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -184,16 +184,16 @@ class TestResources:
 
 class TestQueryStudy:
     def test_mc_accounting_exact(self, grid4):
-        results = run_query_complexity_study(
-            grid4, calibrated_query_config(10, 0), mc_budget=500, seeds=[0, 1])
+        config = calibrated_query_config().with_settings(0, iters=10)
+        results = run_query_complexity_study(grid4, config, mc_budget=500, seeds=[0, 1])
         mc = [r for r in results if r.method == "monte_carlo"]
         assert all(r.queries_per_iteration == 500 for r in mc)
         assert all(r.total_queries == 5000 for r in mc)
 
     def test_mc_arm_equals_a_per_seed_reference_loop(self, grid4):
         seeds, budget, iterations, horizon = [4, 0, 9], 300, 8, 100
-        results = run_query_complexity_study(
-            grid4, calibrated_query_config(iterations, 0), mc_budget=budget, seeds=seeds)
+        config = calibrated_query_config().with_settings(0, iters=iterations)
+        results = run_query_complexity_study(grid4, config, mc_budget=budget, seeds=seeds)
         assert [(r.method, r.seed) for r in results] == [
             (method, seed) for seed in seeds for method in ("qpolicy", "monte_carlo")]
         for result in results[1::2]:
@@ -215,7 +215,7 @@ class TestQueryStudy:
             assert result.total_queries == budget * iterations
 
     def test_engine_arm_runs_the_base_at_each_seed(self, grid4, engine_calls):
-        base = calibrated_query_config(3, 0)
+        base = calibrated_query_config().with_settings(0, iters=3)
         results = run_query_complexity_study(grid4, base, mc_budget=20, seeds=[4, 0])
         configs = [replace(base, seed=seed, estimator=replace(base.estimator, seed=seed))
                    for seed in (4, 0)]
@@ -224,14 +224,14 @@ class TestQueryStudy:
             assert records_equal(result.records, run_qpolicy(grid4, config)[0])
 
     def test_both_arms_run_the_configs_iterations(self, grid4):
-        config = replace(calibrated_query_config(50, 0), max_iterations=3)
+        config = calibrated_query_config().with_settings(0, iters=3)
         results = run_query_complexity_study(grid4, config, mc_budget=20, seeds=[0, 1])
         assert [len(r.records) for r in results] == [3] * 4
         assert [r.total_queries for r in results if r.method == "monte_carlo"] == [3 * 20] * 2
 
     def test_engine_arm_cheaper_and_better(self, grid4):
         results = run_query_complexity_study(
-            grid4, calibrated_query_config(50, 0), mc_budget=1000, seeds=[0, 1, 2])
+            grid4, calibrated_query_config(), mc_budget=1000, seeds=[0, 1, 2])
         summary = query_summary(results)
         assert summary["qpolicy"]["total_queries"] <= 0.25 * summary["monte_carlo"]["total_queries"]
         assert summary["qpolicy"]["final_bellman_error"] <= summary["monte_carlo"]["final_bellman_error"]

@@ -32,7 +32,6 @@ from .engine import (
 from .experiments import (
     ResourceEstimate,
     SummaryStats,
-    compute_bellman_error,
     estimate_resources,
     matched_accuracy_scaling,
     run_ablation,

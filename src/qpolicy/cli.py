@@ -43,6 +43,7 @@ from .experiments import (
     summarize,
 )
 from .mdp import TabularMDP, build_frozenlake, build_gridworld, load_mdp, mdp_to_dict, save_mdp
+from .rng import SEED_MASK
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
@@ -130,17 +131,22 @@ def _list_of(item: Kind) -> Kind:
 
 def _seeds(value):
     """Text without a comma is a count N, meaning seeds 0..N-1. A seed given
-    twice would count as two samples of one run: a ConfigError."""
+    twice, or two seeds the random streams read as one (equal under
+    rng.SEED_MASK), would count one run as two samples: a ConfigError."""
     if isinstance(value, str) and "," not in value:
         value = list(range(int(value)))
     if value == []:
         raise ConfigError("no seeds given: --seeds needs a count >= 1 or a nonempty list")
     seeds = _list_of(INTEGER).convert(value)
-    seen = set()
+    seen = {}  # seed as the random streams read it -> the seed given first
     for seed in seeds:
-        if seed in seen:
-            raise ConfigError(f"seed {seed} is given twice: each seed is one sample")
-        seen.add(seed)
+        key = seed & SEED_MASK
+        if key in seen:
+            same = (f"seed {seed} is given twice" if seen[key] == seed else
+                    f"seeds {seen[key]} and {seed} are one seed to the random streams, "
+                    f"which read both as {key}")
+            raise ConfigError(f"{same}: each seed is one sample")
+        seen[key] = seed
     return seeds
 
 
@@ -157,7 +163,8 @@ SETTINGS = {
     "gamma": (REAL, "discount, overriding the environment's"),
     "iters": (COUNT, "policy-iteration steps per run"),
     "seed": (INTEGER, "the seed when --seeds is not given"),
-    "seeds": (SEEDS, "comma list, or a count N for seeds 0..N-1"),
+    "seeds": (SEEDS, "comma list, or a count N for seeds 0..N-1; a list that starts with a "
+                     "negative seed is written --seeds=-5,3"),
     "out": (TEXT, "output directory"),
     "epsilons": (_list_of(REAL), "comma list of epsilons to sweep"),
     "shot_counts": (_list_of(COUNT), "comma list of per-readout shot counts to sweep"),

@@ -1,19 +1,21 @@
 """Policy iteration with emulated quantum readout.
 
-Each iteration computes exact one-step backup targets from the model (the
-action the Bellman unitary would implement), maps the target table affinely
-into [0, 1], reads every entry back once through the configured estimator,
-and improves the policy greedily on the read-out table. Iteration k backs
-q_k up under its own greedy policy, which makes the target T* q_k (up to
-the 1e-9 tie tolerance of greedy_actions): the loop is value iteration with
-read-out backups. Each read lies in [0, 1], so the read-out table stays
-within the hull of its targets and hence within the reward bound over
-1 - gamma; a run whose table leaves that bound stops with DivergenceError.
-Query accounting covers every estimator invocation; rows whose targets are
-known exactly (terminal states pinned at zero) are skipped at zero cost.
-The reported readout variance is the estimator's expected variance, in
-closed form. run_qpolicy_lockstep steps several runs through one loop,
-each run's records the same as if it ran alone.
+policy_iteration_lockstep is the one policy-iteration loop. It steps
+several runs from q = 0, improves each greedily, keeps their records and
+stop rules, and takes the evaluation step as a function: the engine's and
+the Monte Carlo arm's (experiments.run_mc_policy_iteration) differ only
+there. The engine's step computes exact one-step backup targets from the
+model (the action the Bellman unitary would implement), maps the target
+table affinely into [0, 1] and reads every entry back once through the
+configured estimator. Iteration k backs q_k up under its own greedy
+policy, which makes the target T* q_k (up to the 1e-9 tie tolerance of
+greedy_actions): the engine is value iteration with read-out backups.
+Each read lies in [0, 1], so the read-out table stays within the hull of
+its targets and hence within the reward bound over 1 - gamma; a run whose
+table leaves that bound stops with DivergenceError. Query accounting
+covers every estimator invocation; rows whose targets are known exactly
+(terminal states pinned at zero) are skipped at zero cost. The reported
+readout variance is the estimator's expected variance, in closed form.
 """
 from __future__ import annotations
 
@@ -229,98 +231,112 @@ def policy_improve(q: QTable) -> Policy:
 # The iteration loop
 # ---------------------------------------------------------------------------
 
-def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
-    """Execute up to K iterations; returns (records, final_policy).
+def policy_iteration_lockstep(mdp: TabularMDP, budgets, evaluate) -> list:
+    """Policy iteration for several runs in one loop; returns one (records,
+    final_policy) per run, in order.
 
-    Iteration k backs up the table under its greedy policy, reads the
-    targets out from the readout stream of key k and improves greedily on
-    the read-out table. Stops early when max |q_tilde - q| drops below
-    convergence_tol. Bellman error is tracked as max/mean of
-    |V_{k+1} - V_k| with V the greedy value of the table.
-    Raises DivergenceError when an iteration's backup targets leave the
-    finite float range or its read-out table leaves the reward bound. This
-    is the one-member call of run_qpolicy_lockstep.
+    budgets lists each run's (max_iterations, convergence_tol). Every run
+    starts from q = 0. Iteration k calls evaluate(k, q, actions, active) on
+    the (rows, S, A) tables of the runs still in the batch, their greedy
+    actions and the run of each row; it returns the rows' next tables, and
+    per row the queries charged and the readout variance. The loop improves
+    greedily on the next tables (greedy_actions, ties within 1e-9), records
+    max and mean of |V_{k+1} - V_k| with V the greedy value of the table,
+    and drops a run from the batch at its max_iterations or once
+    max |q_{k+1} - q_k| < its convergence_tol. A run's records depend on
+    what runs beside it only through evaluate.
     """
-    return run_qpolicy_lockstep(mdp, [config])[0]
-
-
-def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
-    """run_qpolicy for several configs in one loop; returns one (records,
-    final_policy) per config, in order.
-
-    Member i's records and policy are those of run_qpolicy(mdp, configs[i])
-    bit for bit, whatever runs beside it: it reads out from its own
-    stream(seed, _READOUT, k), taken from its own streams iterator, through
-    its own readout_batch call, and it leaves the batch at its own
-    max_iterations or convergence_tol. Each
-    iteration makes the backup, the normalisation, the bound check and the
-    greedy improvement once over the (members, S, A) batch. Every member
-    runs at the MDP's discount; a DivergenceError names the member's seed.
-    """
-    configs = list(configs)
-    if not configs:
-        return []
-    mask = _readout_mask(mdp)
-    lo, hi = _value_bound(mdp)
-    slack = _BOUND_RTOL * max(-lo, hi)
-
-    active = list(range(len(configs)))  # the member of each batch row
-    q = np.zeros((len(configs), mdp.num_states, mdp.num_actions))
+    active = list(range(len(budgets)))  # the run of each batch row
+    q = np.zeros((len(budgets), mdp.num_states, mdp.num_actions))
     v = q.max(axis=2)
     actions = greedy_actions(q)
-    records: list[list[IterationRecord]] = [[] for _ in configs]
-    policies: list[Policy | None] = [None] * len(configs)
-    cumulative = [0] * len(configs)
-    readout_rngs = [streams(c.seed, _READOUT) for c in configs]  # key k at iteration k
+    records: list[list[IterationRecord]] = [[] for _ in budgets]
+    policies: list[Policy | None] = [None] * len(budgets)
+    cumulative = [0] * len(budgets)
 
     # tables near the float limit read inf in the bookkeeping below; a
-    # diverging run is reported by DivergenceError alone
+    # diverging run is reported by its evaluation step alone
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(max(c.max_iterations for c in configs)):
-            members = [configs[i] for i in active]
-            seeds = [c.seed for c in members]
-            on_policy = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
-            targets = mdp.rewards + mdp.gamma * mdp.expect(on_policy)
-            q_tilde, queries, q_vars = _read_out(
-                targets, mask, [c.estimator for c in members],
-                [next(readout_rngs[i]) for i in active], k, seeds)
-            v_next = q_tilde.max(axis=2)
-            q_min = q_tilde.reshape(len(members), -1).min(axis=1)
-            q_max = v_next.max(axis=1)
-            out = np.flatnonzero(~((q_min >= lo - slack) & (q_max <= hi + slack)))
-            if out.size:
-                j = out[0]
-                raise DivergenceError(
-                    f"iteration {k}: the read-out table of seed {seeds[j]} spans "
-                    f"[{float(q_min[j])!r}, {float(q_max[j])!r}], outside the reward "
-                    f"bound [{lo!r}, {hi!r}]")
-            actions = greedy_actions(q_tilde)
-
+        for k in range(max((m for m, _ in budgets), default=0)):
+            q_next, queries, variances = evaluate(k, q, actions, active)
+            actions = greedy_actions(q_next)
+            v_next = q_next.max(axis=2)
             diff = np.abs(v_next - v)
             err_max, err_mean = diff.max(axis=1).tolist(), diff.mean(axis=1).tolist()
-            shift = np.abs(q_tilde - q).reshape(len(members), -1).max(axis=1).tolist()
+            shift = np.abs(q_next - q).reshape(len(active), -1).max(axis=1).tolist()
             stay = []
-            for j, (i, config) in enumerate(zip(active, members)):
+            for j, i in enumerate(active):
                 cumulative[i] += queries[j]
                 records[i].append(IterationRecord(
                     iteration=k,
                     bellman_error_max=err_max[j],
                     bellman_error_mean=err_mean[j],
-                    q_variance=q_vars[j],
+                    q_variance=variances[j],
                     queries_iteration=queries[j],
                     queries_cumulative=cumulative[i],
                 ))
-                if shift[j] < config.convergence_tol or k + 1 == config.max_iterations:
+                if shift[j] < budgets[i][1] or k + 1 == budgets[i][0]:
                     policies[i] = Policy(actions[j].copy())
                 else:
                     stay.append(j)
-            q, v = q_tilde, v_next
+            q, v = q_next, v_next
             if len(stay) < len(active):
                 if not stay:
                     break
                 active = [active[j] for j in stay]
                 q, v, actions = q[stay], v[stay], actions[stay]
     return list(zip(records, policies))
+
+
+def run_qpolicy(mdp: TabularMDP, config: QPolicyConfig):
+    """Execute up to K iterations; returns (records, final_policy): the
+    one-member call of run_qpolicy_lockstep. Iteration k backs up the table
+    under its greedy policy, reads the targets out from the readout stream
+    of key k and improves greedily on the read-out table. Raises
+    DivergenceError when an iteration's backup targets leave the finite
+    float range or its read-out table leaves the reward bound."""
+    return run_qpolicy_lockstep(mdp, [config])[0]
+
+
+def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
+    """run_qpolicy for several configs in one loop: policy_iteration_lockstep
+    with the read-out backup as its evaluation step. Returns one (records,
+    final_policy) per config, in order.
+
+    Member i's records and policy are those of run_qpolicy(mdp, configs[i])
+    bit for bit, whatever runs beside it: it reads out from its own
+    stream(seed, _READOUT, k), taken from its own streams iterator, through
+    its own readout_batch call. Each iteration makes the backup, the
+    normalisation and the bound check once over the (members, S, A) batch.
+    Every member runs at the MDP's discount; a DivergenceError names the
+    member's seed.
+    """
+    configs = list(configs)
+    mask = _readout_mask(mdp)
+    lo, hi = _value_bound(mdp)
+    slack = _BOUND_RTOL * max(-lo, hi)
+    readout_rngs = [streams(c.seed, _READOUT) for c in configs]  # key k at iteration k
+
+    def evaluate(k, q, actions, active):
+        members = [configs[i] for i in active]
+        seeds = [c.seed for c in members]
+        on_policy = np.take_along_axis(q, actions[:, :, None], axis=2)[:, :, 0]
+        targets = mdp.rewards + mdp.gamma * mdp.expect(on_policy)
+        q_tilde, queries, q_vars = _read_out(
+            targets, mask, [c.estimator for c in members],
+            [next(readout_rngs[i]) for i in active], k, seeds)
+        q_min, q_max = q_tilde.min(axis=(1, 2)), q_tilde.max(axis=(1, 2))
+        out = np.flatnonzero(~((q_min >= lo - slack) & (q_max <= hi + slack)))
+        if out.size:
+            j = out[0]
+            raise DivergenceError(
+                f"iteration {k}: the read-out table of seed {seeds[j]} spans "
+                f"[{float(q_min[j])!r}, {float(q_max[j])!r}], outside the reward "
+                f"bound [{lo!r}, {hi!r}]")
+        return q_tilde, queries, q_vars
+
+    return policy_iteration_lockstep(
+        mdp, [(c.max_iterations, c.convergence_tol) for c in configs], evaluate)
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from .emulator import AE_ORACLE, EstimatorConfig, ae_query_cost
 # run_qpolicy and mc_policy_evaluation stay bound here, where
 # perfbench/tracing.py hooks them
 from .engine import (  # noqa: F401
-    IterationRecord,
     QPolicyConfig,
-    policy_improve,
+    policy_iteration_lockstep,
     run_qpolicy,
     run_qpolicy_lockstep,
 )
-from .mdp import TabularMDP, mc_policy_evaluation, mc_policy_evaluation_lockstep  # noqa: F401
+from .mdp import Policy, TabularMDP, mc_policy_evaluation, mc_policy_evaluation_lockstep  # noqa: F401
 from .rng import child_seed, stream
 
 # Gate-count calibration: a sparsity-4 grid row costs 50 gates per backup and
@@ -87,18 +86,8 @@ class ScalingPoint:
 
 
 # ---------------------------------------------------------------------------
-# Metrics
+# Summaries
 # ---------------------------------------------------------------------------
-
-def compute_bellman_error(v_prev, v_next) -> tuple[float, float]:
-    """Max and mean of elementwise |v_next - v_prev|."""
-    v_prev = np.asarray(v_prev, dtype=float)
-    v_next = np.asarray(v_next, dtype=float)
-    if v_prev.shape != v_next.shape:
-        raise ValueError("value vectors must have equal length")
-    diff = np.abs(v_next - v_prev)
-    return float(diff.max()), float(diff.mean())
-
 
 # scipy.special.stdtrit(df, 0.975) for df = 1, ..., 200, each written with repr
 _T975 = (
@@ -188,30 +177,21 @@ def summarize(series_across_seeds: Sequence[Sequence[float]]) -> list[SummarySta
 def run_mc_policy_iteration(mdp: TabularMDP, budget: int, config: QPolicyConfig,
                             seeds: Sequence[int]) -> list[list]:
     """Policy iteration with first-visit MC evaluation, one run per seed, for
-    config.max_iterations iterations (the only field read); one query = one
-    rollout of _MC_HORIZON steps. The runs advance together: each iteration
-    makes one lockstep sampler call for every seed's policy, and seed i's
-    evaluation at iteration k draws from child_seed(seeds[i], 6, k) alone."""
-    policies = [policy_improve(np.zeros((mdp.num_states, mdp.num_actions)))] * len(seeds)
-    v_prev = [np.zeros(mdp.num_states)] * len(seeds)
-    runs = [[] for _ in seeds]
-    for k in range(config.max_iterations):
+    config.max_iterations iterations (the only field read: no convergence_tol
+    stops it early); one query = one rollout of _MC_HORIZON steps. Its evaluation
+    step in policy_iteration_lockstep makes one lockstep sampler call for
+    every seed's policy; seed i's at iteration k draws from
+    child_seed(seeds[i], 6, k) alone."""
+    def evaluate(k, q, actions, active):
         tables, queries = mc_policy_evaluation_lockstep(
-            mdp, policies, budget, _MC_HORIZON, [child_seed(seed, 6, k) for seed in seeds])
-        for i, q_mc in enumerate(tables):
-            policies[i] = policy_improve(q_mc)
-            v_next = q_mc.max(axis=1)
-            err_max, err_mean = compute_bellman_error(v_prev[i], v_next)
-            runs[i].append(IterationRecord(
-                iteration=k,
-                bellman_error_max=err_max,
-                bellman_error_mean=err_mean,
-                q_variance=0.0,
-                queries_iteration=queries,
-                queries_cumulative=queries * (k + 1),
-            ))
-            v_prev[i] = v_next
-    return runs
+            mdp, [Policy(a) for a in actions], budget, _MC_HORIZON,
+            [child_seed(seeds[i], 6, k) for i in active])
+        if not np.isfinite(tables).all():
+            raise ValueError("q table must be finite")
+        return tables, [queries] * len(active), [0.0] * len(active)
+
+    runs = policy_iteration_lockstep(mdp, [(config.max_iterations, 0.0)] * len(seeds), evaluate)
+    return [records for records, _ in runs]
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +216,24 @@ def calibrated_query_config() -> QPolicyConfig:
 
 def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig, mc_budget: int,
                                seeds: Sequence[int]) -> list[MethodResult]:
-    """Run the engine and the MC baseline for qp_config.max_iterations
-    iterations each; each arm steps every seed's run in lockstep
-    (run_qpolicy_lockstep, run_mc_policy_iteration)."""
+    """Run the engine and the MC baseline at each seed; each arm steps every
+    seed's run in lockstep (run_qpolicy_lockstep, run_mc_policy_iteration).
+    The engine arm stops at qp_config.max_iterations or once a run's table
+    moves less than qp_config.convergence_tol; the MC arm always runs
+    qp_config.max_iterations iterations."""
     mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config, seeds)
     engine_runs = run_qpolicy_lockstep(mdp, [qp_config.with_settings(seed) for seed in seeds])
     results = []
-    for seed, (records, _), mc_records in zip(seeds, engine_runs, mc_runs):
-        results.append(MethodResult(
-            method="qpolicy",
-            seed=seed,
-            queries_per_iteration=records[0].queries_iteration,
-            total_queries=records[-1].queries_cumulative,
-            final_bellman_error=records[-1].bellman_error_max,
-            records=records,
-        ))
-        results.append(MethodResult(
-            method="monte_carlo",
-            seed=seed,
-            queries_per_iteration=mc_budget,
-            total_queries=mc_records[-1].queries_cumulative,
-            final_bellman_error=mc_records[-1].bellman_error_max,
-            records=mc_records,
-        ))
+    for seed, (engine_records, _), mc_records in zip(seeds, engine_runs, mc_runs):
+        for method, records in (("qpolicy", engine_records), ("monte_carlo", mc_records)):
+            results.append(MethodResult(
+                method=method,
+                seed=seed,
+                queries_per_iteration=records[0].queries_iteration,
+                total_queries=records[-1].queries_cumulative,
+                final_bellman_error=records[-1].bellman_error_max,
+                records=records,
+            ))
     return results
 
 

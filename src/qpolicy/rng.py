@@ -23,7 +23,7 @@ import numpy as np
 # with the package rather than inside the first study's timed work
 from numpy.random import Generator, Philox, SeedSequence
 
-_MASK_63 = (1 << 63) - 1
+SEED_MASK = (1 << 63) - 1  # seeds and keys are read modulo 2**63
 _MASK_32 = (1 << 32) - 1
 
 # SeedSequence's hash constants and pool size (numpy/random/bit_generator.pyx)
@@ -39,8 +39,8 @@ _BLOCK = 64
 def stream(seed: int, *key: int) -> Generator:
     """Independent Philox generator for the given seed and stream key."""
     ss = SeedSequence(
-        entropy=int(seed) & _MASK_63,
-        spawn_key=tuple(int(k) & _MASK_63 for k in key),
+        entropy=int(seed) & SEED_MASK,
+        spawn_key=tuple(int(k) & SEED_MASK for k in key),
     )
     return Generator(Philox(ss))
 
@@ -94,8 +94,8 @@ def streams(seed: int, *key: int) -> Iterator[Generator]:
 
 
 def _words(n: int) -> list[int]:
-    """n & _MASK_63 as SeedSequence takes it: 32-bit words, least first."""
-    n = int(n) & _MASK_63
+    """n & SEED_MASK as SeedSequence takes it: 32-bit words, least first."""
+    n = int(n) & SEED_MASK
     words = [n & _MASK_32]
     while n > _MASK_32:
         n >>= 32
@@ -131,7 +131,7 @@ def _absorb(pool: list, words, const: int):
 def child_seed(seed: int, *key: int) -> int:
     """Derived integer seed for operations that take a seed of their own."""
     ss = SeedSequence(
-        entropy=int(seed) & _MASK_63,
-        spawn_key=tuple(int(k) & _MASK_63 for k in key),
+        entropy=int(seed) & SEED_MASK,
+        spawn_key=tuple(int(k) & SEED_MASK for k in key),
     )
-    return int(ss.generate_state(1, dtype=np.uint64)[0] & _MASK_63)
+    return int(ss.generate_state(1, dtype=np.uint64)[0] & SEED_MASK)

@@ -516,6 +516,36 @@ class TestRepeatedSeeds:
         assert "seed 4 is given twice" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "noise-study"])
+    @pytest.mark.parametrize("first, second", [(-5, 2**63 - 5), (0, 2**63)])
+    def test_seeds_equal_modulo_the_stream_mask_exit_2(self, grid_env, tmp_path, capsys,
+                                                       command, first, second):
+        out = tmp_path / "o"
+        code = main([command, "--env", grid_env, "--iters", "2",
+                     f"--seeds={first},{second}", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"seeds {first} and {second} are one seed to the random streams" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_equal_modulo_the_stream_mask_in_config_exit_2(self, grid_env, tmp_path,
+                                                                capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [3, 0, 2**63]}))
+        out = tmp_path / "o"
+        assert main(["run", "--env", grid_env, "--config", str(cfg), "--iters", "2",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert f"seeds 0 and {2**63} are one seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_list_starting_with_a_negative_seed_is_given_with_equals(self, grid_env,
+                                                                       tmp_path):
+        out = tmp_path / "o"
+        assert main(["run", "--env", grid_env, "--iters", "2", "--seeds=-5,3",
+                     "--out", str(out)]) == EXIT_OK
+        lines = (out / "records.csv").read_text().strip().splitlines()[1:]
+        assert [line.rsplit(",", 1)[1] for line in lines] == ["-5", "-5", "3", "3"]
+
 
 class TestLockstepDeterminism:
     """A study's bytes are the same on a rerun, and whether its engine

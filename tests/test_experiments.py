@@ -12,7 +12,6 @@ from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy, run_qpoli
 from qpolicy.experiments import (
     _run_jobs,
     calibrated_query_config,
-    compute_bellman_error,
     estimate_resources,
     matched_accuracy_scaling,
     query_summary,
@@ -51,16 +50,6 @@ def shot_config(shots=512, iters=40, seed=0, **kw):
 # ---------------------------------------------------------------------------
 
 class TestComputeBellmanError:
-    def test_identical(self):
-        assert compute_bellman_error([1.0, 2.0], [1.0, 2.0]) == (0.0, 0.0)
-
-    def test_hand_arithmetic(self):
-        assert compute_bellman_error([0.0, 1.0], [1.0, 1.0]) == (1.0, 0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            compute_bellman_error([0.0], [0.0, 1.0])
-
     def test_policy_evaluation_iterates_contract(self, grid4):
         policy = Policy(np.random.default_rng(0).integers(0, 4, 16))
         q = np.zeros((16, 4))
@@ -69,7 +58,7 @@ class TestComputeBellmanError:
         for _ in range(25):
             q = bellman_backup(grid4, q, policy)
             v = policy_values(grid4, policy, q)
-            deltas.append(compute_bellman_error(v_prev, v)[0])
+            deltas.append(float(np.abs(v - v_prev).max()))
             v_prev = v
         for t, d in enumerate(deltas):
             assert d <= grid4.gamma ** t * deltas[0] * (1 + 1e-9)
@@ -206,8 +195,9 @@ class TestQueryStudy:
                 policy = policy_improve(q_mc)
                 v_next = q_mc.max(axis=1)
                 assert record.iteration == k
-                assert (record.bellman_error_max, record.bellman_error_mean) == \
-                    compute_bellman_error(v_prev, v_next)
+                diff = np.abs(v_next - v_prev)
+                assert (record.bellman_error_max, record.bellman_error_mean) == (
+                    float(diff.max()), float(diff.mean()))
                 assert (record.queries_iteration, record.queries_cumulative) == (
                     queries, queries * (k + 1))
                 v_prev = v_next
@@ -228,6 +218,13 @@ class TestQueryStudy:
         results = run_query_complexity_study(grid4, config, mc_budget=20, seeds=[0, 1])
         assert [len(r.records) for r in results] == [3] * 4
         assert [r.total_queries for r in results if r.method == "monte_carlo"] == [3 * 20] * 2
+
+    def test_only_the_engine_arm_stops_at_the_tolerance(self, grid4):
+        config = calibrated_query_config().with_settings(0, iters=5, tol=1e300)
+        results = run_query_complexity_study(grid4, config, mc_budget=20, seeds=[0, 1])
+        assert [(r.method, len(r.records)) for r in results] == [
+            ("qpolicy", 1), ("monte_carlo", 5)] * 2
+        assert [r.total_queries for r in results] == [240, 5 * 20] * 2
 
     def test_engine_arm_cheaper_and_better(self, grid4):
         results = run_query_complexity_study(

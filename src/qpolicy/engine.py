@@ -41,6 +41,7 @@ from .mdp import (  # noqa: F401
     TabularMDP,
     bellman_backup,
     exact_policy_evaluation,
+    greedy,
     greedy_actions,
     policy_values,
     value_iteration,
@@ -59,7 +60,8 @@ _BOUND_RTOL = 1e-9
 
 class DivergenceError(RuntimeError):
     """An iteration's backup targets left the finite float range, or its
-    read-out table left the reward bound over 1 - gamma."""
+    read-out table left the reward bound over 1 - gamma, or its Monte Carlo
+    estimates (experiments.run_mc_policy_iteration) are not finite."""
 
 
 @dataclass
@@ -240,7 +242,7 @@ def policy_iteration_lockstep(mdp: TabularMDP, budgets, evaluate) -> list:
     the (rows, S, A) tables of the runs still in the batch, their greedy
     actions and the run of each row; it returns the rows' next tables, and
     per row the queries charged and the readout variance. The loop improves
-    greedily on the next tables (greedy_actions, ties within 1e-9), records
+    greedily on the next tables (greedy, ties within 1e-9), records
     max and mean of |V_{k+1} - V_k| with V the greedy value of the table,
     and drops a run from the batch at its max_iterations or once
     max |q_{k+1} - q_k| < its convergence_tol. A run's records depend on
@@ -248,8 +250,7 @@ def policy_iteration_lockstep(mdp: TabularMDP, budgets, evaluate) -> list:
     """
     active = list(range(len(budgets)))  # the run of each batch row
     q = np.zeros((len(budgets), mdp.num_states, mdp.num_actions))
-    v = q.max(axis=2)
-    actions = greedy_actions(q)
+    v, actions = greedy(q)
     records: list[list[IterationRecord]] = [[] for _ in budgets]
     policies: list[Policy | None] = [None] * len(budgets)
     cumulative = [0] * len(budgets)
@@ -259,8 +260,7 @@ def policy_iteration_lockstep(mdp: TabularMDP, budgets, evaluate) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(max((m for m, _ in budgets), default=0)):
             q_next, queries, variances = evaluate(k, q, actions, active)
-            actions = greedy_actions(q_next)
-            v_next = q_next.max(axis=2)
+            v_next, actions = greedy(q_next)
             diff = np.abs(v_next - v)
             err_max, err_mean = diff.max(axis=1).tolist(), diff.mean(axis=1).tolist()
             shift = np.abs(q_next - q).reshape(len(active), -1).max(axis=1).tolist()

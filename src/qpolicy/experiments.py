@@ -25,6 +25,7 @@ from .emulator import AE_ORACLE, EstimatorConfig, ae_query_cost
 # run_qpolicy and mc_policy_evaluation stay bound here, where
 # perfbench/tracing.py hooks them
 from .engine import (  # noqa: F401
+    DivergenceError,
     QPolicyConfig,
     policy_iteration_lockstep,
     run_qpolicy,
@@ -181,13 +182,17 @@ def run_mc_policy_iteration(mdp: TabularMDP, budget: int, config: QPolicyConfig,
     stops it early); one query = one rollout of _MC_HORIZON steps. Its evaluation
     step in policy_iteration_lockstep makes one lockstep sampler call for
     every seed's policy; seed i's at iteration k draws from
-    child_seed(seeds[i], 6, k) alone."""
+    child_seed(seeds[i], 6, k) alone. Estimates that are not finite (the
+    returns overflowed) raise DivergenceError naming the iteration and the
+    first such seed."""
     def evaluate(k, q, actions, active):
         tables, queries = mc_policy_evaluation_lockstep(
             mdp, [Policy(a) for a in actions], budget, _MC_HORIZON,
             [child_seed(seeds[i], 6, k) for i in active])
-        if not np.isfinite(tables).all():
-            raise ValueError("q table must be finite")
+        bad = np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))
+        if bad.size:
+            raise DivergenceError(f"iteration {k}: the Monte Carlo estimates of seed "
+                                  f"{seeds[active[bad[0]]]} are not finite")
         return tables, [queries] * len(active), [0.0] * len(active)
 
     runs = policy_iteration_lockstep(mdp, [(config.max_iterations, 0.0)] * len(seeds), evaluate)

@@ -403,6 +403,23 @@ class TestStudies:
         text = (out / "comparison.csv").read_text()
         assert "monte_carlo,1000,50000" in text
 
+    def test_overflowing_monte_carlo_arm_exits_1(self, grid_env, tmp_path, subprocess_env):
+        # a reward of 1.5e308 on entering the goal makes the Monte Carlo sums
+        # overflow in the first evaluation, which runs before the engine arm;
+        # the error names the iteration and the first seed, as the engine's does
+        doc = json.loads(Path(grid_env).read_text(encoding="utf-8"))
+        doc["rewards"] = [[1.5e308 if r > 0 else r for r in row] for row in doc["rewards"]]
+        env = tmp_path / "huge.json"
+        env.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qpolicy.cli", "compare-queries", "--env", str(env),
+             "--iters", "5", "--mc-budget", "50", "--seeds", "4,9", "--out", str(tmp_path / "o")],
+            env=subprocess_env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_RUNTIME
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert "iteration 0: the Monte Carlo estimates of seed 4 are not finite" in lines[0]
+
     def test_noise_study_pairs(self, grid_env, tmp_path):
         out = tmp_path / "noise"
         code = main(["noise-study", "--env", grid_env, "--p-values", "0,0.01",

@@ -12,10 +12,12 @@ from qpolicy.engine import QPolicyConfig, run_qpolicy
 from qpolicy.mdp import (
     Policy,
     TabularMDP,
+    action_max,
     bellman_backup,
     build_frozenlake,
     build_gridworld,
     exact_policy_evaluation,
+    greedy,
     greedy_actions,
     load_mdp,
     mc_policy_evaluation,
@@ -449,6 +451,37 @@ class TestBellmanBackup:
             bellman_backup(grid4, np.zeros((3, 4)), Policy(np.zeros(16, dtype=int)))
 
 
+def old_greedy_rule(q: np.ndarray) -> np.ndarray:
+    """The first action within 1e-9 of numpy's row max, by argmax over the mask."""
+    return (q >= q.max(axis=-1, keepdims=True) - 1e-9).argmax(axis=-1)
+
+
+@pytest.mark.parametrize("num_actions", range(1, 7))
+def test_max_over_actions_matches_numpy_bit_for_bit(num_actions):
+    # exact ties, ties within 1e-9 and both signed zeros in every position
+    rng = np.random.default_rng(num_actions)
+    exact = rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=(2, 3, 200, num_actions))
+    near = exact + rng.choice([0.0, 0.0, 4e-10, -4e-10, 3e-9], size=exact.shape)
+    zeros = np.where(rng.random(exact.shape) < 0.7, 0.0 * exact, exact)
+    for q in (exact, near, zeros):
+        best = q.max(axis=-1)
+        assert action_max(q).tobytes() == best.tobytes()
+        assert action_max(q[0, 0]).tobytes() == best[0, 0].tobytes()
+        values, actions = greedy(q)
+        assert values.tobytes() == best.tobytes()
+        assert actions.dtype == np.intp and np.array_equal(actions, old_greedy_rule(q))
+        assert np.array_equal(greedy_actions(q), old_greedy_rule(q))
+        assert np.array_equal(greedy_actions(q[1, 2]), old_greedy_rule(q[1, 2]))
+    if num_actions > 1:
+        # the rows that tell the rules apart occur: a max of each sign taken
+        # between tied zeros, and a lowest near action that is not the argmax
+        best = zeros.max(axis=-1)
+        tied = (zeros == 0).sum(axis=-1) > 1
+        assert np.any(tied & (best == 0) & np.signbit(best))
+        assert np.any(tied & (best == 0) & ~np.signbit(best))
+        assert np.any(old_greedy_rule(near) != near.argmax(axis=-1))
+
+
 def test_greedy_improvement_monotone(grid4):
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -530,6 +563,48 @@ class TestOperator:
         with np.errstate(all="raise"):
             out = mdp.expect(np.array([np.inf, 1.0, 2.0]))
         assert out[:, 0].tolist() == [1.0, 1.5, 2.0]
+
+    def test_stored_by_column(self, grid4):
+        # the (S*A, d) arrays are transposed views of contiguous columns
+        for rows in (grid4.next_states, grid4.next_probs):
+            assert rows.shape == (64, 4)
+            assert rows.T.flags.c_contiguous and not rows.flags.c_contiguous
+            assert not rows.flags.writeable and not rows.T.flags.writeable
+        assert grid4.next_states.dtype == np.intp
+        assert grid4.next_probs.dtype == np.float64
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_expect_is_the_row_sum_bit_for_bit(self, width):
+        # every row of `width` distinct next states but one narrower, padded
+        # row; values over six decades, so a different order of the sum
+        # changes last bits. From 8 entries numpy sums a row in 8 lanes, so
+        # there only the rounding bound of a sum of 9 terms holds
+        num_states, num_actions = 40, 3
+        rng = np.random.default_rng(width)
+        next_states = np.array([np.sort(rng.choice(num_states - 1, size=width, replace=False))
+                                for _ in range(num_states * num_actions)])
+        next_probs = rng.dirichlet(np.ones(width), size=len(next_states))
+        next_states[1], next_probs[1] = 1, np.eye(width)[0]
+        mdp = TabularMDP(num_states, num_actions, next_states, next_probs,
+                         np.zeros((num_states, num_actions)), 0.9)
+        assert mdp.sparsity_d == width
+        v = rng.normal(size=num_states) * 10.0 ** rng.uniform(-3, 3, size=num_states)
+        v[mdp.next_states[0]] = -0.0  # row 0 adds only -0.0 products
+        v[num_states - 1] = np.inf  # in no row, so no padding may read it as 0 * inf
+        stack = np.stack([v, -v, 2.0 * v])
+        # numpy's sum over each contiguous row of C-ordered (S*A, d) arrays
+        states, probs = np.ascontiguousarray(mdp.next_states), np.ascontiguousarray(mdp.next_probs)
+        for values in (v, stack):
+            terms = probs * values[..., states]
+            rows = terms.sum(axis=-1)
+            out = mdp.expect(values)
+            assert out.shape == values.shape[:-1] + (num_states, num_actions)
+            if width <= 7:
+                assert out.tobytes() == rows.tobytes()
+            else:
+                bound = 9 * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
+                assert np.all(np.abs(out.reshape(rows.shape) - rows) <= bound)
+        assert mdp.expect(v)[0, 0] == 0.0 and not np.signbit(mdp.expect(v)[0, 0])
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_matches_dense_oracle(self, name, request):

@@ -451,7 +451,7 @@ class TestBellmanBackup:
             bellman_backup(grid4, np.zeros((3, 4)), Policy(np.zeros(16, dtype=int)))
 
 
-def old_greedy_rule(q: np.ndarray) -> np.ndarray:
+def reference_greedy(q: np.ndarray) -> np.ndarray:
     """The first action within 1e-9 of numpy's row max, by argmax over the mask."""
     return (q >= q.max(axis=-1, keepdims=True) - 1e-9).argmax(axis=-1)
 
@@ -469,9 +469,9 @@ def test_max_over_actions_matches_numpy_bit_for_bit(num_actions):
         assert action_max(q[0, 0]).tobytes() == best[0, 0].tobytes()
         values, actions = greedy(q)
         assert values.tobytes() == best.tobytes()
-        assert actions.dtype == np.intp and np.array_equal(actions, old_greedy_rule(q))
-        assert np.array_equal(greedy_actions(q), old_greedy_rule(q))
-        assert np.array_equal(greedy_actions(q[1, 2]), old_greedy_rule(q[1, 2]))
+        assert actions.dtype == np.intp and np.array_equal(actions, reference_greedy(q))
+        assert np.array_equal(greedy_actions(q), reference_greedy(q))
+        assert np.array_equal(greedy_actions(q[1, 2]), reference_greedy(q[1, 2]))
     if num_actions > 1:
         # the rows that tell the rules apart occur: a max of each sign taken
         # between tied zeros, and a lowest near action that is not the argmax
@@ -479,7 +479,7 @@ def test_max_over_actions_matches_numpy_bit_for_bit(num_actions):
         tied = (zeros == 0).sum(axis=-1) > 1
         assert np.any(tied & (best == 0) & np.signbit(best))
         assert np.any(tied & (best == 0) & ~np.signbit(best))
-        assert np.any(old_greedy_rule(near) != near.argmax(axis=-1))
+        assert np.any(reference_greedy(near) != near.argmax(axis=-1))
 
 
 def test_greedy_improvement_monotone(grid4):

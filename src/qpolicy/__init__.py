@@ -26,8 +26,6 @@ from .engine import (
     policy_improve,
     run_qpolicy,
     run_qpolicy_lockstep,
-    verify_convergence_bound,
-    verify_stability,
 )
 from .experiments import (
     ResourceEstimate,

@@ -10,6 +10,12 @@ table affinely into [0, 1] and reads every entry back once through the
 configured estimator. Iteration k backs q_k up under its own greedy
 policy, which makes the target T* q_k (up to the 1e-9 tie tolerance of
 greedy_actions): the engine is value iteration with read-out backups.
+An ae_oracle read at precision epsilon under depolarizing strength p lies
+within epsilon + 2p/3 of its target mapped into [0, 1], so with span_k the
+span of iteration k's targets every run obeys the noisy value-iteration
+recursion ||q_{k+1} - Q*|| <= gamma ||q_k - Q*|| + (epsilon + 2p/3) span_k
+in the max norm (Bertsekas & Tsitsiklis 1996), and the greedy policy of q_k
+loses at most 2 ||q_k - Q*|| / (1 - gamma) (Singh & Yee 1994).
 Each read lies in [0, 1], so the read-out table stays within the hull of
 its targets and hence within the reward bound over 1 - gamma; a run whose
 table leaves that bound stops with DivergenceError. Query accounting
@@ -19,7 +25,6 @@ readout variance is the estimator's expected variance, in closed form.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,19 +39,16 @@ from .emulator import (
     readout_variance,
     shift_for_encoding,
 )
-# bellman_backup stays bound here, where perfbench/tracing.py hooks it
+# bellman_backup and stream stay bound here, where perfbench/tracing.py hooks them
 from .mdp import (  # noqa: F401
     Policy,
     QTable,
     TabularMDP,
     bellman_backup,
-    exact_policy_evaluation,
     greedy,
     greedy_actions,
-    policy_values,
-    value_iteration,
 )
-from .rng import stream, streams
+from .rng import stream, streams  # noqa: F401
 
 # Stream key of the readout draws; other consumers use other keys, so draws
 # are order independent.
@@ -221,6 +223,7 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
     return q_tilde.reshape(targets.shape), queries, q_variance
 
 
+# no caller in the library; it stays bound here, where perfbench/tracing.py hooks it
 def policy_improve(q: QTable) -> Policy:
     """Greedy deterministic policy; ties broken by lowest action index."""
     q = np.asarray(q, dtype=float)
@@ -337,86 +340,3 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
 
     return policy_iteration_lockstep(
         mdp, [(c.max_iterations, c.convergence_tol) for c in configs], evaluate)
-
-
-# ---------------------------------------------------------------------------
-# Empirical checks of the stability and convergence bounds
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StabilityReport:
-    trials: int
-    violations: int
-    bound: float
-    max_value_change: float
-    epsilon_k: float
-
-
-@dataclass
-class ConvergenceReport:
-    iterations: int
-    epsilon: float
-    bound: float
-    bound_small_gamma: float  # alternative (1 - 3 gamma) form, inf for gamma >= 1/3
-    gap: float
-    holds: bool
-
-
-def _exact_values(mdp: TabularMDP, policy: Policy, cache: dict, tol: float = 1e-10):
-    key = policy.actions.tobytes()
-    if key not in cache:
-        q = exact_policy_evaluation(mdp, policy, tol)
-        cache[key] = policy_values(mdp, policy, q)
-    return cache[key]
-
-
-def verify_stability(mdp: TabularMDP, policy: Policy, epsilon_k: float,
-                     trials: int = 100, seed: int = 0) -> StabilityReport:
-    """Perturb exact Q_pi by noise bounded by epsilon_k, improve greedily,
-    and check ||V_pi' - V_pi||_inf <= 2 gamma epsilon_k / (1 - gamma)."""
-    if epsilon_k < 0:
-        raise ValueError("epsilon_k must be nonnegative")
-    q_exact = exact_policy_evaluation(mdp, policy, 1e-10)
-    v_base = policy_values(mdp, policy, q_exact)
-    bound = 2.0 * mdp.gamma * epsilon_k / (1.0 - mdp.gamma)
-    cache: dict = {}
-    violations = 0
-    worst = 0.0
-    for t in range(trials):
-        noise = stream(seed, 4, t).uniform(-epsilon_k, epsilon_k, size=q_exact.shape)
-        improved = policy_improve(q_exact + noise)
-        v_new = _exact_values(mdp, improved, cache)
-        gap = float(np.max(np.abs(v_new - v_base)))
-        worst = max(worst, gap)
-        if gap > bound + 1e-9:
-            violations += 1
-    return StabilityReport(trials, violations, bound, worst, epsilon_k)
-
-
-def verify_convergence_bound(mdp: TabularMDP, epsilon: float, seed: int = 0) -> ConvergenceReport:
-    """Approximate policy iteration with injected evaluation error <= epsilon
-    for K = ceil(log(1/epsilon) / (1 - gamma)) iterations, compared against
-    the optimal values; checks gap <= 2 gamma epsilon / (1 - gamma)^2."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
-    gamma = mdp.gamma
-    if epsilon > 0:
-        k_total = math.ceil(math.log(1.0 / epsilon) / (1.0 - gamma))
-    else:
-        k_total = 1000  # exact policy iteration reaches a fixed policy long before this
-    policy = policy_improve(np.zeros((mdp.num_states, mdp.num_actions)))
-    for k in range(k_total):
-        q = exact_policy_evaluation(mdp, policy, 1e-10)
-        if epsilon > 0:
-            q = q + stream(seed, 5, k).uniform(-epsilon, epsilon, size=q.shape)
-        new_policy = policy_improve(q)
-        if epsilon == 0 and new_policy == policy:
-            break
-        policy = new_policy
-    q_star, _ = value_iteration(mdp, 1e-10)
-    v_star = q_star.max(axis=1)
-    v_pik = policy_values(mdp, policy, exact_policy_evaluation(mdp, policy, 1e-10))
-    gap = float(np.max(np.abs(v_star - v_pik)))
-    bound = 2.0 * gamma * epsilon / (1.0 - gamma) ** 2
-    small = 2.0 * epsilon / (1.0 - 3.0 * gamma) if gamma < 1.0 / 3.0 else math.inf
-    return ConvergenceReport(k_total, epsilon, bound, small, gap, gap <= bound + 1e-9)

@@ -350,6 +350,8 @@ def estimate_resources(mdp: TabularMDP, config: QPolicyConfig, kappa: float = 1.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
+    if not (c_gate > 0 and c_overhead > 0):
+        raise ValueError("c_gate and c_overhead must be positive")
     pairs = mdp.num_states * mdp.num_actions
     qubits = (pairs - 1).bit_length()
     gates_update = round(c_gate * mdp.sparsity_d * kappa)

@@ -607,9 +607,17 @@ def mdp_to_dict(mdp: TabularMDP) -> dict:
     }
 
 
+def _json_scalar(doc: dict, field: str, kinds: tuple, what: str):
+    """doc[field] if its type is one of kinds (a bool is not an int here)."""
+    value = doc[field]
+    if type(value) not in kinds:
+        raise ValueError(f"{field} must be {what}, got {value!r}")
+    return value
+
+
 def mdp_from_dict(doc: dict) -> TabularMDP:
-    num_states = int(doc["num_states"])
-    num_actions = int(doc["num_actions"])
+    num_states = _json_scalar(doc, "num_states", (int,), "an integer")
+    num_actions = _json_scalar(doc, "num_actions", (int,), "an integer")
     rows = [[[] for _ in range(num_actions)] for _ in range(num_states)]
     placed = set()
     for i, entry in enumerate(doc["transitions"]):
@@ -626,9 +634,10 @@ def mdp_from_dict(doc: dict) -> TabularMDP:
         s, a = next((s, a) for s in range(num_states) for a in range(num_actions)
                     if (s, a) not in placed)
         raise ValueError(f"transitions has no entry for (s, a) = ({s}, {a})")
-    return TabularMDP.from_rows(num_states, num_actions, rows, doc["rewards"],
-                                float(doc["gamma"]), terminal_states=frozenset(doc["terminals"]),
-                                start_state=int(doc["start"]))
+    gamma = _json_scalar(doc, "gamma", (int, float), "a number")
+    return TabularMDP.from_rows(num_states, num_actions, rows, doc["rewards"], float(gamma),
+                                terminal_states=frozenset(doc["terminals"]),
+                                start_state=_json_scalar(doc, "start", (int,), "an integer"))
 
 
 def save_mdp(mdp: TabularMDP, path: str | os.PathLike) -> None:

@@ -5,13 +5,14 @@ criterion. Each test pins its tolerances inline; expected values either
 follow from closed forms, from the independent oracles in oracles.py, or
 are direct artifact checks.
 """
-import json
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from qpolicy import engine
 from qpolicy.cli import EXIT_OK, main
 from qpolicy.emulator import (
     AE_ORACLE,
@@ -21,8 +22,7 @@ from qpolicy.emulator import (
     depolarized_value,
     readout_batch,
 )
-from qpolicy.engine import QPolicyConfig, run_qpolicy, verify_convergence_bound, \
-    verify_stability
+from qpolicy.engine import QPolicyConfig, run_qpolicy, run_qpolicy_lockstep
 from qpolicy.experiments import (
     calibrated_query_config,
     estimate_resources,
@@ -31,10 +31,19 @@ from qpolicy.experiments import (
     run_noise_comparison,
     run_query_complexity_study,
 )
-from qpolicy.mdp import build_frozenlake, build_gridworld, value_iteration
+from qpolicy.mdp import (
+    Policy,
+    TabularMDP,
+    bellman_backup,
+    build_frozenlake,
+    build_gridworld,
+    exact_policy_evaluation,
+    greedy_actions,
+    policy_values,
+    value_iteration,
+)
 
-from oracles import TWO_STATE_TWO_ACTION_ROWS, depolarize_density, enumerate_optimal_values, \
-    measurement_probs, two_state_two_action
+from oracles import depolarize_density, measurement_probs
 
 SEEDS_10 = list(range(10))
 
@@ -141,31 +150,93 @@ def test_c07_uniform_encoding_example():
                f"expected index is {expected:.12f}")
 
 
-def test_c09_stability_bound(grid):
-    _, policy = value_iteration(grid, 1e-10)
-    report = verify_stability(grid, policy, epsilon_k=0.05, trials=100, seed=0)
-    assert report.bound == pytest.approx(2 * 0.95 * 0.05 / 0.05)
-    assert report.violations == 0
-    _report(9, f"0/100 violations; worst value change {report.max_value_change:.4f} "
-               f"within bound {report.bound:.2f}")
+class OracleRun(NamedTuple):
+    """One engine run and every iteration's (q_k, q_{k+1}, span_k), span_k
+    the max - min of the backup targets that iteration read out."""
+    mdp: TabularMDP
+    q_star: np.ndarray
+    error: float  # readout error bound in [0, 1] units, epsilon + 2p/3
+    policy: Policy
+    steps: list
 
 
-def test_c10_convergence_bound(grid):
-    report = verify_convergence_bound(grid, epsilon=0.01, seed=0)
-    assert report.iterations == 93  # ceil(log(100) / (1 - 0.95))
-    assert report.bound == pytest.approx(7.6)
-    assert report.gap <= report.bound
-    assert report.holds
+@pytest.fixture(scope="module")
+def oracle_runs(grid, lake):
+    """ae_oracle runs of the engine on the grid and the lake, at epsilon in
+    {0.1, 0.01} and p in {0, 0.05}, 5 seeds of 60 iterations each. The loop's
+    evaluate step is wrapped to keep each table it is given and returns."""
+    runs, captured = [], []
+    loop = engine.policy_iteration_lockstep
 
-    small = two_state_two_action(gamma=0.5)
-    rep2 = verify_convergence_bound(small, epsilon=0.1, seed=1)
-    assert rep2.bound == pytest.approx(0.4)
-    best = enumerate_optimal_values(small, TWO_STATE_TWO_ACTION_ROWS)
-    q_star, _ = value_iteration(small, 1e-10)
-    assert np.abs(q_star.max(axis=1) - best).max() <= 1e-8
-    assert rep2.holds
-    _report(10, f"gaps {report.gap:.5f} <= 7.6 on the grid and {rep2.gap:.5f} <= 0.4 "
-                f"on the enumerated 2-state model")
+    def capturing_loop(mdp, budgets, evaluate):
+        steps = [[] for _ in budgets]
+        captured.append(steps)
+
+        def capture(k, q, actions, active):
+            q_next, queries, variances = evaluate(k, q, actions, active)
+            for j, i in enumerate(active):
+                targets = bellman_backup(mdp, q[j], Policy(actions[j]))
+                steps[i].append((q[j], q_next[j], float(targets.max() - targets.min())))
+            return q_next, queries, variances
+        return loop(mdp, budgets, capture)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "policy_iteration_lockstep", capturing_loop)
+        for mdp in (grid, lake):
+            q_star, _ = value_iteration(mdp, 1e-10)
+            for epsilon in (0.1, 0.01):
+                for p in (0.0, 0.05):
+                    base = QPolicyConfig(epsilon=epsilon, max_iterations=60)
+                    configs = [base.with_settings(seed, noise_p=p) for seed in range(5)]
+                    results = run_qpolicy_lockstep(mdp, configs)
+                    for (_, policy), steps in zip(results, captured.pop()):
+                        runs.append(OracleRun(mdp, q_star, epsilon + 2 * p / 3, policy, steps))
+    return runs
+
+
+def _distance(q, q_star) -> float:
+    return float(np.abs(q - q_star).max())
+
+
+def test_c09_greedy_loss_bound(oracle_runs):
+    # Singh & Yee (1994): the greedy policy of q loses at most
+    # 2 ||q - Q*|| / (1 - gamma)
+    worst = 0.0
+    for run in oracle_runs:
+        q_final = run.steps[-1][1]
+        assert np.array_equal(run.policy.actions, greedy_actions(q_final))
+        v_pi = policy_values(run.mdp, run.policy,
+                             exact_policy_evaluation(run.mdp, run.policy, 1e-10))
+        loss = float(np.abs(run.q_star.max(axis=1) - v_pi).max())
+        bound = 2.0 * _distance(q_final, run.q_star) / (1.0 - run.mdp.gamma)
+        assert loss <= bound + 1e-9
+        worst = max(worst, loss / bound)
+    _report(9, f"each of {len(oracle_runs)} ae_oracle runs returns the greedy policy of "
+               f"its last table, whose loss is within 2 ||q_K - Q*|| / (1 - gamma) "
+               f"(worst ratio {worst:.3f})")
+
+
+def test_c10_convergence_bound(oracle_runs):
+    # Bertsekas & Tsitsiklis (1996), noisy value iteration: every read lies
+    # within error * span_k of its target T* q_k; 1e-9 covers greedy's tie
+    # tolerance
+    worst_step = worst_closed = 0.0
+    for run in oracle_runs:
+        gamma = run.mdp.gamma
+        widest = 0.0
+        for k, (q, q_next, span) in enumerate(run.steps):
+            widest = max(widest, span)
+            gap = _distance(q_next, run.q_star)
+            step = gamma * _distance(q, run.q_star) + run.error * span
+            closed = (gamma ** (k + 1) * float(np.abs(run.q_star).max())
+                      + run.error * widest / (1.0 - gamma))
+            assert gap <= step + 1e-9, f"iteration {k}: {gap} > {step}"
+            assert gap <= closed + 1e-9 / (1.0 - gamma), f"iteration {k}: {gap} > {closed}"
+            worst_step = max(worst_step, gap / step)
+            worst_closed = max(worst_closed, gap / closed)
+    _report(10, f"||q_k+1 - Q*|| <= gamma ||q_k - Q*|| + (epsilon + 2p/3) span_k on every "
+                f"iteration of {len(oracle_runs)} ae_oracle runs (worst ratio "
+                f"{worst_step:.3f}; closed form {worst_closed:.3f})")
 
 
 def test_c11_resource_estimates(grid):

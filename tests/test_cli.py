@@ -132,6 +132,11 @@ class TestRun:
         ("negative_state", "entry 0: (s, a) = (-1, 0) is not a pair of integers"),
         ("fractional_action", "entry 0: (s, a) = (0, 1.5) is not a pair of integers"),
         ("repeated_pair", "entry 64: a second row for (s, a) = (0, 0)"),
+        ("fractional_num_states", "num_states must be an integer, got 16.9"),
+        ("fractional_num_actions", "num_actions must be an integer, got 4.5"),
+        ("fractional_start", "start must be an integer, got 1.5"),
+        ("bool_start", "start must be an integer, got True"),
+        ("string_gamma", "gamma must be a number, got '0.5'"),
     ])
     def test_invalid_env_file_exits_2(self, grid_env, tmp_path, capsys, defect, message):
         doc = json.loads(Path(grid_env).read_text(encoding="utf-8"))
@@ -148,6 +153,16 @@ class TestRun:
             first["s"] = -1
         elif defect == "fractional_action":
             first["a"] = 1.5
+        elif defect == "fractional_num_states":
+            doc["num_states"] = 16.9
+        elif defect == "fractional_num_actions":
+            doc["num_actions"] = 4.5
+        elif defect == "fractional_start":
+            doc["start"] = 1.5
+        elif defect == "bool_start":
+            doc["start"] = True
+        elif defect == "string_gamma":
+            doc["gamma"] = "0.5"
         else:
             doc["transitions"].append(dict(first, rows=[[1, 1.0]]))
         env = tmp_path / "bad_env.json"
@@ -277,6 +292,8 @@ class TestSettings:
         (["run", "--mode", "ae_oracle", "--epsilon", "1e-320"], "finite readout cost"),
         (["run", "--gamma", "nan"], "gamma must be a finite number, got nan"),
         (["resources", "--kappa", "0.5"], "kappa must be >= 1"),
+        (["resources", "--c-gate", "-5"], "c_gate and c_overhead must be positive"),
+        (["resources", "--c-overhead", "-1"], "c_gate and c_overhead must be positive"),
     ])
     def test_bad_setting_exits_2_before_any_run(self, grid_env, capsys, monkeypatch,
                                                  argv, message):

@@ -20,8 +20,6 @@ from qpolicy.engine import (
     policy_improve,
     run_qpolicy,
     run_qpolicy_lockstep,
-    verify_convergence_bound,
-    verify_stability,
 )
 from qpolicy.mdp import (
     Policy,
@@ -32,8 +30,7 @@ from qpolicy.mdp import (
 )
 from qpolicy.rng import stream
 
-from oracles import TWO_STATE_TWO_ACTION_ROWS, absorbing_single, enumerate_optimal_values, \
-    random_mdp, two_state_two_action
+from oracles import absorbing_single, random_mdp
 
 
 def exact_cfg(**kw):
@@ -524,57 +521,3 @@ class TestRunQPolicyLockstep:
             run_qpolicy_lockstep(grid4, LOCKSTEP_MEMBERS[:2] + [bad])
         assert str(lockstep.value) == str(solo.value)
 
-
-class TestVerifyStability:
-    def test_zero_perturbation_on_optimal_policy(self, grid4):
-        _, policy = value_iteration(grid4, 1e-10)
-        report = verify_stability(grid4, policy, 0.0, trials=5, seed=0)
-        assert report.violations == 0
-        assert report.max_value_change <= 1e-9
-
-    def test_grid_perturbations_within_bound(self, grid4):
-        _, policy = value_iteration(grid4, 1e-10)
-        report = verify_stability(grid4, policy, 0.05, trials=100, seed=1)
-        assert report.bound == pytest.approx(2 * 0.95 * 0.05 / 0.05)
-        assert report.violations == 0
-
-    def test_single_state_closed_form(self):
-        mdp = absorbing_single(reward=1.0, gamma=0.5)
-        report = verify_stability(mdp, Policy([0]), 0.1, trials=10, seed=2)
-        assert report.violations == 0
-        assert report.max_value_change == 0.0  # only one policy exists
-
-    def test_rejects_negative_epsilon(self, grid4):
-        with pytest.raises(ValueError):
-            verify_stability(grid4, Policy(np.zeros(16, dtype=int)), -0.1)
-
-
-class TestVerifyConvergenceBound:
-    def test_zero_error_reaches_optimal(self, grid4):
-        report = verify_convergence_bound(grid4, 0.0, seed=0)
-        assert report.gap <= 1e-8
-        assert report.holds
-
-    def test_grid_bound_value(self, grid4):
-        report = verify_convergence_bound(grid4, 0.01, seed=0)
-        assert report.iterations == int(np.ceil(np.log(100.0) / 0.05))  # 93
-        assert report.bound == pytest.approx(7.6)
-        assert report.holds
-        assert report.gap <= report.bound
-
-    def test_two_state_with_enumeration_oracle(self):
-        mdp = two_state_two_action(gamma=0.5)
-        report = verify_convergence_bound(mdp, 0.1, seed=3)
-        assert report.bound == pytest.approx(0.4)
-        # independent optimal values from exhaustive policy enumeration
-        best = enumerate_optimal_values(mdp, TWO_STATE_TWO_ACTION_ROWS)
-        q_star, _ = value_iteration(mdp, 1e-10)
-        assert np.abs(q_star.max(axis=1) - best).max() <= 1e-8
-        assert report.holds
-        # the small-gamma variant bound is finite only below 1/3
-        assert report.bound_small_gamma == np.inf
-
-    def test_small_gamma_variant_reported(self):
-        mdp = absorbing_single(reward=1.0, gamma=0.25)
-        report = verify_convergence_bound(mdp, 0.1, seed=0)
-        assert report.bound_small_gamma == pytest.approx(2 * 0.1 / 0.25)

@@ -166,6 +166,12 @@ class TestResources:
         with pytest.raises(ValueError):
             estimate_resources(grid4, QPolicyConfig(), kappa=0.5)
 
+    @pytest.mark.parametrize("constants", [{"c_gate": -5.0}, {"c_overhead": -1.0},
+                                           {"c_gate": 0.0}, {"c_overhead": float("nan")}])
+    def test_calibration_constant_validation(self, grid4, constants):
+        with pytest.raises(ValueError, match="c_gate and c_overhead must be positive"):
+            estimate_resources(grid4, QPolicyConfig(), **constants)
+
 
 # ---------------------------------------------------------------------------
 # Query complexity

@@ -30,6 +30,7 @@ from qpolicy.mdp import (
 )
 
 from oracles import (
+    TWO_STATE_TWO_ACTION_ROWS,
     absorbing_single,
     dense_cdf_mc_policy_evaluation,
     dense_transitions,
@@ -42,6 +43,7 @@ from oracles import (
     random_mdp,
     random_rows,
     two_state_chain,
+    two_state_two_action,
 )
 
 
@@ -254,8 +256,16 @@ def grid4_doc(**changes) -> dict:
      "transitions entry 64: a second row for (s, a) = (0, 0)"),
     (grid4_doc(transitions=grid4_doc()["transitions"][:5] + grid4_doc()["transitions"][6:]),
      "transitions has no entry for (s, a) = (1, 1)"),
+    (grid4_doc(num_states=16.9), "num_states must be an integer, got 16.9"),
+    (grid4_doc(num_actions=4.5), "num_actions must be an integer, got 4.5"),
+    (grid4_doc(start=1.5), "start must be an integer, got 1.5"),
+    (grid4_doc(start=True), "start must be an integer, got True"),
+    (grid4_doc(gamma="0.5"), "gamma must be a number, got '0.5'"),
+    (grid4_doc(gamma=True), "gamma must be a number, got True"),
 ], ids=["nan_probability", "terminal_out_of_range", "fractional_next_state", "state_past_end",
-        "negative_state", "fractional_action", "repeated_pair", "missing_pair"])
+        "negative_state", "fractional_action", "repeated_pair", "missing_pair",
+        "fractional_num_states", "fractional_num_actions", "fractional_start", "bool_start",
+        "string_gamma", "bool_gamma"])
 def test_bad_environment_document_rejected(doc, message):
     with pytest.raises(ValueError) as exc:
         mdp_from_dict(doc)
@@ -388,14 +398,16 @@ class TestValueIteration:
         assert q[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_matches_exhaustive_enumeration_2x2(self):
-        mdp = build_gridworld(2, 2, 0.2, (1, 1), 0.9)
-        rows = grid_rows(2, 2, 0.2, (1, 1))
-        best = enumerate_optimal_values(mdp, rows)
-        q, policy = value_iteration(mdp, 1e-10)
-        assert np.abs(q.max(axis=1) - best).max() < 1e-8
-        # the greedy policy attains the enumerated optimum
-        v_pi = policy_values(mdp, policy, linear_solve_q(mdp, policy, rows))
-        assert np.abs(v_pi - best).max() < 1e-8
+        for mdp, rows in [
+            (build_gridworld(2, 2, 0.2, (1, 1), 0.9), grid_rows(2, 2, 0.2, (1, 1))),
+            (two_state_two_action(0.5), TWO_STATE_TWO_ACTION_ROWS),
+        ]:
+            best = enumerate_optimal_values(mdp, rows)
+            q, policy = value_iteration(mdp, 1e-10)
+            assert np.abs(q.max(axis=1) - best).max() < 1e-8
+            # the greedy policy attains the enumerated optimum
+            v_pi = policy_values(mdp, policy, linear_solve_q(mdp, policy, rows))
+            assert np.abs(v_pi - best).max() < 1e-8
 
     def test_tie_break_lowest_index(self):
         assert greedy_actions(np.array([[2.0, 2.0, 0.0, 2.0]]))[0] == 0

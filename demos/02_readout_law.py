@@ -7,7 +7,7 @@ draws a binomial mean of that value, whose variance readout_variance gives.
 """
 import numpy as np
 
-from qpolicy import SHOT_SAMPLING, EstimatorConfig, NoiseModel, amplitude_encode
+from qpolicy import SHOT_SAMPLING, EstimatorConfig, amplitude_encode
 from qpolicy.emulator import depolarized_value, readout_batch, readout_variance
 from qpolicy.rng import stream
 
@@ -32,7 +32,7 @@ for p in (0.0, 0.05, 0.75):
 print("at p = 0.75 every input becomes maximally mixed")
 
 # shot-mode reads: a binomial mean of the depolarized value
-config = EstimatorConfig(mode=SHOT_SAMPLING, shots=512, noise=NoiseModel(0.05))
+config = EstimatorConfig(mode=SHOT_SAMPLING, shots=512, noise_p=0.05)
 reads = readout_batch(np.full(20_000, v), config, stream(0, 0))
 print(f"\n20000 reads at {config.shots} shots, p = 0.05:")
 print(f"mean     {reads.mean():.5f}, depolarized_value {depolarized_value(v, 0.05):.5f}")

@@ -24,7 +24,7 @@ print(f"  final policy equals the value-iteration policy: {match}")
 print("\nshot-sampled readout, 512 shots per table entry:")
 cfg = QPolicyConfig(
     epsilon=0.01,
-    estimator=EstimatorConfig(mode="shot_sampling", shots=512, seed=0),
+    estimator=EstimatorConfig(mode="shot_sampling", shots=512),
     seed=0, max_iterations=30, convergence_tol=1e-12,
 )
 records, _ = run_qpolicy(grid, cfg)

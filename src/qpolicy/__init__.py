@@ -13,7 +13,6 @@ from .emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
     EstimatorConfig,
-    NoiseModel,
     StateVector,
     amplitude_encode,
     shift_for_encoding,

@@ -251,30 +251,40 @@ def _load_environment(path: str | None, env, gamma: float | None) -> TabularMDP:
         raise ConfigError(str(exc)) from exc
 
 
+# Each environment builder's spec keys, which are also gen-env's flags
+_BUILDER_KEYS = {"gridworld": ("width", "height", "slip", "goal", "gamma"),
+                 "frozenlake": ("size", "slippery", "gamma")}
+
+
 def _build_environment(spec: dict) -> TabularMDP:
+    """A key left out takes its default: slip 0.2, goal the bottom-right
+    cell, slippery true and the builder's own gamma."""
     spec = dict(spec)
     builder = spec.pop("builder", None)
-    known = {"gridworld": {"width", "height", "slip", "goal", "gamma"},
-             "frozenlake": {"size", "slippery", "gamma"}}.get(str(builder))
+    known = _BUILDER_KEYS.get(str(builder))
     if known is None:
         raise ConfigError(f"unknown environment builder {builder!r}")
-    unknown = set(spec) - known
+    unknown = set(spec) - set(known)
     if unknown:
         raise ConfigError(f"unknown environment keys: {sorted(unknown)}")
     try:
+        gamma = {"gamma": _convert("gamma", REAL, spec["gamma"])} if "gamma" in spec else {}
         if builder == "gridworld":
+            width, height = (_convert(k, COUNT, spec[k]) for k in ("width", "height"))
             return build_gridworld(
-                width=_convert("width", COUNT, spec["width"]),
-                height=_convert("height", COUNT, spec["height"]),
+                width=width, height=height,
                 slip_prob=_convert("slip", PROBABILITY, spec.get("slip", 0.2)),
-                goal=tuple(_convert("goal", _list_of(INTEGER), spec["goal"])),
-                gamma=_convert("gamma", REAL, spec.get("gamma", 0.95)),
+                goal=tuple(_convert("goal", _list_of(INTEGER),
+                                    spec.get("goal", [height - 1, width - 1]))),
+                **gamma,
             )
         return build_frozenlake(
             size=_convert("size", COUNT, spec["size"]),
             slippery=_convert("slippery", BOOLEAN, spec.get("slippery", True)),
-            gamma=_convert("gamma", REAL, spec.get("gamma", 0.95)),
+            **gamma,
         )
+    except KeyError as exc:  # width and height, or size
+        raise ConfigError(f"{builder} needs {exc.args[0]}") from exc
     except (LookupError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad environment parameters: {exc}") from exc
 
@@ -283,7 +293,8 @@ def _manifest(study: str, mdp: TabularMDP, config, seeds) -> dict:
     return {
         "study": study,
         "environment": mdp_to_dict(mdp),
-        "config": asdict(config),
+        # without its seed: the seeds list is that setting's one home
+        "config": {k: v for k, v in asdict(config).items() if k != "seed"},
         "seeds": list(seeds),
         "version": f"qpolicy-{__version__}",
     }
@@ -334,18 +345,10 @@ def _pad_series(series: list[list[float]]) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_env(args) -> None:
-    if args.builder == "gridworld":
-        if args.width is None or args.height is None:
-            raise ConfigError("gridworld needs --width and --height")
-        goal = args.goal or [args.height - 1, args.width - 1]
-        spec = {"builder": "gridworld", "width": args.width, "height": args.height,
-                "slip": args.slip, "goal": goal, "gamma": args.gamma}
-    else:
-        if args.size is None:
-            raise ConfigError("frozenlake needs --size")
-        spec = {"builder": "frozenlake", "size": args.size,
-                "slippery": args.slippery, "gamma": args.gamma}
-    mdp = _build_environment(spec)
+    # only the flags given: _build_environment applies the defaults
+    spec = {name: getattr(args, name) for name in _BUILDER_KEYS[args.builder]
+            if getattr(args, name) is not None}
+    mdp = _build_environment({"builder": args.builder, **spec})
     save_mdp(mdp, args.out)
     print(f"wrote {args.out}: {mdp.num_states} states, {mdp.num_actions} actions")
 
@@ -436,7 +439,7 @@ def _cmd_resources(args, s: dict, mdp: TabularMDP) -> None:
     try:
         est = estimate_resources(mdp, config, kappa=s["kappa"], c_gate=s["c_gate"],
                                  c_overhead=s["c_overhead"])
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(json.dumps(asdict(est), indent=2, sort_keys=True))
 
@@ -480,11 +483,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("builder", choices=["gridworld", "frozenlake"])
     gen.add_argument("--width", type=int)
     gen.add_argument("--height", type=int)
-    gen.add_argument("--slip", type=float, default=0.2)
-    gen.add_argument("--goal", type=str, default=None, help="row,col (default bottom-right)")
+    gen.add_argument("--slip", type=float, help="slip probability (default 0.2)")
+    gen.add_argument("--goal", type=str, help="row,col (default bottom-right)")
     gen.add_argument("--size", type=int, choices=[4, 8, 10])
-    gen.add_argument("--slippery", action=argparse.BooleanOptionalAction, default=True)
-    gen.add_argument("--gamma", type=float, default=0.95)
+    gen.add_argument("--slippery", action=argparse.BooleanOptionalAction, help="default on")
+    gen.add_argument("--gamma", type=float, help="discount (default 0.95)")
     gen.add_argument("--out", type=str, default="env.json")
 
     for command, (_, help_text, defaults) in COMMANDS.items():

@@ -17,7 +17,7 @@ either law in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
@@ -45,40 +45,33 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Depolarizing strength p of the channel on the readout qubit."""
-
-    depolarizing_p: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.depolarizing_p <= 1.0:
-            raise ValueError("depolarizing probability must lie in [0, 1]")
-
-
 @dataclass
 class EstimatorConfig:
-    """How scalar values in [0, 1] are read out, and what each readout costs.
+    """All readout settings: how values in [0, 1] are read out, at what cost.
 
     shot_sampling draws `shots` one-shot measurements (cost = shots);
     ae_oracle returns the value to additive precision epsilon at cost
-    ceil(c_ae / epsilon).
+    ceil(c_ae / epsilon). Either reads through the depolarizing channel of
+    strength noise_p on the readout qubit.
 
-    Nothing in the library reads seed: the engine draws its readout streams
-    from QPolicyConfig.seed. The field stays because manifests record it and
-    the benchmark worker passes it.
+    seed is accepted and dropped: the benchmark worker passes it, and the
+    engine draws its readout streams from QPolicyConfig.seed.
     """
 
     mode: str = SHOT_SAMPLING
     shots: int = 512
     epsilon: float = 0.01
     c_ae: float = 1.0
-    noise: NoiseModel = field(default_factory=NoiseModel)
-    seed: int = 0
+    noise_p: float = 0.0
+    seed: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
         if self.mode not in (AE_ORACLE, SHOT_SAMPLING):
             raise ValueError(f"unknown estimator mode {self.mode!r}")
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if not 0.0 <= self.noise_p <= 1.0:
+            raise ValueError("noise_p must lie in [0, 1]")
         if self.mode == SHOT_SAMPLING and self.shots < 1:
             raise ValueError("shot_sampling requires shots >= 1")
         if self.mode == AE_ORACLE and not 0.0 < self.epsilon < 1.0:
@@ -180,7 +173,7 @@ def readout_batch(values: np.ndarray, config: EstimatorConfig,
     # written so that a NaN, for which every comparison is False, fails it
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("readout values must lie in [0, 1]")
-    noisy = depolarized_value(values, config.noise.depolarizing_p)
+    noisy = depolarized_value(values, config.noise_p)
     if config.mode == AE_ORACLE:
         error = rng.uniform(-config.epsilon, config.epsilon, size=values.shape)
         return np.clip(noisy + error, 0.0, 1.0)
@@ -196,7 +189,7 @@ def readout_variance(values: np.ndarray, config: EstimatorConfig) -> np.ndarray:
     clip cannot act. shot_sampling: a binomial mean over `shots` draws of
     p~ has variance p~ (1 - p~) / shots.
     """
-    noisy = depolarized_value(np.asarray(values, dtype=float), config.noise.depolarizing_p)
+    noisy = depolarized_value(np.asarray(values, dtype=float), config.noise_p)
     if config.mode == AE_ORACLE:
         return _clipped_uniform_variance(noisy, config.epsilon)
     return noisy * (1.0 - noisy) / config.shots

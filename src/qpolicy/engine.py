@@ -7,12 +7,12 @@ the Monte Carlo arm's (experiments.run_mc_policy_iteration) differ only
 there. The engine's step computes exact one-step backup targets from the
 model (the action the Bellman unitary would implement), maps the target
 table affinely into [0, 1] and reads every entry back once through the
-configured estimator. Iteration k backs q_k up under its own greedy
-policy, which makes the target T* q_k (up to the 1e-9 tie tolerance of
+run's estimator. Iteration k backs q_k up under its own greedy policy,
+which makes the target T* q_k (up to the 1e-9 tie tolerance of
 greedy_actions): the engine is value iteration with read-out backups.
-An ae_oracle read at precision epsilon under depolarizing strength p lies
-within epsilon + 2p/3 of its target mapped into [0, 1], so with span_k the
-span of iteration k's targets every run obeys the noisy value-iteration
+An ae_oracle read at the estimator's epsilon and noise_p = p lies within
+epsilon + 2p/3 of its target mapped into [0, 1], so with span_k the span
+of iteration k's targets every run obeys the noisy value-iteration
 recursion ||q_{k+1} - Q*|| <= gamma ||q_k - Q*|| + (epsilon + 2p/3) span_k
 in the max norm (Bertsekas & Tsitsiklis 1996), and the greedy policy of q_k
 loses at most 2 ||q_k - Q*|| / (1 - gamma) (Singh & Yee 1994).
@@ -25,14 +25,13 @@ readout variance is the estimator's expected variance, in closed form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 
 from .emulator import (
     AE_ORACLE,
     EstimatorConfig,
-    NoiseModel,
     ae_query_cost,
     amplitude_encode,
     readout_batch,
@@ -68,50 +67,38 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class QPolicyConfig:
-    """Knobs for one policy-iteration run.
+    """One policy-iteration run: its estimator, which holds every readout
+    setting, its stop rule and its seed; the discount is the MDP's
+    (TabularMDP.with_gamma gives a model at another one). epsilon is
+    construction shorthand, not a field: with no estimator, the run reads
+    out through ae_oracle at precision epsilon (0.01 when it is not given);
+    with one, epsilon is ignored."""
 
-    epsilon is only the precision of the default estimator, made when none
-    is supplied; nothing else reads it, so an explicit estimator's epsilon
-    is the one that counts. The discount is the MDP's (TabularMDP.with_gamma
-    gives a model at another one).
-    """
-
-    epsilon: float = 0.01
+    epsilon: InitVar[float | None] = None
     estimator: EstimatorConfig | None = None
     max_iterations: int = 100
     convergence_tol: float = 1e-8
     seed: int = 0
 
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+    def __post_init__(self, epsilon):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be positive")
         if self.estimator is None:
             self.estimator = EstimatorConfig(
-                mode=AE_ORACLE, epsilon=self.epsilon, seed=self.seed
-            )
-
-    def effective(self) -> "QPolicyConfig":
-        """This config with the fields run_qpolicy never reads reset: epsilon,
-        and the estimator fields its mode ignores (EstimatorConfig.effective)."""
-        return replace(self, epsilon=QPolicyConfig.epsilon,
-                       estimator=self.estimator.effective())
+                mode=AE_ORACLE, epsilon=0.01 if epsilon is None else epsilon)
 
     def with_settings(self, seed: int, *, mode=None, shots=None, epsilon=None, c_ae=None,
                       noise_p=None, iters=None, tol=None) -> "QPolicyConfig":
         """This config at seed, with each setting that is not None applied,
-        under the command line's names: mode, shots, c_ae and noise_p set the
-        estimator, epsilon both the estimator and this config, iters
+        under the command line's names: mode, shots, epsilon, c_ae and
+        noise_p set the estimator's fields of those names, iters
         max_iterations and tol convergence_tol. Raises ValueError for a value
         the config or its estimator rejects."""
-        given = {"mode": mode, "shots": shots, "epsilon": epsilon, "c_ae": c_ae,
-                 "noise": None if noise_p is None else NoiseModel(noise_p)}
-        own = {"epsilon": epsilon, "max_iterations": iters, "convergence_tol": tol}
-        estimator = replace(self.estimator, seed=seed,
-                            **{k: v for k, v in given.items() if v is not None})
+        given = {"mode": mode, "shots": shots, "epsilon": epsilon, "c_ae": c_ae, "noise_p": noise_p}
+        own = {"max_iterations": iters, "convergence_tol": tol}
+        estimator = replace(self.estimator, **{k: v for k, v in given.items() if v is not None})
         return replace(self, seed=seed, estimator=estimator,
                        **{k: v for k, v in own.items() if v is not None})
 

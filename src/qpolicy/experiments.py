@@ -16,7 +16,7 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -212,7 +212,6 @@ def calibrated_query_config() -> QPolicyConfig:
     queries per iteration.
     """
     return QPolicyConfig(
-        epsilon=0.01,
         estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=0.04),
         max_iterations=50,
         convergence_tol=1e-12,
@@ -289,9 +288,11 @@ def matched_accuracy_scaling(epsilons: Sequence[float], seed: int) -> list[Scali
 # ---------------------------------------------------------------------------
 
 def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
-    """Run keyed configs; keys with one effective config share its run, and
+    """Run keyed configs; keys whose configs differ only in fields their
+    estimator's mode ignores (EstimatorConfig.effective) share one run, and
     the distinct runs go through one run_qpolicy_lockstep call."""
-    effective = {key: astuple(cfg.effective()) for key, cfg in jobs.items()}
+    effective = {key: astuple(replace(cfg, estimator=cfg.estimator.effective()))
+                 for key, cfg in jobs.items()}
     distinct = {}  # effective config -> the first config that has it
     for key, cfg in jobs.items():
         distinct.setdefault(effective[key], cfg)
@@ -314,11 +315,9 @@ def run_ablation(mdp: TabularMDP, epsilons: Sequence[float], shot_counts: Sequen
     """Full Cartesian sweep over (epsilon, shots) and seeds, each run for
     config.max_iterations iterations. Cells with one effective config share
     one run's records list: shot mode never reads epsilon, ae_oracle mode
-    never reads shots (QPolicyConfig.effective)."""
+    never reads shots (EstimatorConfig.effective)."""
     if not epsilons or not shot_counts or not seeds:
         raise ValueError("epsilons, shot counts and seeds must be nonempty")
-    if any(e <= 0 for e in epsilons):
-        raise ValueError("epsilons must be positive")
     # checked here: an ae_oracle estimator takes any shot count
     if any(s <= 0 for s in shot_counts):
         raise ValueError("shot counts must be positive")
@@ -354,10 +353,14 @@ def estimate_resources(mdp: TabularMDP, config: QPolicyConfig, kappa: float = 1.
         raise ValueError("c_gate and c_overhead must be positive")
     pairs = mdp.num_states * mdp.num_actions
     qubits = (pairs - 1).bit_length()
-    gates_update = round(c_gate * mdp.sparsity_d * kappa)
     ae_queries = ae_query_cost(EstimatorConfig(
         mode=AE_ORACLE, epsilon=config.estimator.epsilon, c_ae=config.estimator.c_ae))
-    gates_iteration = round(gates_update * ae_queries * c_overhead)
+    try:
+        gates_update = round(c_gate * mdp.sparsity_d * kappa)
+        gates_iteration = round(gates_update * ae_queries * c_overhead)
+    except OverflowError:  # round(inf), or an int past the float range
+        raise ValueError(f"the gate count overflows the float range at c_gate {c_gate!r}, "
+                         f"kappa {kappa!r} and c_overhead {c_overhead!r}") from None
     return ResourceEstimate(
         qubits=qubits,
         gates_per_bellman_update=int(gates_update),

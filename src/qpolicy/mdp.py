@@ -607,17 +607,25 @@ def mdp_to_dict(mdp: TabularMDP) -> dict:
     }
 
 
-def _json_scalar(doc: dict, field: str, kinds: tuple, what: str):
-    """doc[field] if its type is one of kinds (a bool is not an int here)."""
-    value = doc[field]
-    if type(value) not in kinds:
-        raise ValueError(f"{field} must be {what}, got {value!r}")
+def _json_checked(field: str, value, kinds: tuple, what: str, depth: int = 0):
+    """value, once it is lists nested depth deep whose leaves have types
+    among kinds, checked level by level; else a ValueError naming field and
+    the first value of another type. A bool is not an int here: the float
+    conversions behind from_rows would read "1" or true as 1."""
+    items = [value]
+    for level in range(depth, -1, -1):
+        allowed = kinds if level == 0 else (list,)
+        if not set(map(type, items)) <= set(allowed):
+            bad = next(v for v in items if type(v) not in allowed)
+            raise ValueError(f"{field} must be {what}, got {bad!r}")
+        if level:
+            items = list(chain.from_iterable(items))
     return value
 
 
 def mdp_from_dict(doc: dict) -> TabularMDP:
-    num_states = _json_scalar(doc, "num_states", (int,), "an integer")
-    num_actions = _json_scalar(doc, "num_actions", (int,), "an integer")
+    num_states = _json_checked("num_states", doc["num_states"], (int,), "an integer")
+    num_actions = _json_checked("num_actions", doc["num_actions"], (int,), "an integer")
     rows = [[[] for _ in range(num_actions)] for _ in range(num_states)]
     placed = set()
     for i, entry in enumerate(doc["transitions"]):
@@ -634,10 +642,15 @@ def mdp_from_dict(doc: dict) -> TabularMDP:
         s, a = next((s, a) for s in range(num_states) for a in range(num_actions)
                     if (s, a) not in placed)
         raise ValueError(f"transitions has no entry for (s, a) = ({s}, {a})")
-    gamma = _json_scalar(doc, "gamma", (int, float), "a number")
-    return TabularMDP.from_rows(num_states, num_actions, rows, doc["rewards"], float(gamma),
-                                terminal_states=frozenset(doc["terminals"]),
-                                start_state=_json_scalar(doc, "start", (int,), "an integer"))
+    start = _json_checked("start", doc["start"], (int,), "an integer")
+    number = (int, float)  # whether a number is an index, the constructor checks
+    gamma = _json_checked("gamma", doc["gamma"], number, "a number")
+    rewards = _json_checked("rewards", doc["rewards"], number, "a list of lists of numbers", 2)
+    terminals = _json_checked("terminals", doc["terminals"], number, "a list of numbers", 1)
+    _json_checked("transitions rows", rows, number,
+                  "lists of [next state, probability] number pairs", 4)
+    return TabularMDP.from_rows(num_states, num_actions, rows, rewards, float(gamma),
+                                terminal_states=frozenset(terminals), start_state=start)
 
 
 def save_mdp(mdp: TabularMDP, path: str | os.PathLike) -> None:

@@ -293,7 +293,7 @@ def test_c13_noise_study(lake):
     # the p = 0 arm must be bitwise identical to a run without a noise model
     plain_cfg = QPolicyConfig(
         epsilon=0.01,
-        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=17),
+        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
         seed=17, max_iterations=50, convergence_tol=1e-12,
     )
     plain, _ = run_qpolicy(lake, plain_cfg)

@@ -32,6 +32,12 @@ class TestGenEnv:
                      "--out", str(path)]) == EXIT_OK
         assert load_mdp(path).num_states == 64
 
+    def test_missing_size_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["gen-env", "frozenlake", "--out", str(out)]) == EXIT_CONFIG
+        assert "frozenlake needs size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_width_exits_2(self, tmp_path, capsys):
         code = main(["gen-env", "gridworld", "--width", "0", "--height", "4",
                      "--out", str(tmp_path / "x.json")])
@@ -45,6 +51,21 @@ class TestGenEnv:
         assert code == EXIT_CONFIG
         assert "goal must be (row, col), got (3, 3, 7)" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, flags", [
+        ({"builder": "gridworld", "width": 4, "height": 4}, ["gridworld", "--width", "4",
+                                                            "--height", "4"]),
+        ({"builder": "frozenlake", "size": 4}, ["frozenlake", "--size", "4"]),
+    ], ids=["gridworld", "frozenlake"])
+    def test_a_spec_takes_the_defaults_of_gen_env(self, tmp_path, spec, flags):
+        # goal, slip, slippery and gamma left out: one default for each
+        env, cfg = tmp_path / "env.json", tmp_path / "cfg.json"
+        assert main(["gen-env", *flags, "--out", str(env)]) == EXIT_OK
+        cfg.write_text(json.dumps({"environment": spec}))
+        assert main(["run", "--config", str(cfg), "--iters", "2", "--out",
+                     str(tmp_path / "spec")]) == EXIT_OK
+        manifest = json.loads((tmp_path / "spec" / "manifest.json").read_text())
+        assert manifest["environment"] == json.loads(env.read_text())
 
 
 class TestRun:
@@ -137,6 +158,11 @@ class TestRun:
         ("fractional_start", "start must be an integer, got 1.5"),
         ("bool_start", "start must be an integer, got True"),
         ("string_gamma", "gamma must be a number, got '0.5'"),
+        ("string_reward", "rewards must be a list of lists of numbers, got '1'"),
+        ("bool_reward", "rewards must be a list of lists of numbers, got True"),
+        ("bool_probability", "number pairs, got True"),
+        ("string_next_state", "number pairs, got '0'"),
+        ("string_terminals", "terminals must be a list of numbers, got '15'"),
     ])
     def test_invalid_env_file_exits_2(self, grid_env, tmp_path, capsys, defect, message):
         doc = json.loads(Path(grid_env).read_text(encoding="utf-8"))
@@ -163,6 +189,14 @@ class TestRun:
             doc["start"] = True
         elif defect == "string_gamma":
             doc["gamma"] = "0.5"
+        elif defect in ("string_reward", "bool_reward"):
+            doc["rewards"][0][0] = "1" if defect == "string_reward" else True
+        elif defect == "bool_probability":
+            first["rows"] = [[1, True]]
+        elif defect == "string_next_state":
+            first["rows"] = [["0", 1.0]]
+        elif defect == "string_terminals":
+            doc["terminals"] = "15"
         else:
             doc["transitions"].append(dict(first, rows=[[1, 1.0]]))
         env = tmp_path / "bad_env.json"
@@ -203,7 +237,7 @@ class TestConfigFile:
                      "--epsilon", "0.02", "--out", str(out)])
         assert code == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["epsilon"] == 0.02  # flag wins
+        assert manifest["config"]["estimator"]["epsilon"] == 0.02  # flag wins
         assert manifest["seeds"] == [2]  # file value used
         lines = (out / "records.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # header + 7 iterations
@@ -274,6 +308,8 @@ class TestSettings:
         ("run", {"environment": {"builder": "gridworld", "width": 4, "height": 4,
                                  "goal": [3, 3, 7]}}, "goal must be (row, col), got (3, 3, 7)"),
         ("run", {"gamma": 1}, "gamma must lie in [0, 1), got 1.0"),
+        ("run", {"environment": {"builder": "gridworld", "width": 4}}, "gridworld needs height"),
+        ("run", {"environment": {"builder": "frozenlake"}}, "frozenlake needs size"),
     ])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, doc, message):
         doc.setdefault("environment", {"builder": "gridworld", "width": 4, "height": 4,
@@ -294,6 +330,12 @@ class TestSettings:
         (["resources", "--kappa", "0.5"], "kappa must be >= 1"),
         (["resources", "--c-gate", "-5"], "c_gate and c_overhead must be positive"),
         (["resources", "--c-overhead", "-1"], "c_gate and c_overhead must be positive"),
+        (["resources", "--c-gate", "1e300", "--c-overhead", "1e300"],
+         "the gate count overflows the float range at c_gate 1e+300, kappa 1.0 and "
+         "c_overhead 1e+300"),
+        # shot mode reads no epsilon, and still rejects one that is not positive
+        (["run", "--epsilon", "-0.1"], "epsilon must be positive"),
+        (["run", "--noise-p", "1.5"], "noise_p must be a number in [0, 1], got 1.5"),
     ])
     def test_bad_setting_exits_2_before_any_run(self, grid_env, capsys, monkeypatch,
                                                  argv, message):

@@ -6,7 +6,6 @@ from qpolicy.emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
     EstimatorConfig,
-    NoiseModel,
     StateVector,
     ae_query_cost,
     amplitude_encode,
@@ -169,7 +168,7 @@ class TestAmplitudeEstimate:
 
     def test_noise_shifts_target(self):
         # at p = 1 every readout targets the fully depolarized value
-        cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, noise=NoiseModel(1.0))
+        cfg = EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, noise_p=1.0)
         reads = readout_batch(np.zeros(1000), cfg, np.random.default_rng(0))
         assert np.abs(reads - 2.0 / 3.0).max() <= 0.01 + 1e-15
 
@@ -191,8 +190,8 @@ class TestAmplitudeEstimate:
             EstimatorConfig(mode=SHOT_SAMPLING, shots=0)
         with pytest.raises(ValueError):
             EstimatorConfig(mode="other")
-        with pytest.raises(ValueError):
-            NoiseModel(-0.1)
+        with pytest.raises(ValueError, match=r"noise_p must lie in \[0, 1\]"):
+            EstimatorConfig(noise_p=-0.1)
         # a query cost ceil(c_ae / epsilon) past the float range cannot be charged
         with pytest.raises(ValueError, match="finite readout cost"):
             EstimatorConfig(mode=AE_ORACLE, epsilon=1e-320)

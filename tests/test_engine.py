@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from qpolicy.emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
     EstimatorConfig,
-    NoiseModel,
 )
 from qpolicy.engine import (
     _READOUT,
@@ -80,7 +79,7 @@ class TestQuantumBellmanUpdate:
             eps = float(rng.choice([0.3, 0.1, 0.02]))
             targets = bellman_backup(grid4, q, policy)
             q_tilde, _, _ = _read_out(targets, _readout_mask(grid4),
-                                      EstimatorConfig(mode=AE_ORACLE, epsilon=eps, seed=trial),
+                                      EstimatorConfig(mode=AE_ORACLE, epsilon=eps),
                                       stream(trial, _READOUT, 0))
             span = targets.max() - targets.min()
             assert np.abs(q_tilde - targets).max() <= eps * span + 1e-12
@@ -146,9 +145,9 @@ class TestReadoutVariance:
 
     @pytest.mark.parametrize("estimator", [
         EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
-        EstimatorConfig(mode=SHOT_SAMPLING, shots=256, noise=NoiseModel(0.05)),
+        EstimatorConfig(mode=SHOT_SAMPLING, shots=256, noise_p=0.05),
         EstimatorConfig(mode=AE_ORACLE, epsilon=0.05),
-        EstimatorConfig(mode=AE_ORACLE, epsilon=0.5, noise=NoiseModel(0.05)),
+        EstimatorConfig(mode=AE_ORACLE, epsilon=0.5, noise_p=0.05),
     ], ids=["shots", "shots_p0.05", "ae_oracle", "ae_oracle_clipped"])
     def test_matches_sampled_variance(self, estimator):
         targets = self._targets()
@@ -245,7 +244,7 @@ class TestRunQPolicy:
         # late-run mean must still sit below the early-run mean
         cfg = QPolicyConfig(
             epsilon=0.05,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=6),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
             seed=6, max_iterations=40, convergence_tol=1e-12,
         )
         records, _ = run_qpolicy(grid4, cfg)
@@ -274,7 +273,7 @@ class TestRunQPolicy:
     def test_query_accounting_additive(self, grid4):
         cfg = QPolicyConfig(
             epsilon=0.1,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=128, seed=4),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=128),
             seed=4, max_iterations=12, convergence_tol=1e-12,
         )
         records, _ = run_qpolicy(grid4, cfg)
@@ -286,7 +285,7 @@ class TestRunQPolicy:
     def test_deterministic_given_seed(self, grid4):
         cfg = QPolicyConfig(
             epsilon=0.05,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, seed=7),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
             seed=7, max_iterations=10, convergence_tol=1e-12,
         )
         rec_a, pol_a = run_qpolicy(grid4, cfg)
@@ -299,13 +298,13 @@ class TestRunQPolicy:
     def test_zero_noise_identical_to_noiseless(self, grid4):
         base = QPolicyConfig(
             epsilon=0.05,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=128, seed=2),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=128),
             seed=2, max_iterations=8, convergence_tol=1e-12,
         )
         noisy = QPolicyConfig(
             epsilon=0.05,
             estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=128,
-                                      noise=NoiseModel(0.0), seed=2),
+                                      noise_p=0.0),
             seed=2, max_iterations=8, convergence_tol=1e-12,
         )
         rec_a, _ = run_qpolicy(grid4, base)
@@ -323,7 +322,7 @@ class TestRunQPolicy:
         seed = 13
         cfg = QPolicyConfig(
             epsilon=0.05,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=seed),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
             seed=seed, max_iterations=1,
         )
         records, _ = run_qpolicy(grid4, cfg)
@@ -362,7 +361,7 @@ class TestRunQPolicy:
     def test_large_epsilon_oracle_stays_within_the_reward_bound(self, grid4):
         # unclipped, these reads grew the table by up to gamma (1 + 2 epsilon)
         # per iteration
-        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.5, seed=2),
+        cfg = QPolicyConfig(estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.5),
                             max_iterations=300)
         records, _ = run_qpolicy(grid4, cfg)
         assert len(records) == 300
@@ -375,24 +374,52 @@ class TestRunQPolicy:
             QPolicyConfig(epsilon=-1.0)
 
 
+def test_each_setting_has_one_field():
+    # the estimator holds every readout setting, the run config the rest
+    assert sorted(asdict(QPolicyConfig())) == [
+        "convergence_tol", "estimator", "max_iterations", "seed"]
+    assert sorted(asdict(EstimatorConfig())) == ["c_ae", "epsilon", "mode", "noise_p", "shots"]
+
+
+def test_epsilon_shorthand_builds_the_default_estimator():
+    assert QPolicyConfig(epsilon=0.2).estimator == EstimatorConfig(mode=AE_ORACLE, epsilon=0.2)
+    assert QPolicyConfig().estimator == EstimatorConfig(mode=AE_ORACLE, epsilon=0.01)
+    given = EstimatorConfig(mode=SHOT_SAMPLING, shots=64)
+    assert QPolicyConfig(epsilon=0.2, estimator=given).estimator == given
+    # not a field: replace() and with_settings keep the estimator as it is
+    cfg = QPolicyConfig(epsilon=0.2)
+    assert replace(cfg, seed=4).estimator.epsilon == 0.2
+    assert cfg.with_settings(4).estimator.epsilon == 0.2
+
+
+def test_benchmark_worker_call_still_builds_its_config():
+    # the call in perfbench/worker.py: the estimator's seed is accepted and
+    # dropped, the readout streams come from the run config's seed
+    config = QPolicyConfig(epsilon=0.01,
+                           estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512, seed=7),
+                           max_iterations=50, convergence_tol=1e-12, seed=7)
+    assert config == QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512),
+                                   max_iterations=50, convergence_tol=1e-12, seed=7)
+
+
 # each with_settings setting: a value, and the estimator and config fields it sets
 WITH_SETTINGS = {
     "mode": (AE_ORACLE, {"mode": AE_ORACLE}, {}),
     "shots": (7, {"shots": 7}, {}),
-    "epsilon": (0.2, {"epsilon": 0.2}, {"epsilon": 0.2}),
+    "epsilon": (0.2, {"epsilon": 0.2}, {}),
     "c_ae": (3.0, {"c_ae": 3.0}, {}),
-    "noise_p": (0.1, {"noise": NoiseModel(0.1)}, {}),
+    "noise_p": (0.1, {"noise_p": 0.1}, {}),
     "iters": (7, {}, {"max_iterations": 7}),
     "tol": (1e-3, {}, {"convergence_tol": 1e-3}),
 }
 
 
 class TestWithSettings:
-    base = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, seed=3), seed=3)
+    base = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING), seed=3)
 
     def at_seed(self, seed, estimator, config):
         return replace(self.base, seed=seed, **config,
-                       estimator=replace(self.base.estimator, seed=seed, **estimator))
+                       estimator=replace(self.base.estimator, **estimator))
 
     @pytest.mark.parametrize("setting", list(WITH_SETTINGS))
     def test_sets_exactly_the_named_fields(self, setting):
@@ -415,7 +442,7 @@ class TestWithSettings:
 
 
 def _config(mode, seed, iterations, tol=1e-12, **estimator):
-    return QPolicyConfig(estimator=EstimatorConfig(mode=mode, seed=seed, **estimator),
+    return QPolicyConfig(estimator=EstimatorConfig(mode=mode, **estimator),
                          seed=seed, max_iterations=iterations, convergence_tol=tol)
 
 
@@ -423,10 +450,10 @@ def _config(mode, seed, iterations, tol=1e-12, **estimator):
 # at iterations 16 and 27 of 300, and the last member repeats the first
 LOCKSTEP_MEMBERS = [
     _config(SHOT_SAMPLING, 3, 30, shots=512),
-    _config(AE_ORACLE, 3, 25, epsilon=0.05, noise=NoiseModel(0.02)),
+    _config(AE_ORACLE, 3, 25, epsilon=0.05, noise_p=0.02),
     _config(AE_ORACLE, 0, 300, 1e-3, epsilon=1e-12),
     _config(AE_ORACLE, 0, 300, 1e-6, epsilon=1e-12),
-    _config(SHOT_SAMPLING, 8, 1, shots=64, noise=NoiseModel(0.1)),
+    _config(SHOT_SAMPLING, 8, 1, shots=64, noise_p=0.1),
     _config(AE_ORACLE, 11, 60, 0.05, epsilon=0.001, c_ae=0.04),
     _config(SHOT_SAMPLING, 3, 30, shots=512),
 ]

@@ -7,7 +7,7 @@ from scipy import stats as scipy_stats
 from scipy.special import stdtrit
 
 from qpolicy import experiments
-from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, NoiseModel
+from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
 from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy, run_qpolicy_lockstep
 from qpolicy.experiments import (
     _run_jobs,
@@ -40,7 +40,7 @@ def records_equal(a, b):
 def shot_config(shots=512, iters=40, seed=0, **kw):
     return QPolicyConfig(
         epsilon=0.01,
-        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=shots, seed=seed),
+        estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=shots),
         seed=seed, max_iterations=iters, convergence_tol=1e-12, **kw,
     )
 
@@ -141,8 +141,8 @@ class TestResources:
         assert est.sparsity_d == 4
 
     def test_priced_at_the_estimators_epsilon(self, grid4):
-        # the run reads out at the estimator's 0.01, 100 queries a readout,
-        # whatever QPolicyConfig.epsilon says
+        # the run reads out at the estimator's 0.01, 100 queries a readout:
+        # beside an explicit estimator, the epsilon shorthand is ignored
         cfg = QPolicyConfig(epsilon=0.05, estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01),
                             max_iterations=1)
         (record,), _ = run_qpolicy(grid4, cfg)
@@ -170,6 +170,18 @@ class TestResources:
                                            {"c_gate": 0.0}, {"c_overhead": float("nan")}])
     def test_calibration_constant_validation(self, grid4, constants):
         with pytest.raises(ValueError, match="c_gate and c_overhead must be positive"):
+            estimate_resources(grid4, QPolicyConfig(), **constants)
+
+    # the iteration's count reaches inf; the update's does; the update's
+    # count times 100 queries is an int past the float range
+    @pytest.mark.parametrize("constants", [
+        {"c_gate": 1e300, "c_overhead": 1e300},
+        {"c_gate": 1e300, "kappa": 1e300},
+        {"c_gate": 1e300, "kappa": 1e7},
+    ])
+    def test_gate_count_overflow_names_the_constants(self, grid4, constants):
+        with pytest.raises(ValueError, match="the gate count overflows .*c_gate.*kappa.*"
+                                             "c_overhead"):
             estimate_resources(grid4, QPolicyConfig(), **constants)
 
 
@@ -260,7 +272,7 @@ class TestAblation:
         assert len(runs) == 1 and runs[0].seed == 3
         direct_cfg = QPolicyConfig(
             epsilon=0.02,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, epsilon=0.02, seed=3),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, epsilon=0.02),
             seed=3, max_iterations=15, convergence_tol=1e-12,
         )
         direct, _ = run_qpolicy(grid4, direct_cfg)
@@ -286,7 +298,7 @@ class TestAblation:
             ([], [128], [0], "nonempty"),
             ([0.01], [], [0], "nonempty"),
             ([0.01], [128], [], "nonempty"),
-            ([-0.1], [128], [0], "epsilons must be positive"),
+            ([-0.1], [128], [0], "epsilon must be positive"),
             ([0.01], [0], [0], "shot counts must be positive"),
         ]:
             with pytest.raises(ValueError, match=message):
@@ -314,7 +326,7 @@ def with_mode(config, mode):
 
 # a field run_qpolicy reads, set on the estimator or on the config
 READ_IN_BOTH_MODES = [
-    ("estimator", {"noise": NoiseModel(0.05)}),
+    ("estimator", {"noise_p": 0.05}),
     ("config", {"seed": 1}),
     ("config", {"max_iterations": 5}),
     ("config", {"convergence_tol": 1e-3}),
@@ -400,7 +412,7 @@ class TestNoiseComparison:
         arms = run_noise_comparison(grid4, [0.0, 0.05], cfg, seeds=[5])
         plain_cfg = QPolicyConfig(
             epsilon=0.01,
-            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, seed=5),
+            estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
             seed=5, max_iterations=12, convergence_tol=1e-12,
         )
         plain, _ = run_qpolicy(grid4, plain_cfg)

@@ -234,6 +234,13 @@ def grid4_doc(**changes) -> dict:
     return doc
 
 
+def grid4_rewards(first) -> list:
+    """The grid's rewards with entry (0, 0) replaced by first."""
+    rewards = grid4_doc()["rewards"]
+    rewards[0][0] = first
+    return rewards
+
+
 @pytest.mark.parametrize("doc, message", [
     (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [[1, float("nan")]]}]
                + grid4_doc()["transitions"][1:]),
@@ -262,10 +269,21 @@ def grid4_doc(**changes) -> dict:
     (grid4_doc(start=True), "start must be an integer, got True"),
     (grid4_doc(gamma="0.5"), "gamma must be a number, got '0.5'"),
     (grid4_doc(gamma=True), "gamma must be a number, got True"),
+    # JSON leaves are typed before any float conversion could read them as 1
+    (grid4_doc(rewards=grid4_rewards("1")), "rewards must be a list of lists of numbers, got '1'"),
+    (grid4_doc(rewards=grid4_rewards(True)), "rewards must be a list of lists of numbers, got True"),
+    (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [[1, True]]}]
+               + grid4_doc()["transitions"][1:]),
+     "transitions rows must be lists of [next state, probability] number pairs, got True"),
+    (grid4_doc(transitions=[{"s": 0, "a": 0, "rows": [["0", 1.0]]}]
+               + grid4_doc()["transitions"][1:]),
+     "transitions rows must be lists of [next state, probability] number pairs, got '0'"),
+    (grid4_doc(terminals="15"), "terminals must be a list of numbers, got '15'"),
 ], ids=["nan_probability", "terminal_out_of_range", "fractional_next_state", "state_past_end",
         "negative_state", "fractional_action", "repeated_pair", "missing_pair",
         "fractional_num_states", "fractional_num_actions", "fractional_start", "bool_start",
-        "string_gamma", "bool_gamma"])
+        "string_gamma", "bool_gamma", "string_reward", "bool_reward", "bool_probability",
+        "string_next_state", "string_terminals"])
 def test_bad_environment_document_rejected(doc, message):
     with pytest.raises(ValueError) as exc:
         mdp_from_dict(doc)
@@ -650,7 +668,7 @@ def test_100x100_grid_needs_no_dense_tensor(grid100, monkeypatch):
     assert np.abs(q_pi - q_star).max() < 1e-5
     q_mc, queries = mc_policy_evaluation(mdp, greedy, 200, horizon=20, seed=0)
     assert queries == 200 and np.all(np.isfinite(q_mc))
-    config = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256, seed=0),
+    config = QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
                            max_iterations=3, seed=0)
     records, _ = run_qpolicy(mdp, config)
     assert len(records) == 3

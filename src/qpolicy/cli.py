@@ -345,6 +345,14 @@ def _pad_series(series: list[list[float]]) -> list[list[float]]:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_env(args) -> None:
+    # a flag of the other builder is refused, as a study command refuses a
+    # flag it does not read
+    given = {name for keys in _BUILDER_KEYS.values() for name in keys
+             if getattr(args, name) is not None}
+    unread = sorted(given - set(_BUILDER_KEYS[args.builder]))
+    if unread:
+        raise ConfigError(f"gen-env {args.builder} does not read "
+                          + ", ".join(f"--{name}" for name in unread))
     # only the flags given: _build_environment applies the defaults
     spec = {name: getattr(args, name) for name in _BUILDER_KEYS[args.builder]
             if getattr(args, name) is not None}

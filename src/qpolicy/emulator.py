@@ -68,15 +68,15 @@ class EstimatorConfig:
     def __post_init__(self, seed):
         if self.mode not in (AE_ORACLE, SHOT_SAMPLING):
             raise ValueError(f"unknown estimator mode {self.mode!r}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:  # NaN fails every check written this way
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
-        if self.mode == SHOT_SAMPLING and self.shots < 1:
+        if self.mode == SHOT_SAMPLING and not self.shots >= 1:
             raise ValueError("shot_sampling requires shots >= 1")
         if self.mode == AE_ORACLE and not 0.0 < self.epsilon < 1.0:
             raise ValueError("ae_oracle requires 0 < epsilon < 1")
-        if self.c_ae <= 0:
+        if not self.c_ae > 0:
             raise ValueError("c_ae must be positive")
         if self.mode == AE_ORACLE and not math.isfinite(self.c_ae / self.epsilon):
             raise ValueError("ae_oracle requires a finite readout cost c_ae / epsilon")

@@ -81,9 +81,9 @@ class QPolicyConfig:
     seed: int = 0
 
     def __post_init__(self, epsilon):
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:  # NaN fails every check written this way
             raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
+        if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if self.estimator is None:
             self.estimator = EstimatorConfig(

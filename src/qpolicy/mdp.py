@@ -7,8 +7,11 @@ time per backup grow with S*A*d rather than with the S*A*S of a dense
 tensor; rewards are expected immediate rewards r(s, a). JSON files keep
 ragged (next_state, probability) rows, derived from the arrays on save.
 Terminal states self-loop with zero reward so value recursions need no
-special casing. Everything here is deterministic given its inputs; the
-only random operation, Monte Carlo evaluation, takes an explicit seed.
+special casing. The exact solvers sweep the value vector, S entries a
+sweep, and build the (S, A) table only to confirm their stop and return
+it; the table is that of sweeping whole tables, bit for bit (see _sweep).
+Everything here is deterministic given its inputs; the only random
+operation, Monte Carlo evaluation, takes an explicit seed.
 """
 from __future__ import annotations
 
@@ -125,17 +128,7 @@ class TabularMDP:
     def expect(self, v: np.ndarray) -> np.ndarray:
         """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s'); a
         stack of value vectors, shape (..., S), gives a (..., S, A) stack."""
-        # the d column products are added left to right from +0.0, the order
-        # in which numpy sums a row of up to 7 entries, so this is
-        # (next_probs * v[..., next_states]).sum(axis=-1) bit for bit for
-        # d <= 7, an all -0.0 row giving +0.0 as there. Padding reads the
-        # row's own last next state, so an infinite value elsewhere in v
-        # cannot turn a row into 0 * inf; a diverging caller reports the
-        # overflow itself, so numpy stays quiet about it
-        rows = np.zeros(v.shape[:-1] + (len(self.next_states),))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for states, probs in zip(self.next_states.T, self.next_probs.T):
-                rows += probs * v.take(states, axis=-1)
+        rows = _column_sums(self.next_states.T, self.next_probs.T, v)
         return rows.reshape(v.shape[:-1] + (self.num_states, self.num_actions))
 
     def transition_matrix(self) -> np.ndarray:
@@ -159,6 +152,25 @@ class TabularMDP:
         twin = copy.copy(self)
         twin.gamma = float(gamma)
         return twin
+
+
+def _column_sums(states: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sum_k probs[k] * v[..., states[k]] over the d rows of the (d, n)
+    columns of operator rows: shape v.shape[:-1] + (n,). TabularMDP.expect
+    sums the whole operator this way, exact_policy_evaluation the policy's
+    rows of it, so the two give the same bits."""
+    # the d column products are added left to right from +0.0, the order
+    # in which numpy sums a row of up to 7 entries, so this is
+    # (next_probs * v[..., next_states]).sum(axis=-1) bit for bit for
+    # d <= 7, an all -0.0 row giving +0.0 as there. Padding reads the
+    # row's own last next state, so an infinite value elsewhere in v
+    # cannot turn a row into 0 * inf; a diverging caller reports the
+    # overflow itself, so numpy stays quiet about it
+    rows = np.zeros(v.shape[:-1] + (states.shape[1],))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, weights in zip(states, probs):
+            rows += weights * v.take(column, axis=-1)
+    return rows
 
 
 def _is_index(values: np.ndarray, bound: int) -> np.ndarray:
@@ -395,31 +407,67 @@ def build_frozenlake(size: int, slippery: bool, gamma: float = 0.95) -> TabularM
 # ---------------------------------------------------------------------------
 
 _MAX_SWEEPS = 10_000_000
+# Rewards with max |r| / (1 - gamma) below this keep every iterate from 0,
+# and every change between two, finite: a quarter of the float range leaves
+# room for the PROB_TOL slack in each row's sum and the rounding of
+# _MAX_SWEEPS sweeps, which together grow the bound by under 2%.
+_FINITE_SCALE = np.finfo(float).max / 4
 
 
 def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
     """One synchronous backup (T_pi q)(s,a) = r + gamma * P @ V_pi(q)."""
-    v = policy_values(mdp, policy, q)
-    with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
+    return _backup(mdp, policy_values(mdp, policy, q))
+
+
+def _backup(mdp: TabularMDP, v: np.ndarray) -> QTable:
+    """The (S, A) table r + gamma * E[v(s')] of the value vector v."""
+    with np.errstate(over="ignore", invalid="ignore"):  # see _column_sums
         return mdp.rewards + mdp.gamma * mdp.expect(v)
 
 
-def _sweep(step, mdp: TabularMDP, tol: float, what: str) -> QTable:
-    """Iterate q <- step(q) from q = 0 until successive tables differ by less
-    than tol * (1 - gamma) / gamma, which bounds the remaining distance to
-    the fixed point of a gamma-contraction by tol.
+def _sweep(mdp: TabularMDP, tol: float, what: str, values, value_step) -> QTable:
+    """The table of iterating q <- _backup(mdp, values(q)) from q = 0 until
+    successive tables differ by less than tol * (1 - gamma) / gamma, which
+    bounds the remaining distance to the fixed point of a gamma-contraction
+    by tol.
+
+    values(q) is the value vector a table feeds the next backup, and
+    value_step(v) must equal values(_backup(mdp, v)) bit for bit. The sweeps
+    run on the value vector, v_{k+1} = value_step(v_k), so each carries and
+    compares S values rather than S*A entries. The change of the values is a
+    lower bound on the change of the tables: values takes one entry of each
+    row, or each row's max, and |max q' - max q| <= max |q' - q| holds after
+    rounding too, since rounding is monotone. So while the values change by
+    at least the threshold, sweeping tables would go on as well. Once they
+    change by less, the table of the sweep before, q_k = _backup(v_{k-1}),
+    is rebuilt and table sweeps take over from sweep k until their own
+    stop, usually 1 to 3 of them. The returned table, and the sweep a
+    divergence names, are those of sweeping tables from the start.
 
     A change that is not finite means the values overflowed, and no later
     sweep can converge: that raises RuntimeError naming the sweep. It is
-    checked only once a sweep has failed the threshold.
+    checked only once a sweep has failed the threshold. An entry that no
+    value reads can overflow alone, so the value sweeps run only when the
+    rewards keep every table finite (_FINITE_SCALE); otherwise the table
+    sweeps run from sweep 0.
     """
-    if tol <= 0:
+    if not tol > 0:  # so that a NaN tol fails too
         raise ValueError("tol must be positive")
     threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    q = np.zeros((mdp.num_states, mdp.num_actions))
-    with np.errstate(over="ignore", invalid="ignore"):  # see TabularMDP.expect
-        for sweep in range(_MAX_SWEEPS):
-            q_next = step(q)
+    sweep, v_before, v = 0, None, np.zeros(mdp.num_states)
+    with np.errstate(over="ignore", invalid="ignore"):  # see _column_sums
+        if np.max(np.abs(mdp.rewards)) <= _FINITE_SCALE * (1.0 - mdp.gamma):
+            while sweep < _MAX_SWEEPS:
+                v_next = value_step(v)
+                if np.max(np.abs(v_next - v)) < threshold:
+                    break
+                v_before, v = v, v_next
+                sweep += 1
+        # the table of this sweep's start, whose values are v
+        q = np.zeros((mdp.num_states, mdp.num_actions)) if v_before is None \
+            else _backup(mdp, v_before)
+        for sweep in range(sweep, _MAX_SWEEPS):
+            q_next = _backup(mdp, values(q))
             delta = np.max(np.abs(q_next - q))
             q = q_next
             if delta < threshold:
@@ -430,20 +478,51 @@ def _sweep(step, mdp: TabularMDP, tol: float, what: str) -> QTable:
     raise RuntimeError(f"{what} failed to converge")
 
 
+def _operator_rows(mdp: TabularMDP, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (d, len(rows)) columns of next states and probabilities of the
+    given operator rows, in that order, for _column_sums; taken along the
+    columns, they stay contiguous."""
+    return mdp.next_states.T.take(rows, axis=1), mdp.next_probs.T.take(rows, axis=1)
+
+
 def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
-    """Fixed point of T_pi to within tol in the infinity norm, by synchronous
-    backups (see _sweep)."""
+    """Fixed point of T_pi to within tol in the infinity norm: the table of
+    synchronous backups, swept on V_pi (see _sweep).
+
+    The policy's rows of the operator and its rewards are taken once, and
+    each sweep sets v <- r_pi + gamma * sum_k p_k v(s_k), summed as
+    TabularMDP.expect sums, so v_{k+1} is the backup's q_{k+1}[s, pi(s)]
+    bit for bit and the table equals that of sweeping whole backups.
+    """
     check_policy(mdp, policy)
     # V_pi(q) as policy_values gives it, the gather built once for all sweeps
     chosen = _chosen(mdp, policy)
-    return _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(q.take(chosen)), mdp, tol,
-                  "policy evaluation")
+    states, probs = _operator_rows(mdp, chosen)
+    r_pi = mdp.rewards.take(chosen)
+    return _sweep(mdp, tol, "policy evaluation", lambda q: q.take(chosen),
+                  lambda v: r_pi + mdp.gamma * _column_sums(states, probs, v))
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]:
-    """Optimal Q within tol plus the greedy policy (ties to lowest index)."""
-    q = _sweep(lambda q: mdp.rewards + mdp.gamma * mdp.expect(action_max(q)), mdp, tol,
-               "value iteration")
+    """Optimal Q within tol plus the greedy policy (ties to lowest index):
+    the table of synchronous optimal backups, swept on V = max_a Q (see
+    _sweep), so table and policy equal those of sweeping whole tables.
+
+    Each sweep backs up every pair with the operator's rows taken once
+    action by action, a copy the size of the operator, so that the max
+    over actions reads contiguous (A, S) blocks; each entry is the
+    backup's, bit for bit.
+    """
+    s_count, a_count = mdp.num_states, mdp.num_actions
+    states, probs = _operator_rows(mdp, (np.arange(s_count) * a_count
+                                         + np.arange(a_count)[:, None]).ravel())
+    rewards_by_action = np.ascontiguousarray(mdp.rewards.T)
+
+    def value_step(v: np.ndarray) -> np.ndarray:
+        sums = _column_sums(states, probs, v).reshape(a_count, s_count)
+        return action_max((rewards_by_action + mdp.gamma * sums).T)
+
+    q = _sweep(mdp, tol, "value iteration", action_max, value_step)
     return q, Policy(greedy_actions(q))
 
 

@@ -52,6 +52,18 @@ class TestGenEnv:
         assert "goal must be (row, col), got (3, 3, 7)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, unread", [
+        (["frozenlake", "--size", "4", "--width", "9", "--goal", "1,1", "--slip", "0.7"],
+         "--goal, --slip, --width"),
+        (["gridworld", "--width", "4", "--height", "4", "--size", "8", "--no-slippery"],
+         "--size, --slippery"),
+    ], ids=["frozenlake", "gridworld"])
+    def test_flag_of_the_other_builder_exits_2(self, tmp_path, capsys, flags, unread):
+        out = tmp_path / "x.json"
+        assert main(["gen-env", *flags, "--gamma", "0.9", "--out", str(out)]) == EXIT_CONFIG
+        assert f"gen-env {flags[0]} does not read {unread}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("spec, flags", [
         ({"builder": "gridworld", "width": 4, "height": 4}, ["gridworld", "--width", "4",
                                                             "--height", "4"]),

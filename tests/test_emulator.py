@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -198,3 +200,9 @@ class TestAmplitudeEstimate:
         with pytest.raises(ValueError, match="finite readout cost"):
             EstimatorConfig(mode=AE_ORACLE, epsilon=1e-10, c_ae=1e308)
         EstimatorConfig(mode=SHOT_SAMPLING, epsilon=1e-320)  # shot mode never reads it
+        # yet it refuses NaN settings, which pass a check written as `x <= 0`
+        for setting, message in [("epsilon", "epsilon must be positive"),
+                                 ("c_ae", "c_ae must be positive"),
+                                 ("shots", "shots >= 1"), ("noise_p", "noise_p")]:
+            with pytest.raises(ValueError, match=message):
+                EstimatorConfig(mode=SHOT_SAMPLING, **{setting: math.nan})

@@ -1,3 +1,4 @@
+import math
 import re
 from dataclasses import asdict, replace
 
@@ -372,6 +373,11 @@ class TestRunQPolicy:
             QPolicyConfig(convergence_tol=0.0)
         with pytest.raises(ValueError):
             QPolicyConfig(epsilon=-1.0)
+        # NaN passes a check written as `x <= 0`; with a NaN tol no run would stop early
+        with pytest.raises(ValueError, match="convergence_tol must be positive"):
+            QPolicyConfig(convergence_tol=math.nan)
+        with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+            QPolicyConfig(max_iterations=math.nan)
 
 
 def test_each_setting_has_one_field():
@@ -432,9 +438,11 @@ class TestWithSettings:
         assert self.base.with_settings(5) == self.at_seed(5, {}, {})
         assert self.base.with_settings(3) == self.base
 
+    # NaN too: the base reads out in shot mode, which reads neither epsilon nor c_ae
     @pytest.mark.parametrize("setting, value", [
         ("mode", "exact"), ("shots", 0), ("epsilon", -0.1), ("c_ae", 0.0), ("noise_p", 1.5),
-        ("iters", 0), ("tol", 0.0),
+        ("iters", 0), ("tol", 0.0), ("shots", math.nan), ("epsilon", math.nan),
+        ("c_ae", math.nan), ("noise_p", math.nan), ("iters", math.nan), ("tol", math.nan),
     ])
     def test_rejected_value_raises(self, setting, value):
         with pytest.raises(ValueError):

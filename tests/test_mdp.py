@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 from collections import defaultdict
@@ -382,8 +383,10 @@ class TestExactEvaluation:
         assert np.abs(q_iter - linear_solve_q(frozen8, policy, frozen8_rows)).max() < 10 * tol
 
     def test_rejects_bad_tol(self, grid4):
-        with pytest.raises(ValueError):
-            exact_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), 0.0)
+        # a NaN tol fails every stop test, so it would sweep _MAX_SWEEPS times
+        for tol in (0.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                exact_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), tol)
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_checks_once_and_equals_the_backup_sweep(self, name, request, monkeypatch):
@@ -427,15 +430,77 @@ class TestValueIteration:
             v_pi = policy_values(mdp, policy, linear_solve_q(mdp, policy, rows))
             assert np.abs(v_pi - best).max() < 1e-8
 
+    def test_rejects_bad_tol(self, grid4):
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                value_iteration(grid4, tol)
+
     def test_tie_break_lowest_index(self):
         assert greedy_actions(np.array([[2.0, 2.0, 0.0, 2.0]]))[0] == 0
         assert greedy_actions(np.array([[0.0, 5.0, 3.0, 1.0]]))[0] == 1
 
 
+# each solver at its default tol or a given one, with policy 0 to evaluate
 SOLVERS = {
-    "exact_policy_evaluation": lambda mdp: exact_policy_evaluation(mdp, Policy([0])),
+    "exact_policy_evaluation": lambda mdp, *tol: exact_policy_evaluation(
+        mdp, Policy(np.zeros(mdp.num_states, dtype=int)), *tol),
     "value_iteration": value_iteration,
 }
+
+
+def table_sweep(mdp: TabularMDP, tol: float, values) -> np.ndarray:
+    """The solvers' stop rule on whole tables: q <- r + gamma * E[values(q)]
+    from q = 0 until the table changes by less than tol * (1 - gamma) / gamma."""
+    threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
+    q = np.zeros((mdp.num_states, mdp.num_actions))
+    while True:
+        q_next = mdp.rewards + mdp.gamma * mdp.expect(values(q))
+        delta, q = np.max(np.abs(q_next - q)), q_next
+        if delta < threshold:
+            return q
+
+
+# name -> a built MDP, or a random one with rewards of both signs
+TABLE_SWEEP_MDPS = {
+    "grid4": lambda: build_gridworld(4, 4, 0.2, (3, 3), 0.95),
+    "frozen8": lambda: build_frozenlake(8, True, 0.95),
+    "random9": lambda: random_mdp(9, 3, 0.9, 5),
+    "random20_wide": lambda: random_mdp(20, 4, 0.9, 6, branching=7),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
+@pytest.mark.parametrize("gamma", [None, 0.0, 0.99])
+@pytest.mark.parametrize("name", TABLE_SWEEP_MDPS)
+def test_solvers_equal_the_table_sweep(name, gamma, tol):
+    # both sweep the value vector and rebuild the table only at the stop;
+    # a stop one sweep early or late changes the bytes
+    mdp = TABLE_SWEEP_MDPS[name]()
+    mdp = mdp if gamma is None else mdp.with_gamma(gamma)
+    q_star, policy = value_iteration(mdp, tol)
+    want = table_sweep(mdp, tol, lambda q: q.max(axis=1))
+    assert q_star.tobytes() == want.tobytes()
+    assert policy == Policy(greedy_actions(want))
+    for pi in (policy, Policy(np.arange(mdp.num_states) % mdp.num_actions)):
+        got = exact_policy_evaluation(mdp, pi, tol)
+        chosen = np.arange(mdp.num_states) * mdp.num_actions + pi.actions
+        assert got.tobytes() == table_sweep(mdp, tol, lambda q: q.ravel()[chosen]).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver, rewards", [
+    ("exact_policy_evaluation", [1e307, 1.7e308]),  # pi = [0]: action 1 is never read
+    ("value_iteration", [-1e307, -1.7e308]),  # action 1 is never the max
+])
+def test_solver_raises_when_an_unread_entry_overflows(solver, rewards):
+    # one state, two self-loop actions. The value settles at 2e307 (-2e307),
+    # finite, but action 1's entry r + 0.5 * v leaves the float range at
+    # sweep 6, which a sweep that watched only the values would not see
+    mdp = TabularMDP(1, 2, [[0], [0]], [[1.0], [1.0]], [rewards], 0.5)
+    message = "policy evaluation" if solver == "exact_policy_evaluation" else "value iteration"
+    with pytest.raises(RuntimeError,
+                       match=f"^{message} diverged: sweep 6 changed the table by inf$"):
+        SOLVERS[solver](mdp, 1e-8)
 
 
 @pytest.mark.filterwarnings("error")

@@ -561,13 +561,18 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     often they are visited, so it leaves the live set. A member whose
     trajectories are all absorbed stops drawing, and the loop ends once no
     trajectory is live; the estimates are those of stepping every
-    trajectory to the horizon, bit for bit. Visited pairs go to one int32
-    (horizon, members * n) history, 4 bytes per member, trajectory and step
-    (4 MB for 10 members of 1000 trajectories over 100 steps). Each
-    member's returns and first visits come from its own (steps, n) slice of
-    it, first visits by sorting (trajectory, pair, step) keys, summed in
-    time-major, trajectory-ascending order, so memory is
-    O(members * n * horizon) with no S*A term.
+    trajectory to the horizon, bit for bit.
+
+    Each step records only its live trajectories: their rows (int32), their
+    ids member * n + trajectory (int32, shared by the steps between two
+    absorptions) and, for each row that differs from the trajectory's
+    previous one, a (trajectory, pair, step) key (int64). That is at most
+    16 bytes per live entry and nothing per absorbed one. One sort of the
+    keys opens each (trajectory, pair) run with its first visit; a second
+    puts the first visits in time-major, trajectory-ascending order. The
+    returns run backward over the live entries, and one bincount over
+    members * S*A bins sums each member's first-visit returns in that
+    order, so memory has no (trajectories x S*A) term.
     """
     if num_trajectories < 1:
         raise ValueError("num_trajectories must be >= 1")
@@ -580,6 +585,13 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     s_count, a_count = mdp.num_states, mdp.num_actions
     pair_count = s_count * a_count
     members, n = len(seeds), num_trajectories
+    # the bit fields of the keys; a step count up to the horizon, shifted
+    # past the other two fields, must also fit an int64
+    step_bits = (horizon - 1).bit_length()
+    pair_bits = (pair_count - 1).bit_length()
+    trajectory_bits = (members * n - 1).bit_length()
+    if step_bits + pair_bits + trajectory_bits > 62:
+        raise ValueError("too many trajectories, pairs and steps for int64 sort keys")
     rngs = [stream(seed, 0) for seed in seeds]
     # the operator row s * A + pi(s) of member m at state s, at m * S + s
     row_of = np.concatenate([_chosen(mdp, policy) for policy in policies])
@@ -593,74 +605,78 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     terminal[sorted(mdp.terminal_states)] = True
     terminal = np.repeat(terminal, a_count)  # by row
 
-    # visited pairs, time-major, -1 once a trajectory is absorbed
-    pairs = np.full((horizon, members * n), -1, dtype=np.int32)
-    live = np.arange(members * n)  # member * n + trajectory
+    # live holds the ids member * n + trajectory of the live trajectories,
+    # ascending; dropping absorbed ones keeps the order, so each step's rows
+    # line up with the previous step's, and only a row that differs from its
+    # trajectory's previous one can be a first visit
+    live = np.arange(members * n)
     offset = np.repeat(np.arange(members) * s_count, n)  # its member's policy block
     rows = np.concatenate([rng.integers(0, pair_count, size=n) for rng in rngs])
-    steps = np.full(members, horizon)
+    recorded = live.astype(np.int32)  # the live ids as each step records them
+    lives, history = [recorded], [rows.astype(np.int32)]
+    keys = [(live << pair_bits | rows) << step_bits]
+    member_starts = np.arange(members + 1) * n
     moving = list(range(members))  # members with live trajectories
     uniforms = np.empty((members, n))
-    for t in range(horizon):
-        pairs[t, live] = rows
-        if t == horizon - 1:
-            break
-        absorbed = terminal[rows]
-        if absorbed.any():
+    drawn = uniforms.reshape(-1)
+    for t in range(1, horizon):
+        absorbed = terminal.take(rows)
+        if np.count_nonzero(absorbed):
             kept = ~absorbed
             live, rows, offset = live[kept], rows[kept], offset[kept]
-            left = np.bincount(live // n, minlength=members)
-            if np.count_nonzero(left) < len(moving):
-                steps[[m for m in moving if left[m] == 0]] = t + 1
-                moving = [m for m in moving if left[m]]
-                if not moving:
-                    break
+            recorded = live.astype(np.int32)
+            edges = live.searchsorted(member_starts).tolist()
+            moving = [m for m in moving if edges[m] < edges[m + 1]]
+            if not moving:
+                break
         for m in moving:
             uniforms[m] = rngs[m].random(n)
-        entry = np.zeros(len(rows), dtype=np.intp)
-        u = uniforms.ravel()[live]
-        for column in next_cdf:
-            entry += column[rows] < u
-        rows = row_of[offset + next_state[entry * pair_count + rows]]
+        u = drawn.take(live)
+        entry = (next_cdf.take(rows, axis=1) < u).sum(axis=0)
+        moved = row_of.take(offset + next_state.take(entry * pair_count + rows))
+        changed = moved != rows
+        keys.append(((live << pair_bits | moved) << step_bits | t)[changed])
+        lives.append(recorded)
+        history.append(moved.astype(np.int32))
+        rows = moved
 
-    rewards = np.append(mdp.rewards.ravel(), 0.0)  # pair -1, absorbed, earns 0
-    estimates = np.empty((members, s_count, a_count))
-    for m in range(members):
-        visited = pairs[:steps[m], m * n:(m + 1) * n]
-        estimates[m] = _first_visit_means(visited, rewards, mdp.gamma).reshape(s_count, a_count)
-    return estimates, num_trajectories
+    # Sorted, each (trajectory, pair) run of keys opens with its first visit.
+    # Turned to (step, trajectory, pair) and sorted again, first visits run
+    # time-major, trajectory-ascending. Steps in place keep the peak low
+    keys = np.concatenate(keys)
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)  # keys of one run differ only in step bits
+    np.greater_equal(keys[1:] ^ keys[:-1], 1 << step_bits, out=first[1:])
+    keys = keys[first]
+    step = keys & (1 << step_bits) - 1
+    keys >>= step_bits
+    step <<= trajectory_bits + pair_bits
+    keys |= step
+    del step
+    keys.sort()
+    bounds = keys.searchsorted(np.arange(len(history) + 1) << trajectory_bits + pair_bits).tolist()
+    trajectory_mask = (1 << trajectory_bits) - 1
 
-
-def _first_visit_means(pairs: np.ndarray, rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Mean discounted return from each pair's first visits in the (steps, n)
-    time-major history of pair indices (-1 once absorbed), 0 where never
-    visited; rewards holds r per pair and a trailing 0 for index -1."""
-    steps, n = pairs.shape
-    pair_count = len(rewards) - 1
-    # the extra zero row seeds the return recursion
-    returns = np.zeros((steps + 1, n))
-    returns[:steps] = rewards[pairs]
-    for t in range(steps - 1, -1, -1):
-        returns[t] += gamma * returns[t + 1]
-
-    # an entry equal to its trajectory's previous pair is never a first visit
-    candidate = pairs >= 0
-    candidate[1:] &= pairs[1:] != pairs[:-1]
-    pairs = pairs.ravel()
-    position = np.flatnonzero(candidate)  # time-major positions t * n + trajectory
-    # sorted (trajectory, pair, t) keys: each (trajectory, pair) run opens
-    # with its first visit
-    key = ((position % n) * pair_count + pairs[position]) * steps + position // n
-    key.sort()
-    visit = key // steps
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = visit[1:] != visit[:-1]
-    key, visit = key[first], visit[first]
-    position = np.sort(key % steps * n + visit // pair_count)  # time-major again
-    pair = pairs[position]
-    sums = np.bincount(pair, weights=returns.ravel()[position], minlength=pair_count)
-    counts = np.bincount(pair, minlength=pair_count)
-    return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    # discounted returns, backward over each step's live trajectories, kept
+    # at first visits; a trajectory absorbed after step t, or live at the
+    # last, adds gamma * 0 there, as its return from t + 1 on is 0
+    returns = np.empty(len(keys))
+    following = np.zeros(members * n)  # each trajectory's return from t + 1
+    rewards = mdp.rewards.ravel()
+    for t in range(len(history) - 1, -1, -1):
+        live = lives.pop().astype(np.intp)
+        following[live] = rewards.take(history.pop()) + mdp.gamma * following.take(live)
+        start, end = bounds[t], bounds[t + 1]
+        returns[start:end] = following.take(keys[start:end] >> pair_bits & trajectory_mask)
+    # member m's returns add, in the order above, into bin m * S*A + pair
+    bins = (keys >> pair_bits & trajectory_mask) // n * pair_count
+    keys &= (1 << pair_bits) - 1
+    bins += keys
+    del keys
+    sums = np.bincount(bins, weights=returns, minlength=members * pair_count)
+    counts = np.bincount(bins, minlength=members * pair_count)
+    estimates = np.divide(sums, counts, out=sums, where=counts > 0)  # 0 where unvisited
+    return estimates.reshape(members, s_count, a_count), num_trajectories
 
 
 # ---------------------------------------------------------------------------

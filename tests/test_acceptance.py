@@ -5,6 +5,7 @@ criterion. Each test pins its tolerances inline; expected values either
 follow from closed forms, from the independent oracles in oracles.py, or
 are direct artifact checks.
 """
+import math
 import subprocess
 import sys
 from typing import NamedTuple
@@ -150,21 +151,20 @@ def test_c07_uniform_encoding_example():
                f"expected index is {expected:.12f}")
 
 
-class OracleRun(NamedTuple):
+class EngineRun(NamedTuple):
     """One engine run and every iteration's (q_k, q_{k+1}, span_k), span_k
     the max - min of the backup targets that iteration read out."""
     mdp: TabularMDP
     q_star: np.ndarray
-    error: float  # readout error bound in [0, 1] units, epsilon + 2p/3
+    config: QPolicyConfig
     policy: Policy
     steps: list
 
 
-@pytest.fixture(scope="module")
-def oracle_runs(grid, lake):
-    """ae_oracle runs of the engine on the grid and the lake, at epsilon in
-    {0.1, 0.01} and p in {0, 0.05}, 5 seeds of 60 iterations each. The loop's
-    evaluate step is wrapped to keep each table it is given and returns."""
+def _engine_runs(mdps, settings) -> list:
+    """Engine runs on each MDP for each dict of with_settings keywords in
+    settings, 5 seeds of 60 iterations each. The loop's evaluate step is
+    wrapped to keep each table it is given and returns."""
     runs, captured = [], []
     loop = engine.policy_iteration_lockstep
 
@@ -182,16 +182,31 @@ def oracle_runs(grid, lake):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "policy_iteration_lockstep", capturing_loop)
-        for mdp in (grid, lake):
+        for mdp in mdps:
             q_star, _ = value_iteration(mdp, 1e-10)
-            for epsilon in (0.1, 0.01):
-                for p in (0.0, 0.05):
-                    base = QPolicyConfig(epsilon=epsilon, max_iterations=60)
-                    configs = [base.with_settings(seed, noise_p=p) for seed in range(5)]
-                    results = run_qpolicy_lockstep(mdp, configs)
-                    for (_, policy), steps in zip(results, captured.pop()):
-                        runs.append(OracleRun(mdp, q_star, epsilon + 2 * p / 3, policy, steps))
+            for setting in settings:
+                configs = [QPolicyConfig(max_iterations=60).with_settings(seed, **setting)
+                           for seed in range(5)]
+                results = run_qpolicy_lockstep(mdp, configs)
+                for config, (_, policy), steps in zip(configs, results, captured.pop()):
+                    runs.append(EngineRun(mdp, q_star, config, policy, steps))
     return runs
+
+
+@pytest.fixture(scope="module")
+def oracle_runs(grid, lake):
+    """ae_oracle runs on the grid and the lake at epsilon in {0.1, 0.01} and
+    p in {0, 0.05}."""
+    return _engine_runs((grid, lake), [{"epsilon": epsilon, "noise_p": p}
+                                       for epsilon in (0.1, 0.01) for p in (0.0, 0.05)])
+
+
+@pytest.fixture(scope="module")
+def shot_runs(grid, lake):
+    """shot_sampling runs on the grid and the lake at 128 and 512 shots and
+    p in {0, 0.05}."""
+    return _engine_runs((grid, lake), [{"mode": SHOT_SAMPLING, "shots": shots, "noise_p": p}
+                                       for shots in (128, 512) for p in (0.0, 0.05)])
 
 
 def _distance(q, q_star) -> float:
@@ -216,27 +231,60 @@ def test_c09_greedy_loss_bound(oracle_runs):
                f"(worst ratio {worst:.3f})")
 
 
-def test_c10_convergence_bound(oracle_runs):
-    # Bertsekas & Tsitsiklis (1996), noisy value iteration: every read lies
-    # within error * span_k of its target T* q_k; 1e-9 covers greedy's tie
-    # tolerance
+def _recursion_ratios(runs, read_error) -> tuple[float, float]:
+    """Check the noisy value-iteration recursion and its closed form on every
+    iteration of runs, a read lying within read_error(run) * span_k of its
+    target T* q_k; returns the worst gap / bound ratios. 1e-9 covers
+    greedy's tie tolerance."""
     worst_step = worst_closed = 0.0
-    for run in oracle_runs:
-        gamma = run.mdp.gamma
+    for run in runs:
+        gamma, error = run.mdp.gamma, read_error(run)
         widest = 0.0
         for k, (q, q_next, span) in enumerate(run.steps):
             widest = max(widest, span)
             gap = _distance(q_next, run.q_star)
-            step = gamma * _distance(q, run.q_star) + run.error * span
+            step = gamma * _distance(q, run.q_star) + error * span
             closed = (gamma ** (k + 1) * float(np.abs(run.q_star).max())
-                      + run.error * widest / (1.0 - gamma))
+                      + error * widest / (1.0 - gamma))
             assert gap <= step + 1e-9, f"iteration {k}: {gap} > {step}"
             assert gap <= closed + 1e-9 / (1.0 - gamma), f"iteration {k}: {gap} > {closed}"
             worst_step = max(worst_step, gap / step)
             worst_closed = max(worst_closed, gap / closed)
-    _report(10, f"||q_k+1 - Q*|| <= gamma ||q_k - Q*|| + (epsilon + 2p/3) span_k on every "
-                f"iteration of {len(oracle_runs)} ae_oracle runs (worst ratio "
-                f"{worst_step:.3f}; closed form {worst_closed:.3f})")
+    return worst_step, worst_closed
+
+
+def test_c10_convergence_bound(oracle_runs, shot_runs):
+    # Bertsekas & Tsitsiklis (1996), noisy value iteration:
+    # ||q_k+1 - Q*|| <= gamma ||q_k - Q*|| + error * span_k. Depolarizing
+    # moves a read's mean at most 2p/3 from its value. An ae_oracle read
+    # lies within epsilon of that mean. A shot-mode read is a mean of
+    # `shots` Bernoulli draws, so by Hoeffding's inequality and a union
+    # bound over all M reads of these runs, every read lies within
+    # sqrt(ln(2M / delta) / (2 shots)) of its mean, except with probability
+    # at most delta
+    delta = 1e-6
+    reads = sum(run.mdp.num_actions * (run.mdp.num_states - len(run.mdp.terminal_states))
+                for run in shot_runs for _, _, span in run.steps if span > 0.0)
+
+    def radius(shots: int) -> float:
+        return math.sqrt(math.log(2 * reads / delta) / (2 * shots))
+
+    def ae_error(run) -> float:
+        return run.config.estimator.epsilon + 2 * run.config.estimator.noise_p / 3
+
+    def shot_error(run) -> float:
+        return radius(run.config.estimator.shots) + 2 * run.config.estimator.noise_p / 3
+
+    ae_step, ae_closed = _recursion_ratios(oracle_runs, ae_error)
+    shot_step, shot_closed = _recursion_ratios(shot_runs, shot_error)
+    _report(10, f"||q_k+1 - Q*|| <= gamma ||q_k - Q*|| + error * span_k on every "
+                f"iteration of {len(oracle_runs)} ae_oracle runs, error epsilon + 2p/3 "
+                f"(worst ratio {ae_step:.3f}; closed form {ae_closed:.3f}), and of "
+                f"{len(shot_runs)} shot_sampling runs, error sqrt(ln(2M/delta) / (2 shots)) "
+                f"+ 2p/3 with M = {reads} reads, failing with probability at most "
+                f"delta = {delta:g} (radius {radius(128):.3f} at 128 shots, "
+                f"{radius(512):.3f} at 512; worst ratio {shot_step:.3f}; closed form "
+                f"{shot_closed:.3f})")
 
 
 def test_c11_resource_estimates(grid):

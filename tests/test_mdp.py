@@ -751,6 +751,9 @@ SAMPLER_ENVS = {
     "frozen8": lambda: (build_frozenlake(8, True, 0.95), lake_rows(8, True)),
     "lake4_deterministic": lambda: (build_frozenlake(4, False, 0.95), lake_rows(4, False)),
     "random6_no_terminal": lambda: (random_mdp(6, 3, 0.9, 4), random_rows(6, 3, 4)[0]),
+    # rows of 9 entries, so each step compares against a CDF of 8 columns
+    "random12_wide": lambda: (random_mdp(12, 3, 0.9, 7, branching=9),
+                              random_rows(12, 3, 7, branching=9)[0]),
 }
 
 
@@ -898,9 +901,9 @@ class TestMonteCarlo:
 
     def test_lockstep_memory_is_the_pair_history(self, grid100):
         # 8 all-UP members of 1000 trajectories that almost all stay live for
-        # 100 steps: the int32 pair history takes 3.1 MiB, and the returns and
-        # first-visit keys come from one member's slice at a time (about
-        # 12 MiB in all), where all members' at once would take over 50 MiB
+        # 100 steps: their int32 rows take 3.1 MiB, and the int64 keys of the
+        # 547 000 rows whose pair changed 4.2 MiB, twice that while they are
+        # joined for the sort; the peak is about 15 MiB
         policy = Policy(np.zeros(grid100.num_states, dtype=int))
         tracemalloc.start()
         try:
@@ -913,6 +916,12 @@ class TestMonteCarlo:
     def test_rejects_bad_budget(self, grid4):
         with pytest.raises(ValueError):
             mc_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), 0, seed=0)
+
+    def test_rejects_keys_wider_than_int64(self, grid4):
+        # 62 step bits and 6 pair bits: refused before anything is drawn
+        with pytest.raises(ValueError, match="int64 sort keys"):
+            mc_policy_evaluation(grid4, Policy(np.zeros(16, dtype=int)), 10,
+                                 horizon=2 ** 62, seed=0)
 
 
 class TestLockstep:

@@ -5,7 +5,7 @@ settings COMMANDS lists for it, each one a flag (--name, `_` written `-`)
 and a key of the JSON --config file, which also takes `environment`. Flags
 override the file, the file overrides the command's default, and values are
 converted strictly. Engine settings not given keep the base config's value:
-DEFAULT_ENGINE, or for compare-queries calibrated_query_config.
+DEFAULT_ENGINE, calibrated_query_config (compare-queries) or QPolicyConfig() (resources).
 
 Numbers are written with 17 significant digits so reruns are
 byte-comparable; files are written to a temp name and renamed, so partial
@@ -31,8 +31,6 @@ from . import __version__
 from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
 from .engine import QPolicyConfig, run_qpolicy_lockstep
 from .experiments import (
-    DEFAULT_C_GATE,
-    DEFAULT_C_OVERHEAD,
     calibrated_query_config,
     estimate_resources,
     matched_accuracy_scaling,
@@ -42,7 +40,7 @@ from .experiments import (
     run_query_complexity_study,
     summarize,
 )
-from .mdp import TabularMDP, build_frozenlake, build_gridworld, load_mdp, mdp_to_dict, save_mdp
+from .mdp import TabularMDP, build_frozenlake, build_gridworld, load_mdp, mdp_to_dict
 from .rng import SEED_MASK
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -170,14 +168,11 @@ SETTINGS = {
     "shot_counts": (_list_of(COUNT), "comma list of per-readout shot counts to sweep"),
     "mc_budget": (COUNT, "Monte Carlo trajectories per policy evaluation"),
     "p_values": (_list_of(PROBABILITY), "comma list of depolarizing probabilities, 0 included"),
-    "kappa": (REAL, "condition factor (>= 1) of the gate count"),
-    "c_gate": (REAL, "gates per Bellman update per unit of sparsity and kappa"),
-    "c_overhead": (REAL, "overhead factor on an iteration's gates"),
 }
 # ablate's --shots names its shot-count list, as the README writes it
 _FLAGS = {"shot_counts": ("--shots", "--shot-counts")}
 
-# The engine base config of run, ablate, noise-study and resources
+# The engine base config of run, ablate and noise-study
 DEFAULT_ENGINE = QPolicyConfig(estimator=EstimatorConfig(), convergence_tol=1e-12)
 
 
@@ -357,7 +352,7 @@ def _cmd_gen_env(args) -> None:
     spec = {name: getattr(args, name) for name in _BUILDER_KEYS[args.builder]
             if getattr(args, name) is not None}
     mdp = _build_environment({"builder": args.builder, **spec})
-    save_mdp(mdp, args.out)
+    _write_json(args.out, mdp_to_dict(mdp))
     print(f"wrote {args.out}: {mdp.num_states} states, {mdp.num_actions} actions")
 
 
@@ -443,10 +438,9 @@ def _cmd_noise_study(args, s: dict, mdp: TabularMDP) -> None:
 
 
 def _cmd_resources(args, s: dict, mdp: TabularMDP) -> None:
-    config = _engine_config(DEFAULT_ENGINE, s, 0)
+    config = _engine_config(QPolicyConfig(), s, 0)  # ae_oracle: shot mode ignores --epsilon
     try:
-        est = estimate_resources(mdp, config, kappa=s["kappa"], c_gate=s["c_gate"],
-                                 c_overhead=s["c_overhead"])
+        est = estimate_resources(mdp, config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     print(json.dumps(asdict(est), indent=2, sort_keys=True))
@@ -474,9 +468,8 @@ COMMANDS = {
     "noise-study": (_cmd_noise_study, "paired runs across depolarizing strengths", {
         **dict.fromkeys(("mode", "epsilon", "shots", "c_ae", "tol", "gamma")),
         "iters": 50, **_RUNS, "p_values": [0.0, 0.01]}),
-    "resources": (_cmd_resources, "logical qubit and gate estimates", {
-        "epsilon": None, "c_ae": None, "kappa": 1.0, "c_gate": DEFAULT_C_GATE,
-        "c_overhead": DEFAULT_C_OVERHEAD}),
+    "resources": (_cmd_resources, "qubits and gates of one engine iteration",
+                  dict.fromkeys(("epsilon", "c_ae"))),
 }
 
 

@@ -83,7 +83,7 @@ class EstimatorConfig:
 
     def effective(self) -> "EstimatorConfig":
         """This config with the fields its mode never reads reset to their
-        defaults: readout_batch, readout_variance and ae_query_cost read
+        defaults: readout_batch, readout_variance and query_cost read
         shots in shot_sampling mode only, epsilon and c_ae in ae_oracle only."""
         if self.mode == SHOT_SAMPLING:  # the class attributes hold the defaults
             return replace(self, epsilon=EstimatorConfig.epsilon, c_ae=EstimatorConfig.c_ae)
@@ -151,8 +151,8 @@ def depolarized_value(value: float | np.ndarray, p: float):
     return (1.0 - flip) * value + flip * (1.0 - np.asarray(value))
 
 
-def ae_query_cost(config: EstimatorConfig) -> int:
-    """Queries consumed by one readout under the given config."""
+def query_cost(config: EstimatorConfig) -> int:
+    """Queries one readout costs: shots in shot_sampling, ceil(c_ae / epsilon) in ae_oracle."""
     if config.mode == SHOT_SAMPLING:
         return config.shots
     # Guard against float quotients landing one ulp above an integer.

@@ -32,8 +32,8 @@ import numpy as np
 from .emulator import (
     AE_ORACLE,
     EstimatorConfig,
-    ae_query_cost,
     amplitude_encode,
+    query_cost,
     readout_batch,
     readout_variance,
     shift_for_encoding,
@@ -200,7 +200,7 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
         reads = np.empty_like(values)
         for j, i in enumerate(rows):
             reads[j] = readout_batch(values[j], estimators[i], rngs[i])
-            queries[i] = values.shape[1] * ae_query_cost(estimators[i])
+            queries[i] = values.shape[1] * query_cost(estimators[i])
             # span * (span * v) keeps q_variance 0, not inf * 0, when every
             # read is exact and span * span overflows
             s = float(span[i])

@@ -21,12 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .emulator import AE_ORACLE, EstimatorConfig, ae_query_cost
+from .emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig, query_cost
 # run_qpolicy and mc_policy_evaluation stay bound here, where
 # perfbench/tracing.py hooks them
 from .engine import (  # noqa: F401
     DivergenceError,
     QPolicyConfig,
+    _readout_mask,
     policy_iteration_lockstep,
     run_qpolicy,
     run_qpolicy_lockstep,
@@ -34,10 +35,10 @@ from .engine import (  # noqa: F401
 from .mdp import Policy, TabularMDP, mc_policy_evaluation, mc_policy_evaluation_lockstep  # noqa: F401
 from .rng import child_seed, stream
 
-# Gate-count calibration: a sparsity-4 grid row costs 50 gates per backup and
-# the estimation overhead lifts one iteration at epsilon = 0.01 to ~5600.
-DEFAULT_C_GATE = 12.5
-DEFAULT_C_OVERHEAD = 1.12
+# Gate-count calibration: a sparsity-4 grid row costs 50 gates per Bellman
+# update, and the estimation overhead lifts one read at epsilon = 0.01 to 5600.
+C_GATE = 12.5
+C_OVERHEAD = 1.12
 
 _MC_HORIZON = 100  # steps per rollout of the Monte Carlo arm
 
@@ -54,11 +55,12 @@ class SummaryStats:
 @dataclass
 class ResourceEstimate:
     qubits: int
+    sparsity_d: int
     gates_per_bellman_update: int
+    gates_per_read: int
+    queries_per_iteration: int
     gates_per_iteration: int
     seconds_per_iteration_at_1khz: float
-    kappa: float
-    sparsity_d: int
 
 
 @dataclass
@@ -279,7 +281,7 @@ def matched_accuracy_scaling(epsilons: Sequence[float], seed: int) -> list[Scali
             if mc_rmse <= ae_rmse or budget >= max_budget:
                 break
             budget *= 2
-        points.append(ScalingPoint(eps, ae_query_cost(cfg), ae_rmse, budget, mc_rmse))
+        points.append(ScalingPoint(eps, query_cost(cfg), ae_rmse, budget, mc_rmse))
     return points
 
 
@@ -337,35 +339,33 @@ def run_noise_comparison(mdp: TabularMDP, p_values: Sequence[float],
 # Resource model
 # ---------------------------------------------------------------------------
 
-def estimate_resources(mdp: TabularMDP, config: QPolicyConfig, kappa: float = 1.0,
-                       c_gate: float = DEFAULT_C_GATE,
-                       c_overhead: float = DEFAULT_C_OVERHEAD) -> ResourceEstimate:
-    """Logical-qubit and gate-count model for one run on hardware.
+def estimate_resources(mdp: TabularMDP, config: QPolicyConfig) -> ResourceEstimate:
+    """Logical qubits and gates of one engine iteration on hardware.
 
-    qubits = ceil(log2(|S| * |A|)); each readout is priced as an ae_oracle
-    readout at the estimator's epsilon and c_ae, the precision the run reads
-    out to. The gate constants are calibration parameters, not derived
-    quantities.
+    qubits = ceil(log2(|S| * |A|)), the index register alone. An iteration
+    reads what the engine reads (engine._readout_mask: each pair of a
+    non-terminal state) at query_cost(config.estimator) a read, so
+    queries_per_iteration is a run's queries_iteration. A Bellman update
+    costs round(C_GATE * d) gates at sparsity d, and each query that many
+    times C_OVERHEAD; both constants are calibrations, not derived.
     """
-    if kappa < 1.0:
-        raise ValueError("kappa must be >= 1")
-    if not (c_gate > 0 and c_overhead > 0):
-        raise ValueError("c_gate and c_overhead must be positive")
-    pairs = mdp.num_states * mdp.num_actions
-    qubits = (pairs - 1).bit_length()
-    ae_queries = ae_query_cost(EstimatorConfig(
-        mode=AE_ORACLE, epsilon=config.estimator.epsilon, c_ae=config.estimator.c_ae))
+    per_read = query_cost(config.estimator)
+    queries = int(_readout_mask(mdp).sum()) * per_read
+    gates_update = round(C_GATE * mdp.sparsity_d)
     try:
-        gates_update = round(c_gate * mdp.sparsity_d * kappa)
-        gates_iteration = round(gates_update * ae_queries * c_overhead)
+        gates_read = round(gates_update * per_read * C_OVERHEAD)
+        gates_iteration = round(gates_update * queries * C_OVERHEAD)
     except OverflowError:  # round(inf), or an int past the float range
-        raise ValueError(f"the gate count overflows the float range at c_gate {c_gate!r}, "
-                         f"kappa {kappa!r} and c_overhead {c_overhead!r}") from None
+        est = config.estimator
+        setting = (f"shots {est.shots!r}" if est.mode == SHOT_SAMPLING
+                   else f"c_ae {est.c_ae!r} and epsilon {est.epsilon!r}")
+        raise ValueError(f"the gate count overflows the float range at {setting}") from None
     return ResourceEstimate(
-        qubits=qubits,
-        gates_per_bellman_update=int(gates_update),
-        gates_per_iteration=int(gates_iteration),
-        seconds_per_iteration_at_1khz=gates_iteration / 1000.0,
-        kappa=float(kappa),
+        qubits=(mdp.num_states * mdp.num_actions - 1).bit_length(),
         sparsity_d=mdp.sparsity_d,
+        gates_per_bellman_update=gates_update,
+        gates_per_read=gates_read,
+        queries_per_iteration=queries,
+        gates_per_iteration=gates_iteration,
+        seconds_per_iteration_at_1khz=gates_iteration / 1000.0,
     )

@@ -288,12 +288,19 @@ def test_c10_convergence_bound(oracle_runs, shot_runs):
 
 
 def test_c11_resource_estimates(grid):
-    est = estimate_resources(grid, QPolicyConfig(epsilon=0.01), kappa=1.0)
+    cfg = QPolicyConfig(epsilon=0.01)
+    est = estimate_resources(grid, cfg)
     assert est.qubits == 6
-    assert abs(est.gates_per_iteration - 5600) <= 0.15 * 5600
-    assert abs(est.seconds_per_iteration_at_1khz - 5.6) <= 0.15 * 5.6
-    _report(11, f"6 qubits, {est.gates_per_iteration} gates/iteration, "
-                f"{est.seconds_per_iteration_at_1khz:.2f} s at 1 kHz")
+    # one read's price, and the price of the iteration a run charges for
+    assert abs(est.gates_per_read - 5600) <= 0.15 * 5600
+    assert abs(est.gates_per_read / 1000 - 5.6) <= 0.15 * 5.6
+    (record,), _ = run_qpolicy(grid, QPolicyConfig(epsilon=0.01, max_iterations=1))
+    assert est.queries_per_iteration == record.queries_iteration == 6000
+    assert est.gates_per_iteration == 336000
+    _report(11, f"6 qubits, {est.gates_per_read} gates/read "
+                f"({est.gates_per_read / 1000:.2f} s at 1 kHz), "
+                f"{est.queries_per_iteration} queries and {est.gates_per_iteration} "
+                f"gates/iteration ({est.seconds_per_iteration_at_1khz:.1f} s at 1 kHz)")
 
 
 def test_c12_ablation_grid(grid, tmp_path):

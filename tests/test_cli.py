@@ -9,7 +9,7 @@ from qpolicy import cli
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING
 from qpolicy.experiments import run_ablation, summarize
-from qpolicy.mdp import load_mdp
+from qpolicy.mdp import build_gridworld, load_mdp, save_mdp
 
 
 @pytest.fixture()
@@ -31,6 +31,14 @@ class TestGenEnv:
         assert main(["gen-env", "frozenlake", "--size", "8", "--slippery",
                      "--out", str(path)]) == EXIT_OK
         assert load_mdp(path).num_states == 64
+
+    def test_out_in_a_new_directory(self, tmp_path):
+        # written as save_mdp writes it, after making the directory
+        out = tmp_path / "newdir" / "env.json"
+        assert main(["gen-env", "gridworld", "--width", "4", "--height", "4",
+                     "--out", str(out)]) == EXIT_OK
+        save_mdp(build_gridworld(4, 4, 0.2, (3, 3), 0.95), tmp_path / "saved.json")
+        assert out.read_bytes() == (tmp_path / "saved.json").read_bytes()
 
     def test_missing_size_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"
@@ -280,6 +288,7 @@ class TestSettings:
     ] + [("resources", flag, value) for flag, value in [
         ("--mode", "ae_oracle"), ("--shots", "5"), ("--noise-p", "0.1"), ("--iters", "3"),
         ("--tol", "1e-3"), ("--gamma", "0.5"), ("--seed", "1"), ("--seeds", "2"), ("--out", "x"),
+        ("--kappa", "0.5"), ("--c-gate", "-5"), ("--c-overhead", "-1"),
     ]])
     def test_unread_flag_exits_2(self, grid_env, tmp_path, command, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -291,6 +300,8 @@ class TestSettings:
         ("ablate", "epsilon", 0.1), ("ablate", "shots", 64),
         ("noise-study", "noise_p", 0.1), ("compare-queries", "p_values", [0.0]),
         ("resources", "seed", 1), ("resources", "mode", "ae_oracle"),
+        ("resources", "kappa", 2.0), ("resources", "c_gate", 12.5),
+        ("resources", "c_overhead", 1.12),
     ])
     def test_unread_config_key_exits_2(self, grid_env, tmp_path, capsys, monkeypatch,
                                        command, key, value):
@@ -339,12 +350,12 @@ class TestSettings:
         (["ablate", "--mode", "ae_oracle", "--epsilons", "0.01,1.5"], "ae_oracle requires"),
         (["run", "--mode", "ae_oracle", "--epsilon", "1e-320"], "finite readout cost"),
         (["run", "--gamma", "nan"], "gamma must be a finite number, got nan"),
-        (["resources", "--kappa", "0.5"], "kappa must be >= 1"),
-        (["resources", "--c-gate", "-5"], "c_gate and c_overhead must be positive"),
-        (["resources", "--c-overhead", "-1"], "c_gate and c_overhead must be positive"),
-        (["resources", "--c-gate", "1e300", "--c-overhead", "1e300"],
-         "the gate count overflows the float range at c_gate 1e+300, kappa 1.0 and "
-         "c_overhead 1e+300"),
+        # resources reads out through ae_oracle, whose checks apply
+        (["resources", "--epsilon", "1.5"], "ae_oracle requires 0 < epsilon < 1"),
+        (["resources", "--c-ae", "0"], "c_ae must be positive"),
+        (["resources", "--epsilon", "1e-320"], "finite readout cost"),
+        (["resources", "--c-ae", "1e307", "--epsilon", "0.5"],
+         "the gate count overflows the float range at c_ae 1e+307 and epsilon 0.5"),
         # shot mode reads no epsilon, and still rejects one that is not positive
         (["run", "--epsilon", "-0.1"], "epsilon must be positive"),
         (["run", "--noise-p", "1.5"], "noise_p must be a number in [0, 1], got 1.5"),
@@ -512,9 +523,10 @@ class TestStudies:
 
     def test_resources_json(self, grid_env, capsys):
         assert main(["resources", "--env", grid_env, "--epsilon", "0.01"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["qubits"] == 6
-        assert doc["gates_per_bellman_update"] == 50
+        assert json.loads(capsys.readouterr().out) == {
+            "qubits": 6, "sparsity_d": 4, "gates_per_bellman_update": 50,
+            "gates_per_read": 5600, "queries_per_iteration": 6000,
+            "gates_per_iteration": 336000, "seconds_per_iteration_at_1khz": 336.0}
 
 
 class TestDiscount:

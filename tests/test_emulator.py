@@ -9,7 +9,7 @@ from qpolicy.emulator import (
     SHOT_SAMPLING,
     EstimatorConfig,
     StateVector,
-    ae_query_cost,
+    query_cost,
     amplitude_encode,
     readout_batch,
     shift_for_encoding,
@@ -136,16 +136,16 @@ class TestAmplitudeEstimate:
         assert np.all((reads[1500:] > 0.0) & (reads[1500:] < 1.0))
 
     def test_query_cost_formula(self):
-        assert ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.01)) == 100
-        assert ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.1)) == 10
-        assert ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.03)) == 34
-        assert ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=0.04)) == 4
-        assert ae_query_cost(EstimatorConfig(mode=SHOT_SAMPLING, shots=512)) == 512
+        assert query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.01)) == 100
+        assert query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.1)) == 10
+        assert query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.03)) == 34
+        assert query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=0.01, c_ae=0.04)) == 4
+        assert query_cost(EstimatorConfig(mode=SHOT_SAMPLING, shots=512)) == 512
 
     def test_doubling_precision_doubles_queries(self):
         for eps in (0.2, 0.1, 0.05, 0.025):
-            q1 = ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=eps))
-            q2 = ae_query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=eps / 2))
+            q1 = query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=eps))
+            q2 = query_cost(EstimatorConfig(mode=AE_ORACLE, epsilon=eps / 2))
             assert q2 == 2 * q1
 
     def test_shot_mode_rmse_slope(self):
@@ -153,7 +153,7 @@ class TestAmplitudeEstimate:
         rmses = []
         for shots in shot_counts:
             cfg = EstimatorConfig(mode=SHOT_SAMPLING, shots=shots)
-            assert ae_query_cost(cfg) == shots
+            assert query_cost(cfg) == shots
             errs = readout_batch(np.full(1000, 0.5), cfg, np.random.default_rng(shots)) - 0.5
             rmses.append(np.sqrt(np.mean(np.square(errs))))
         slope = np.polyfit(np.log(shot_counts), np.log(rmses), 1)[0]

@@ -488,7 +488,7 @@ def _serial_run(mdp, config):
             rng = engine.stream(config.seed, engine._READOUT, k)
             reads = engine.readout_batch(values, est, rng)
             q_tilde.reshape(-1)[mask] = lo + span * reads
-            queries = int(mask.sum()) * engine.ae_query_cost(est)
+            queries = int(mask.sum()) * engine.query_cost(est)
             q_var = float(span * (span * float(engine.readout_variance(values, est).sum())
                                   / mask.size))
         v_next = q_tilde.max(axis=1)

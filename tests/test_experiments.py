@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from qpolicy.experiments import (
     run_query_complexity_study,
     summarize,
 )
-from qpolicy.mdp import Policy, bellman_backup, mc_policy_evaluation, policy_values
+from qpolicy.mdp import Policy, bellman_backup, build_gridworld, mc_policy_evaluation, policy_values
 from qpolicy.rng import child_seed
 
 
@@ -132,13 +133,15 @@ class TestSummarize:
 
 class TestResources:
     def test_grid_point_values(self, grid4):
-        cfg = QPolicyConfig(epsilon=0.01)
-        est = estimate_resources(grid4, cfg, kappa=1.0)
+        est = estimate_resources(grid4, QPolicyConfig(epsilon=0.01))
         assert est.qubits == 6
-        assert est.gates_per_bellman_update == 50
-        assert abs(est.gates_per_iteration - 5600) <= 0.15 * 5600
-        assert abs(est.seconds_per_iteration_at_1khz - 5.6) <= 0.15 * 5.6
         assert est.sparsity_d == 4
+        assert est.gates_per_bellman_update == 50
+        assert abs(est.gates_per_read - 5600) <= 0.15 * 5600
+        # 60 reads of 100 queries, each query priced at 50 gates times 1.12
+        assert est.queries_per_iteration == 6000
+        assert est.gates_per_iteration == 336000
+        assert est.seconds_per_iteration_at_1khz == 336.0
 
     def test_priced_at_the_estimators_epsilon(self, grid4):
         # the run reads out at the estimator's 0.01, 100 queries a readout:
@@ -148,11 +151,39 @@ class TestResources:
         (record,), _ = run_qpolicy(grid4, cfg)
         assert record.queries_iteration == 60 * 100  # 4 goal-state pairs are pinned at zero
         est = estimate_resources(grid4, cfg)
-        assert est.gates_per_iteration == round(est.gates_per_bellman_update * 100 * 1.12)
+        assert est.queries_per_iteration == record.queries_iteration
+        assert est.gates_per_read == round(est.gates_per_bellman_update * 100 * 1.12)
         assert est == estimate_resources(grid4, QPolicyConfig(epsilon=0.01))
 
+    CONFIGS = {
+        "ae_oracle": QPolicyConfig(estimator=EstimatorConfig(mode=AE_ORACLE, epsilon=0.01)),
+        "calibrated": calibrated_query_config(),
+        "shots512": QPolicyConfig(estimator=EstimatorConfig(mode=SHOT_SAMPLING, shots=512)),
+    }
+
+    # 60, 212 and 396 reads at 100 queries (c_ae 1), 4 (c_ae 0.04) or 512 shots
+    @pytest.mark.parametrize("model, config, queries", [
+        ("grid4", "ae_oracle", 6000), ("grid4", "calibrated", 240),
+        ("grid4", "shots512", 30720),
+        ("lake8", "ae_oracle", 21200), ("lake8", "calibrated", 848),
+        ("lake8", "shots512", 108544),
+        ("grid10", "ae_oracle", 39600), ("grid10", "calibrated", 1584),
+        ("grid10", "shots512", 202752),
+    ])
+    def test_queries_equal_a_one_iteration_run(self, grid4, frozen8, model, config, queries):
+        mdp = {"grid4": grid4, "lake8": frozen8,
+               "grid10": build_gridworld(10, 10, 0.2, (9, 9), 0.95)}[model]
+        cfg = self.CONFIGS[config]
+        (record,), _ = run_qpolicy(mdp, replace(cfg, max_iterations=1))
+        est = estimate_resources(mdp, cfg)
+        assert est.queries_per_iteration == record.queries_iteration == queries
+        # from the queries, not from the rounded gates_per_read times the reads
+        assert est.gates_per_iteration == round(
+            est.gates_per_bellman_update * est.queries_per_iteration * 1.12)
+
     def test_qubit_formula_large_state_space(self):
-        fake = SimpleNamespace(num_states=10 ** 6, num_actions=4, sparsity_d=4)
+        fake = SimpleNamespace(num_states=10 ** 6, num_actions=4, sparsity_d=4,
+                               terminal_states=frozenset())
         est = estimate_resources(fake, QPolicyConfig(epsilon=0.01))
         assert est.qubits == 22  # ceil(log2(4e6)); coarser hardware tallies add ancillas
 
@@ -162,27 +193,19 @@ class TestResources:
             pairs = mdp.num_states * mdp.num_actions
             assert est.qubits == int(np.ceil(np.log2(pairs)))
 
-    def test_kappa_validation(self, grid4):
-        with pytest.raises(ValueError):
-            estimate_resources(grid4, QPolicyConfig(), kappa=0.5)
-
-    @pytest.mark.parametrize("constants", [{"c_gate": -5.0}, {"c_overhead": -1.0},
-                                           {"c_gate": 0.0}, {"c_overhead": float("nan")}])
-    def test_calibration_constant_validation(self, grid4, constants):
-        with pytest.raises(ValueError, match="c_gate and c_overhead must be positive"):
-            estimate_resources(grid4, QPolicyConfig(), **constants)
-
-    # the iteration's count reaches inf; the update's does; the update's
-    # count times 100 queries is an int past the float range
+    # a read's count is an int past the float range; the iteration's is, and
+    # a read's is not; a read's count reaches inf; shots past the float range
     @pytest.mark.parametrize("constants", [
-        {"c_gate": 1e300, "c_overhead": 1e300},
-        {"c_gate": 1e300, "kappa": 1e300},
-        {"c_gate": 1e300, "kappa": 1e7},
+        {"mode": AE_ORACLE, "c_ae": 1e307, "epsilon": 0.5},
+        {"mode": AE_ORACLE, "c_ae": 1e305, "epsilon": 0.1},
+        {"mode": AE_ORACLE, "c_ae": 1.7e306, "epsilon": 0.5},
+        {"mode": SHOT_SAMPLING, "shots": 10 ** 307},
     ])
     def test_gate_count_overflow_names_the_constants(self, grid4, constants):
-        with pytest.raises(ValueError, match="the gate count overflows .*c_gate.*kappa.*"
-                                             "c_overhead"):
-            estimate_resources(grid4, QPolicyConfig(), **constants)
+        named = " and ".join(f"{k} {v!r}" for k, v in constants.items() if k != "mode")
+        with pytest.raises(ValueError, match=re.escape(
+                f"the gate count overflows the float range at {named}")):
+            estimate_resources(grid4, QPolicyConfig(estimator=EstimatorConfig(**constants)))
 
 
 # ---------------------------------------------------------------------------

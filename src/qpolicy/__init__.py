@@ -15,7 +15,6 @@ from .emulator import (
     EstimatorConfig,
     StateVector,
     amplitude_encode,
-    shift_for_encoding,
 )
 from .engine import (
     DivergenceError,
@@ -43,9 +42,7 @@ from .mdp import (
     build_frozenlake,
     build_gridworld,
     exact_policy_evaluation,
-    greedy_actions,
     load_mdp,
     mc_policy_evaluation,
-    save_mdp,
     value_iteration,
 )

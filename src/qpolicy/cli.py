@@ -468,7 +468,7 @@ COMMANDS = {
     "noise-study": (_cmd_noise_study, "paired runs across depolarizing strengths", {
         **dict.fromkeys(("mode", "epsilon", "shots", "c_ae", "tol", "gamma")),
         "iters": 50, **_RUNS, "p_values": [0.0, 0.01]}),
-    "resources": (_cmd_resources, "qubits and gates of one engine iteration",
+    "resources": (_cmd_resources, "qubits and gates of one iteration with non-constant targets",
                   dict.fromkeys(("epsilon", "c_ae"))),
 }
 

@@ -94,10 +94,6 @@ class EstimatorConfig:
 # Encoding
 # ---------------------------------------------------------------------------
 
-def next_power_of_two(n: int) -> int:
-    return 1 if n <= 1 else 1 << (n - 1).bit_length()
-
-
 def amplitude_encode(values) -> tuple[StateVector, float, int]:
     """Embed a nonnegative vector in state amplitudes.
 
@@ -118,20 +114,11 @@ def amplitude_encode(values) -> tuple[StateVector, float, int]:
     unit = values / peak
     norm = float(np.linalg.norm(unit))
     scale = peak * norm
-    dim = next_power_of_two(values.size)
+    dim = 1 << (values.size - 1).bit_length()
     amps = np.zeros(dim)
     amps[: values.size] = unit / norm
     n = dim.bit_length() - 1
     return StateVector(amps.astype(complex), n), scale, dim - values.size
-
-
-def shift_for_encoding(q_row) -> tuple[np.ndarray, float]:
-    """Subtract the minimum so the row becomes nonnegative; return the offset."""
-    q_row = np.asarray(q_row, dtype=float)
-    if q_row.size == 0 or not np.all(np.isfinite(q_row)):
-        raise ValueError("expected a nonempty finite vector")
-    offset = float(q_row.min())
-    return q_row - offset, offset
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ model (the action the Bellman unitary would implement), maps the target
 table affinely into [0, 1] and reads every entry back once through the
 run's estimator. Iteration k backs q_k up under its own greedy policy,
 which makes the target T* q_k (up to the 1e-9 tie tolerance of
-greedy_actions): the engine is value iteration with read-out backups.
+greedy): the engine is value iteration with read-out backups.
 An ae_oracle read at the estimator's epsilon and noise_p = p lies within
 epsilon + 2p/3 of its target mapped into [0, 1], so with span_k the span
 of iteration k's targets every run obeys the noisy value-iteration
@@ -36,7 +36,6 @@ from .emulator import (
     query_cost,
     readout_batch,
     readout_variance,
-    shift_for_encoding,
 )
 # bellman_backup and stream stay bound here, where perfbench/tracing.py hooks them
 from .mdp import (  # noqa: F401
@@ -45,7 +44,6 @@ from .mdp import (  # noqa: F401
     TabularMDP,
     bellman_backup,
     greedy,
-    greedy_actions,
 )
 from .rng import stream, streams  # noqa: F401
 
@@ -130,7 +128,9 @@ def encode_qtable(q: QTable):
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
         raise ValueError("q table must be finite")
-    shifted, offset = shift_for_encoding(q.reshape(-1))
+    flat = q.reshape(-1)
+    offset = float(flat.min())
+    shifted = flat - offset
     if not shifted.any():
         return None, 0.0, offset
     state, scale, _ = amplitude_encode(shifted)
@@ -216,7 +216,7 @@ def policy_improve(q: QTable) -> Policy:
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
         raise ValueError("q table must be finite")
-    return Policy(greedy_actions(q))
+    return Policy(greedy(q)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -177,27 +177,27 @@ def summarize(series_across_seeds: Sequence[Sequence[float]]) -> list[SummarySta
 # Monte Carlo baseline arm
 # ---------------------------------------------------------------------------
 
-def run_mc_policy_iteration(mdp: TabularMDP, budget: int, config: QPolicyConfig,
+def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
                             seeds: Sequence[int]) -> list[list]:
     """Policy iteration with first-visit MC evaluation, one run per seed, for
-    config.max_iterations iterations (the only field read: no convergence_tol
-    stops it early); one query = one rollout of _MC_HORIZON steps. Its evaluation
+    the given number of iterations (no convergence tolerance stops it early);
+    one query = one rollout of _MC_HORIZON steps. Its evaluation
     step in policy_iteration_lockstep makes one lockstep sampler call for
     every seed's policy; seed i's at iteration k draws from
     child_seed(seeds[i], 6, k) alone. Estimates that are not finite (the
     returns overflowed) raise DivergenceError naming the iteration and the
     first such seed."""
     def evaluate(k, q, actions, active):
-        tables, queries = mc_policy_evaluation_lockstep(
+        tables = mc_policy_evaluation_lockstep(
             mdp, [Policy(a) for a in actions], budget, _MC_HORIZON,
             [child_seed(seeds[i], 6, k) for i in active])
         bad = np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))
         if bad.size:
             raise DivergenceError(f"iteration {k}: the Monte Carlo estimates of seed "
                                   f"{seeds[active[bad[0]]]} are not finite")
-        return tables, [queries] * len(active), [0.0] * len(active)
+        return tables, [budget] * len(active), [0.0] * len(active)
 
-    runs = policy_iteration_lockstep(mdp, [(config.max_iterations, 0.0)] * len(seeds), evaluate)
+    runs = policy_iteration_lockstep(mdp, [(iterations, 0.0)] * len(seeds), evaluate)
     return [records for records, _ in runs]
 
 
@@ -227,7 +227,7 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig, mc_bud
     The engine arm stops at qp_config.max_iterations or once a run's table
     moves less than qp_config.convergence_tol; the MC arm always runs
     qp_config.max_iterations iterations."""
-    mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config, seeds)
+    mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config.max_iterations, seeds)
     engine_runs = run_qpolicy_lockstep(mdp, [qp_config.with_settings(seed) for seed in seeds])
     results = []
     for seed, (engine_records, _), mc_records in zip(seeds, engine_runs, mc_runs):
@@ -345,7 +345,9 @@ def estimate_resources(mdp: TabularMDP, config: QPolicyConfig) -> ResourceEstima
     qubits = ceil(log2(|S| * |A|)), the index register alone. An iteration
     reads what the engine reads (engine._readout_mask: each pair of a
     non-terminal state) at query_cost(config.estimator) a read, so
-    queries_per_iteration is a run's queries_iteration. A Bellman update
+    queries_per_iteration is the queries_iteration of a run's iteration
+    whose targets are not constant. An iteration whose targets are constant
+    (every reward 0, say) reads nothing and is charged 0. A Bellman update
     costs round(C_GATE * d) gates at sparsity d, and each query that many
     times C_OVERHEAD; both constants are calibrations, not derived.
     """

@@ -5,7 +5,7 @@ arrays of next states and probabilities, d the widest row, stored column by
 column, so that a sum over a row runs over d contiguous columns. Memory and
 time per backup grow with S*A*d rather than with the S*A*S of a dense
 tensor; rewards are expected immediate rewards r(s, a). JSON files keep
-ragged (next_state, probability) rows, derived from the arrays on save.
+ragged (next_state, probability) rows, derived from the arrays by mdp_to_dict.
 Terminal states self-loop with zero reward so value recursions need no
 special casing. The exact solvers sweep the value vector, S entries a
 sweep, and build the (S, A) table only to confirm their stop and return
@@ -27,6 +27,8 @@ import numpy as np
 from .rng import stream
 
 PROB_TOL = 1e-9
+# Two actions within this of a row's max tie in the greedy step.
+_GREEDY_TOL = 1e-9
 
 # Grid actions, shared by both environment builders.
 UP, DOWN, LEFT, RIGHT = 0, 1, 2, 3
@@ -245,28 +247,21 @@ def action_max(q: np.ndarray) -> np.ndarray:
     return best
 
 
-def greedy(q: QTable, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def greedy(q: QTable) -> tuple[np.ndarray, np.ndarray]:
     """(action_max(q), the greedy actions): in each row the first action
-    within tol of the max, 0 where the max is NaN; a stack of tables,
-    shape (..., S, A), gives two (..., S) stacks.
+    within _GREEDY_TOL (1e-9) of the max, 0 where the max is NaN; a stack
+    of tables, shape (..., S, A), gives two (..., S) stacks.
 
     The tolerance makes tie-breaking stable across independently computed
     tables whose tied entries differ only by float rounding.
     """
     q = np.asarray(q, dtype=float)
     best = action_max(q)
-    near = best - tol
+    near = best - _GREEDY_TOL
     actions = np.zeros(best.shape, dtype=np.intp)
     for a in range(q.shape[-1] - 1, -1, -1):  # down, so the lowest near action wins
         np.copyto(actions, a, where=q[..., a] >= near)
     return best, actions
-
-
-def greedy_actions(q: QTable, tol: float = 1e-9) -> np.ndarray:
-    """Row-wise argmax with ties (within tol) broken by lowest action index,
-    as greedy gives it; a stack of tables, shape (..., S, A), gives a
-    (..., S) stack."""
-    return greedy(q, tol)[1]
 
 
 def _actions_below(actions: np.ndarray, num_actions: int) -> bool:
@@ -523,7 +518,7 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]
         return action_max((rewards_by_action + mdp.gamma * sums).T)
 
     q = _sweep(mdp, tol, "value iteration", action_max, value_step)
-    return q, Policy(greedy_actions(q))
+    return q, Policy(greedy(q)[1])
 
 
 def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
@@ -538,23 +533,22 @@ def mc_policy_evaluation(mdp: TabularMDP, policy: Policy, num_trajectories: int,
     This is the one-member call of mc_policy_evaluation_lockstep, which
     describes how the trajectories are stepped and what memory they take.
     """
-    estimates, queries = mc_policy_evaluation_lockstep(mdp, [policy], num_trajectories,
-                                                       horizon, [seed])
-    return estimates[0], queries
+    estimates = mc_policy_evaluation_lockstep(mdp, [policy], num_trajectories, horizon, [seed])
+    return estimates[0], num_trajectories
 
 
 def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: int,
-                                  horizon: int, seeds) -> tuple[np.ndarray, int]:
+                                  horizon: int, seeds) -> np.ndarray:
     """mc_policy_evaluation for several (policy, seed) members in one pass.
 
-    Returns the (members, S, A) estimates and the query count per member.
-    Member i's estimate is mc_policy_evaluation(mdp, policies[i],
-    num_trajectories, horizon, seeds[i]) bit for bit: it draws from its own
-    stream(seeds[i], 0), first its starts and then, at each step it moves,
-    one uniform per trajectory, live or not, for the next states; the policy
-    then fixes each next action. The members are stepped together, so each
-    step costs one set of array operations over every member's live
-    trajectories.
+    Returns the (members, S, A) estimates; each member's query count is
+    num_trajectories. Member i's estimate is mc_policy_evaluation(mdp,
+    policies[i], num_trajectories, horizon, seeds[i]) bit for bit: it draws
+    from its own stream(seeds[i], 0), first its starts and then, at each
+    step it moves, one uniform per trajectory, live or not, for the next
+    states; the policy then fixes each next action. The members are stepped
+    together, so each step costs one set of array operations over every
+    member's live trajectories.
 
     A trajectory that reaches a terminal state is absorbed: from there on it
     earns 0 and visits only terminal pairs, whose estimate is 0 however
@@ -676,7 +670,7 @@ def mc_policy_evaluation_lockstep(mdp: TabularMDP, policies, num_trajectories: i
     sums = np.bincount(bins, weights=returns, minlength=members * pair_count)
     counts = np.bincount(bins, minlength=members * pair_count)
     estimates = np.divide(sums, counts, out=sums, where=counts > 0)  # 0 where unvisited
-    return estimates.reshape(members, s_count, a_count), num_trajectories
+    return estimates.reshape(members, s_count, a_count)
 
 
 # ---------------------------------------------------------------------------
@@ -746,14 +740,6 @@ def mdp_from_dict(doc: dict) -> TabularMDP:
                   "lists of [next state, probability] number pairs", 4)
     return TabularMDP.from_rows(num_states, num_actions, rows, rewards, float(gamma),
                                 terminal_states=frozenset(terminals), start_state=start)
-
-
-def save_mdp(mdp: TabularMDP, path: str | os.PathLike) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(mdp_to_dict(mdp), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
 
 
 def load_mdp(path: str | os.PathLike) -> TabularMDP:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qpolicy import engine
-from qpolicy.cli import EXIT_OK, main
+from qpolicy.cli import EXIT_OK, _write_json, main
 from qpolicy.emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
@@ -39,7 +39,8 @@ from qpolicy.mdp import (
     build_frozenlake,
     build_gridworld,
     exact_policy_evaluation,
-    greedy_actions,
+    greedy,
+    mdp_to_dict,
     policy_values,
     value_iteration,
 )
@@ -219,7 +220,7 @@ def test_c09_greedy_loss_bound(oracle_runs):
     worst = 0.0
     for run in oracle_runs:
         q_final = run.steps[-1][1]
-        assert np.array_equal(run.policy.actions, greedy_actions(q_final))
+        assert np.array_equal(run.policy.actions, greedy(q_final)[1])
         v_pi = policy_values(run.mdp, run.policy,
                              exact_policy_evaluation(run.mdp, run.policy, 1e-10))
         loss = float(np.abs(run.q_star.max(axis=1) - v_pi).max())
@@ -305,8 +306,7 @@ def test_c11_resource_estimates(grid):
 
 def test_c12_ablation_grid(grid, tmp_path):
     env_path = tmp_path / "grid.json"
-    from qpolicy.mdp import save_mdp
-    save_mdp(grid, env_path)
+    _write_json(str(env_path), mdp_to_dict(grid))
     out = tmp_path / "ablation"
     code = main(["ablate", "--env", str(env_path),
                  "--epsilons", "0.001,0.01,0.05",
@@ -361,9 +361,8 @@ def test_c13_noise_study(lake):
 
 
 def test_c14_cli_determinism(grid, tmp_path, subprocess_env, one_config_per_call):
-    from qpolicy.mdp import save_mdp
     env_path = tmp_path / "grid.json"
-    save_mdp(grid, env_path)
+    _write_json(str(env_path), mdp_to_dict(grid))
 
     def csv_bytes(out_dir):
         return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*.csv"))}

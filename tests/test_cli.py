@@ -9,7 +9,7 @@ from qpolicy import cli
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING
 from qpolicy.experiments import run_ablation, summarize
-from qpolicy.mdp import build_gridworld, load_mdp, save_mdp
+from qpolicy.mdp import build_gridworld, load_mdp, mdp_to_dict
 
 
 @pytest.fixture()
@@ -33,12 +33,13 @@ class TestGenEnv:
         assert load_mdp(path).num_states == 64
 
     def test_out_in_a_new_directory(self, tmp_path):
-        # written as save_mdp writes it, after making the directory
+        # the directory is made, and the file is the model's document as
+        # sorted, two-space indented JSON with a final newline
         out = tmp_path / "newdir" / "env.json"
         assert main(["gen-env", "gridworld", "--width", "4", "--height", "4",
                      "--out", str(out)]) == EXIT_OK
-        save_mdp(build_gridworld(4, 4, 0.2, (3, 3), 0.95), tmp_path / "saved.json")
-        assert out.read_bytes() == (tmp_path / "saved.json").read_bytes()
+        doc = mdp_to_dict(build_gridworld(4, 4, 0.2, (3, 3), 0.95))
+        assert out.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
     def test_missing_size_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x.json"

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from qpolicy.emulator import (
     AE_ORACLE,
@@ -12,9 +11,7 @@ from qpolicy.emulator import (
     query_cost,
     amplitude_encode,
     readout_batch,
-    shift_for_encoding,
 )
-from qpolicy.mdp import build_gridworld, value_iteration
 from qpolicy.rng import stream
 
 
@@ -63,47 +60,6 @@ class TestAmplitudeEncode:
         assert state.num_qubits == 0
         assert pad == 0
         assert scale == pytest.approx(2.5)
-
-
-class TestShift:
-    def test_basic(self):
-        shifted, offset = shift_for_encoding([-1.0, 0.0, 3.0])
-        assert offset == -1.0
-        assert np.array_equal(shifted, [0.0, 1.0, 4.0])
-
-    def test_constant_vector(self):
-        shifted, offset = shift_for_encoding([2.0, 2.0])
-        assert offset == 2.0
-        assert np.array_equal(shifted, [0.0, 0.0])
-
-    def test_grid_q_row_roundtrip(self):
-        mdp = build_gridworld(4, 4, 0.2, (3, 3), 0.95)
-        q, _ = value_iteration(mdp, 1e-10)
-        row = q[14]  # neighbor of the goal
-        shifted, offset = shift_for_encoding(row)
-        assert shifted[np.argmin(row)] == 0.0
-        assert np.abs((shifted + offset) - row).max() <= 1e-12
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            shift_for_encoding([np.nan, 1.0])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40))
-@example([0.0, 5.35e-176])
-@example([0.0, 5e-324])
-@example([1e200, 2e200])
-def test_shift_encode_decode_roundtrip(values):
-    values = np.asarray(values)
-    shifted, offset = shift_for_encoding(values)
-    if not shifted.any():  # constant vectors have no normalized encoding
-        return
-    state, scale, pad = amplitude_encode(shifted)
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-9
-    decoded = np.real(state.amplitudes[:len(values)]) * scale + offset
-    scale_ref = max(1.0, np.abs(values).max())
-    assert np.abs(decoded - values).max() <= 1e-12 * scale_ref
 
 
 def test_statevector_validation():

@@ -4,6 +4,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpolicy import engine
 from qpolicy.emulator import (
@@ -45,27 +46,62 @@ def _read_out(targets, mask, estimator, rng):
     return q_tilde[0], queries[0], q_variance[0]
 
 
+def _decode(state, scale, offset, shape):
+    return (np.real(state.amplitudes[:math.prod(shape)]) * scale + offset).reshape(shape)
+
+
 class TestEncodeQTable:
     def test_grid_table_needs_six_qubits(self, grid4):
         state, scale, offset = encode_qtable(np.arange(64.0).reshape(16, 4))
         assert state.num_qubits == 6
 
+    def test_min_entry_shifts_to_zero(self):
+        state, scale, offset = encode_qtable(np.array([[-1.0, 0.0], [3.0, -1.0]]))
+        assert offset == -1.0
+        # the shifted table [0, 1, 4, 0], normalised: both minima encode to 0 exactly
+        assert np.array_equal(np.real(state.amplitudes) == 0.0, [True, False, False, True])
+        assert scale == pytest.approx(math.sqrt(17.0), rel=1e-15)
+        assert np.abs(np.real(state.amplitudes) * scale - [0.0, 1.0, 4.0, 0.0]).max() <= 1e-12
+
     def test_constant_table_is_degenerate(self):
-        state, scale, offset = encode_qtable(np.full((2, 2), 3.5))
-        assert state is None
-        assert scale == 0.0
-        assert offset == 3.5
+        for q in (np.full((2, 2), 3.5), np.array([[2.0, 2.0]])):
+            state, scale, offset = encode_qtable(q)
+            assert state is None
+            assert scale == 0.0
+            assert offset == q[0, 0]
 
     def test_roundtrip_random_table(self):
         rng = np.random.default_rng(1)
         q = rng.normal(size=(5, 3))  # 15 entries padded to 16
-        state, scale, offset = encode_qtable(q)
-        back = (np.real(state.amplitudes[:q.size]) * scale + offset).reshape(q.shape)
+        back = _decode(*encode_qtable(q), q.shape)
         assert np.abs(back - q).max() <= 1e-10
 
+    def test_grid_q_star_roundtrip(self, grid4):
+        q, _ = value_iteration(grid4, 1e-10)
+        state, scale, offset = encode_qtable(q)
+        assert offset == q.min() and state.amplitudes[q.argmin()] == 0.0
+        assert np.abs(_decode(state, scale, offset, q.shape) - q).max() <= 1e-12
+
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            encode_qtable(np.array([[np.inf, 0.0], [0.0, 0.0]]))
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="q table must be finite"):
+                encode_qtable(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=40))
+@example([0.0, 5.35e-176])
+@example([0.0, 5e-324])
+@example([1e200, 2e200])
+def test_encode_decode_roundtrip(values):
+    q = np.asarray(values)[None]  # one state, len(values) actions
+    state, scale, offset = encode_qtable(q)
+    if state is None:  # constant tables have no normalized encoding
+        assert scale == 0.0 and np.all(q == offset)
+        return
+    assert abs(np.linalg.norm(state.amplitudes) - 1.0) <= 1e-9
+    scale_ref = max(1.0, np.abs(q).max())
+    assert np.abs(_decode(state, scale, offset, q.shape) - q).max() <= 1e-12 * scale_ref
 
 
 class TestQuantumBellmanUpdate:

@@ -181,6 +181,16 @@ class TestResources:
         assert est.gates_per_iteration == round(
             est.gates_per_bellman_update * est.queries_per_iteration * 1.12)
 
+    def test_prices_an_iteration_whose_targets_are_not_constant(self, grid4):
+        # with every reward 0 the targets of iteration 0 are all 0: the run
+        # reads nothing and charges nothing, while the estimate still prices
+        # the 60 reads of an iteration whose targets differ
+        flat = replace(grid4, rewards=np.zeros((16, 4)))
+        cfg = QPolicyConfig(epsilon=0.01, max_iterations=1)
+        (record,), _ = run_qpolicy(flat, cfg)
+        assert record.queries_iteration == 0
+        assert estimate_resources(flat, cfg).queries_per_iteration == 6000
+
     def test_qubit_formula_large_state_space(self):
         fake = SimpleNamespace(num_states=10 ** 6, num_actions=4, sparsity_d=4,
                                terminal_states=frozenset())

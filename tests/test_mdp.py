@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpolicy import mdp as mdp_module
+from qpolicy.cli import _write_json
 from qpolicy.emulator import SHOT_SAMPLING, EstimatorConfig
 from qpolicy.engine import QPolicyConfig, run_qpolicy
 from qpolicy.mdp import (
@@ -19,14 +20,12 @@ from qpolicy.mdp import (
     build_gridworld,
     exact_policy_evaluation,
     greedy,
-    greedy_actions,
     load_mdp,
     mc_policy_evaluation,
     mc_policy_evaluation_lockstep,
     mdp_from_dict,
     mdp_to_dict,
     policy_values,
-    save_mdp,
     value_iteration,
 )
 
@@ -436,8 +435,8 @@ class TestValueIteration:
                 value_iteration(grid4, tol)
 
     def test_tie_break_lowest_index(self):
-        assert greedy_actions(np.array([[2.0, 2.0, 0.0, 2.0]]))[0] == 0
-        assert greedy_actions(np.array([[0.0, 5.0, 3.0, 1.0]]))[0] == 1
+        assert greedy(np.array([[2.0, 2.0, 0.0, 2.0]]))[1][0] == 0
+        assert greedy(np.array([[0.0, 5.0, 3.0, 1.0]]))[1][0] == 1
 
 
 # each solver at its default tol or a given one, with policy 0 to evaluate
@@ -480,7 +479,7 @@ def test_solvers_equal_the_table_sweep(name, gamma, tol):
     q_star, policy = value_iteration(mdp, tol)
     want = table_sweep(mdp, tol, lambda q: q.max(axis=1))
     assert q_star.tobytes() == want.tobytes()
-    assert policy == Policy(greedy_actions(want))
+    assert policy == Policy(greedy(want)[1])
     for pi in (policy, Policy(np.arange(mdp.num_states) % mdp.num_actions)):
         got = exact_policy_evaluation(mdp, pi, tol)
         chosen = np.arange(mdp.num_states) * mdp.num_actions + pi.actions
@@ -565,8 +564,7 @@ def test_max_over_actions_matches_numpy_bit_for_bit(num_actions):
         values, actions = greedy(q)
         assert values.tobytes() == best.tobytes()
         assert actions.dtype == np.intp and np.array_equal(actions, reference_greedy(q))
-        assert np.array_equal(greedy_actions(q), reference_greedy(q))
-        assert np.array_equal(greedy_actions(q[1, 2]), reference_greedy(q[1, 2]))
+        assert np.array_equal(greedy(q[1, 2])[1], reference_greedy(q[1, 2]))
     if num_actions > 1:
         # the rows that tell the rules apart occur: a max of each sign taken
         # between tied zeros, and a lowest near action that is not the argmax
@@ -582,7 +580,7 @@ def test_greedy_improvement_monotone(grid4):
     for _ in range(5):
         policy = Policy(rng.integers(0, 4, size=16))
         q = exact_policy_evaluation(grid4, policy, 1e-9)
-        improved = Policy(greedy_actions(q))
+        improved = Policy(greedy(q)[1])
         v_old = policy_values(grid4, policy, q)
         v_new = policy_values(grid4, improved, exact_policy_evaluation(grid4, improved, 1e-9))
         assert np.all(v_new >= v_old - 1e-9)
@@ -939,12 +937,12 @@ class TestLockstep:
         for first_seed, (batch, (n, horizon)) in enumerate(
                 (b, c) for b in batches for c in cases):
             seeds = [first_seed + 100 * i for i in range(len(batch))]
-            tables, queries = mc_policy_evaluation_lockstep(mdp, batch, n, horizon, seeds)
-            assert queries == n
+            tables = mc_policy_evaluation_lockstep(mdp, batch, n, horizon, seeds)
             assert tables.shape == (len(batch), mdp.num_states, mdp.num_actions)
             for table, policy, seed in zip(tables, batch, seeds):
-                q_mc, _ = mc_policy_evaluation(mdp, policy, n, horizon=horizon, seed=seed)
+                q_mc, queries = mc_policy_evaluation(mdp, policy, n, horizon=horizon, seed=seed)
                 assert table.tobytes() == q_mc.tobytes()
+                assert queries == n
 
     @pytest.mark.parametrize("name, kinds", [
         ("grid4_deterministic", ("greedy", "all_up")),
@@ -1003,7 +1001,7 @@ class TestSerialization:
     def test_roundtrip_bit_exact(self, grid4, frozen8, tmp_path):
         for name, mdp in (("grid", grid4), ("lake", frozen8)):
             path = tmp_path / f"{name}.json"
-            save_mdp(mdp, path)
+            _write_json(str(path), mdp_to_dict(mdp))
             loaded = load_mdp(path)
             assert loaded.num_states == mdp.num_states
             assert loaded.num_actions == mdp.num_actions
@@ -1018,7 +1016,7 @@ class TestSerialization:
         rows, rewards = random_rows(12, 3, seed=11)
         mdp = TabularMDP.from_rows(12, 3, rows, rewards, 0.85)
         path = tmp_path / "random.json"
-        save_mdp(mdp, path)
+        _write_json(str(path), mdp_to_dict(mdp))
         loaded = load_mdp(path)
         assert loaded.next_states.tobytes() == mdp.next_states.tobytes()
         assert loaded.next_probs.tobytes() == mdp.next_probs.tobytes()

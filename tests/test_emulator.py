@@ -12,6 +12,7 @@ from qpolicy.emulator import (
     amplitude_encode,
     readout_batch,
 )
+from qpolicy.engine import encode_qtable
 from qpolicy.rng import stream
 
 
@@ -60,6 +61,20 @@ class TestAmplitudeEncode:
         assert state.num_qubits == 0
         assert pad == 0
         assert scale == pytest.approx(2.5)
+
+
+class TestShift:
+    """The min shift that precedes amplitude encoding, which
+    engine.encode_qtable makes on the flattened table."""
+
+    def test_constant_vector(self):
+        state, scale, offset = encode_qtable(np.array([[2.0, 2.0]]))
+        assert offset == 2.0
+        assert state is None and scale == 0.0  # the shifted row is all zeros
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            encode_qtable(np.array([[np.nan, 1.0]]))
 
 
 def test_statevector_validation():

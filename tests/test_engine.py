@@ -64,11 +64,10 @@ class TestEncodeQTable:
         assert np.abs(np.real(state.amplitudes) * scale - [0.0, 1.0, 4.0, 0.0]).max() <= 1e-12
 
     def test_constant_table_is_degenerate(self):
-        for q in (np.full((2, 2), 3.5), np.array([[2.0, 2.0]])):
-            state, scale, offset = encode_qtable(q)
-            assert state is None
-            assert scale == 0.0
-            assert offset == q[0, 0]
+        state, scale, offset = encode_qtable(np.full((2, 2), 3.5))
+        assert state is None
+        assert scale == 0.0
+        assert offset == 3.5
 
     def test_roundtrip_random_table(self):
         rng = np.random.default_rng(1)

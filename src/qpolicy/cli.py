@@ -8,21 +8,23 @@ converted strictly. Engine settings not given keep the base config's value:
 DEFAULT_ENGINE, calibrated_query_config (compare-queries) or QPolicyConfig() (resources).
 
 Numbers are written with 17 significant digits so reruns are
-byte-comparable; files are written to a temp name and renamed, so partial
-runs never corrupt artifacts. Exit codes: 0 success, 2 configuration error,
-1 runtime failure. A multi-run command runs each distinct effective config
-once (see experiments.run_ablation), all of them in one lockstep engine loop
-(engine.run_qpolicy_lockstep) whose records equal those of running each
-alone.
+byte-comparable. Every CSV table goes through the one writer _write_csv,
+with its row format stated once (RUN_LINE, SUMMARY_LINE and the three
+compare-queries tables). Files are written to a temp name and renamed, so
+partial runs never corrupt artifacts. Exit codes: 0 success, 2
+configuration error, 1 runtime failure. A multi-run command runs each
+distinct effective config once (see experiments.run_ablation), all of them
+in one lockstep engine loop (engine.run_qpolicy_lockstep) whose records
+equal those of running each alone.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import gc
 import json
 import math
 import os
+import shutil
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -47,17 +49,13 @@ EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
 RUN_COLUMNS = ("iteration", "bellman_error_max", "bellman_error_mean",
                "q_variance", "queries_iteration", "queries_cumulative", "seed")
+RUN_LINE = "%d,%.17g,%.17g,%.17g,%d,%d,%d\r\n"
 SUMMARY_COLUMNS = ("arm", "iteration", "mean", "std", "ci95_low", "ci95_high", "n")
+SUMMARY_LINE = "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\r\n"
 
 
 class ConfigError(Exception):
     """Invalid flags, config file, or environment document."""
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _temp_path(path: str) -> str:
@@ -67,19 +65,15 @@ def _temp_path(path: str) -> str:
     return f"{path}.tmp"
 
 
-def _csv_text(rows) -> str:
-    """rows as CSV lines, each value written by _fmt."""
-    buf = io.StringIO()
-    csv.writer(buf).writerows([_fmt(v) for v in row] for row in rows)
-    return buf.getvalue()
-
-
-def _write_csv(path: str, header, text: str) -> None:
-    """The header line, then text: rows from _csv_text."""
+def _write_csv(path: str, header, line: str, rows) -> None:
+    """The header, then line % row for each row: line is the table's row
+    format, %d for an integer column, %.17g for a float one and %s for a
+    name, each line ending in \\r\\n. Names hold no comma, quote or line
+    break, so these are the bytes csv.writer writes for the same values."""
     tmp = _temp_path(path)
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_csv_text([header]))
-        fh.write(text)
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(line % row for row in rows))
     os.replace(tmp, path)
 
 
@@ -304,28 +298,33 @@ def _records_rows(records, seed: int):
 def _write_arms(out_dir: str, arms) -> None:
     """arm_<name>.csv per (name, runs) pair; summary.csv over arms of >= 2
     seeds. Arms whose runs hold the same records lists at the same seeds
-    (cells that share a run) get one text and one summary, made once."""
-    made = {}  # (id of records, seed) per run -> (arm file text, summary rows)
+    (cells that share a run) get one file and one summary, made once: the
+    later arms copy the first one's file."""
+    made = {}  # (id of records, seed) per run -> (first arm file, summary rows)
     summary_rows = []
     for arm, runs in arms:
+        path = os.path.join(out_dir, f"arm_{arm}.csv")
         key = tuple((id(run.records), run.seed) for run in runs)
-        if key not in made:
-            made[key] = (_csv_text(row for run in runs
-                                   for row in _records_rows(run.records, run.seed)),
-                         _summary_rows(runs))
-        text, stats = made[key]
-        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, text)
-        summary_rows.extend((arm, *row) for row in stats)
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, _csv_text(summary_rows))
+        if key in made:
+            tmp = _temp_path(path)
+            shutil.copyfile(made[key][0], tmp)
+            os.replace(tmp, path)
+        else:
+            _write_csv(path, RUN_COLUMNS, RUN_LINE,
+                       [row for run in runs for row in _records_rows(run.records, run.seed)])
+            made[key] = path, _summary_rows(runs)
+        summary_rows.extend((arm, *row) for row in made[key][1])
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, SUMMARY_LINE,
+               summary_rows)
 
 
 def _summary_rows(runs) -> list:
-    """The summary columns past arm, per iteration, each value written by
-    _fmt; none for fewer than 2 runs."""
+    """The summary columns past arm, per iteration; none for fewer than 2
+    runs."""
     if len(runs) < 2:
         return []
     series = _pad_series([[r.bellman_error_max for r in run.records] for run in runs])
-    return [[_fmt(v) for v in (i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)]
+    return [(i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)
             for i, st in enumerate(summarize(series))]
 
 
@@ -362,7 +361,7 @@ def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
     rows = [row for seed, (records, _) in zip(s["seeds"], runs)
             for row in _records_rows(records, seed)]
     path = os.path.join(s["out"], "records.csv")
-    _write_csv(path, RUN_COLUMNS, _csv_text(rows))
+    _write_csv(path, RUN_COLUMNS, RUN_LINE, rows)
     _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("run", mdp, configs[-1], s["seeds"]))
     print(f"wrote {len(rows)} rows to {path}")
@@ -401,23 +400,25 @@ def _cmd_compare_queries(args, s: dict, mdp: TabularMDP) -> None:
     _write_csv(
         os.path.join(out_dir, "comparison_runs.csv"),
         ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
-        _csv_text((r.method, r.seed, r.queries_per_iteration, r.total_queries,
-                   r.final_bellman_error) for r in results),
+        "%s,%d,%d,%d,%.17g\r\n",
+        [(r.method, r.seed, r.queries_per_iteration, r.total_queries, r.final_bellman_error)
+         for r in results],
     )
     summary = query_summary(results)
     _write_csv(
         os.path.join(out_dir, "comparison.csv"),
         ("method", "queries_per_iteration", "total_queries", "final_bellman_error", "n"),
-        _csv_text((m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
-                   v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())),
+        "%s,%d,%d,%.17g,%d\r\n",
+        [(m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
+          v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())],
     )
     if args.scaling:
         points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], seed=seeds[0])
         _write_csv(
             os.path.join(out_dir, "scaling.csv"),
             ("epsilon", "ae_queries", "ae_rmse", "mc_budget", "mc_rmse"),
-            _csv_text((p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse)
-                      for p in points),
+            "%.17g,%d,%.17g,%d,%.17g\r\n",
+            [(p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse) for p in points],
         )
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("query_complexity", mdp, qp_config, seeds))
@@ -506,7 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    Past argument parsing, every object alive is frozen (gc.freeze), so the
+    collector's passes during the command scan only what the command makes,
+    not the thousands of objects that imports and set-up left; they are
+    unfrozen when the command ends, however it ends. A caller that froze
+    objects itself keeps them frozen: the command then freezes nothing.
+    """
     args = build_parser().parse_args(argv)
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
     try:
         if args.command == "gen-env":
             _cmd_gen_env(args)
@@ -521,6 +533,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        if thaw:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

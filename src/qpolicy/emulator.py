@@ -45,14 +45,16 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
     """All readout settings: how values in [0, 1] are read out, at what cost.
 
     shot_sampling draws `shots` one-shot measurements (cost = shots);
     ae_oracle returns the value to additive precision epsilon at cost
     ceil(c_ae / epsilon). Either reads through the depolarizing channel of
-    strength noise_p on the readout qubit.
+    strength noise_p on the readout qubit. Frozen, so that equal settings
+    hash alike: the engine takes one readout_variance call per distinct
+    estimator.
 
     seed is accepted and dropped: the benchmark worker passes it, and the
     engine draws its readout streams from QPolicyConfig.seed.

@@ -101,7 +101,7 @@ class QPolicyConfig:
                        **{k: v for k, v in own.items() if v is not None})
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Per-iteration metrics of a run."""
 
@@ -169,9 +169,12 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
     queries, q_variance), a table and two figures per member.
 
     targets is (members, S, A), with one estimator, rng and seed per member.
-    Each member's table is mapped affinely onto [0, 1] by its own min and
-    span and read through its own readout_batch call. Entries outside the
-    mask keep their exact targets at zero cost, as does a member whose
+    What stays per member is its stream and its draw: each member's entries
+    are read through its own readout_batch call on its rng. The rest is
+    batched: one affine map of every member's table onto [0, 1] by its own
+    min and span, one readout_variance call per distinct estimator over the
+    rows of the members that share it, and the query counts. Entries outside
+    the mask keep their exact targets at zero cost, as does a member whose
     targets are constant. q_variance is the expected variance of one readout
     of q_tilde, averaged over all (s, a) entries, unmasked ones counting
     zero. A target that is not finite, or a span that overflows, leaves the
@@ -190,23 +193,33 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
             f"span {float(span[i])!r})")
     q_tilde = flat.copy()
     queries, q_variance = [0] * len(flat), [0.0] * len(flat)
-    rows = np.flatnonzero(span > 0.0)
+    live = span > 0.0
+    rows = np.flatnonzero(live)
     if rows.size:
         # one boolean index over the whole batch: the read entries of the
         # members whose targets are not constant, row by row
-        read = mask & (span > 0.0)[:, None]
+        read = mask & live[:, None]
         lo_r, span_r = lo[rows, None], span[rows, None]
         values = (flat[read].reshape(rows.size, -1) - lo_r) / span_r
         reads = np.empty_like(values)
+        rows = rows.tolist()
+        sharing = {}  # estimator -> the rows of values it reads
         for j, i in enumerate(rows):
             reads[j] = readout_batch(values[j], estimators[i], rngs[i])
-            queries[i] = values.shape[1] * query_cost(estimators[i])
-            # span * (span * v) keeps q_variance 0, not inf * 0, when every
-            # read is exact and span * span overflows
-            s = float(span[i])
-            q_variance[i] = s * (s * float(readout_variance(values[j], estimators[i]).sum())
-                                 / mask.size)
+            sharing.setdefault(estimators[i], []).append(j)
         q_tilde[read] = (lo_r + span_r * reads).reshape(-1)
+        spans = span_r[:, 0].tolist()
+        for est, js in sharing.items():
+            cost = values.shape[1] * query_cost(est)
+            # a row sum of the contiguous (rows, entries) block adds in the
+            # order a lone row's sum does, so each member's figure is bit
+            # for bit its own
+            sums = readout_variance(values[js], est).sum(axis=1).tolist()
+            for j, v in zip(js, sums):
+                queries[rows[j]] = cost
+                # span * (span * v) keeps q_variance 0, not inf * 0, when
+                # every read is exact and span * span overflows
+                q_variance[rows[j]] = spans[j] * (spans[j] * v / mask.size)
     return q_tilde.reshape(targets.shape), queries, q_variance
 
 
@@ -257,14 +270,8 @@ def policy_iteration_lockstep(mdp: TabularMDP, budgets, evaluate) -> list:
             stay = []
             for j, i in enumerate(active):
                 cumulative[i] += queries[j]
-                records[i].append(IterationRecord(
-                    iteration=k,
-                    bellman_error_max=err_max[j],
-                    bellman_error_mean=err_mean[j],
-                    q_variance=variances[j],
-                    queries_iteration=queries[j],
-                    queries_cumulative=cumulative[i],
-                ))
+                records[i].append(IterationRecord(k, err_max[j], err_mean[j], variances[j],
+                                                  queries[j], cumulative[i]))
                 if shift[j] < budgets[i][1] or k + 1 == budgets[i][0]:
                     policies[i] = Policy(actions[j].copy())
                 else:
@@ -294,10 +301,12 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
     final_policy) per config, in order.
 
     Member i's records and policy are those of run_qpolicy(mdp, configs[i])
-    bit for bit, whatever runs beside it: it reads out from its own
-    stream(seed, _READOUT, k), taken from its own streams iterator, through
-    its own readout_batch call. Each iteration makes the backup, the
-    normalisation and the bound check once over the (members, S, A) batch.
+    bit for bit, whatever runs beside it. What stays per member is its
+    stream and its draw: it reads out from its own stream(seed, _READOUT, k),
+    taken from its own streams iterator, through its own readout_batch call.
+    The rest is batched: each iteration makes the backup, the normalisation
+    and the bound check once over the (members, S, A) batch, and the
+    readout variance and query count once per distinct estimator (_read_out).
     Every member runs at the MDP's discount; a DivergenceError names the
     member's seed.
     """

@@ -1,4 +1,8 @@
+import csv
+import gc
+import io
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +12,30 @@ import pytest
 from qpolicy import cli
 from qpolicy.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING
-from qpolicy.experiments import run_ablation, summarize
+from qpolicy.engine import IterationRecord
+from qpolicy.experiments import (
+    MethodResult,
+    ScalingPoint,
+    StudyRun,
+    SummaryStats,
+    run_ablation,
+    summarize,
+)
 from qpolicy.mdp import build_gridworld, load_mdp, mdp_to_dict
+
+# floats whose 17-digit text is least like a plain decimal
+SPECIAL = (math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """The bytes csv.writer writes for header and rows, each float written
+    with format(v, ".17g"): a writer apart from cli's row formats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([format(v, ".17g") if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buf.getvalue().encode()
 
 
 @pytest.fixture()
@@ -453,9 +479,9 @@ class TestStudies:
     def test_arms_sharing_a_run_match_their_own_rows(self, grid_env, tmp_path, mode):
         """Cells that share a run (shot mode never reads epsilon, ae_oracle
         never shots) are written once; each arm file and summary.csv still
-        hold the bytes _write_csv writes from that arm's own rows."""
+        hold the bytes _reference_csv writes from that arm's own rows."""
         epsilons, shot_counts, seeds = [0.01, 0.05], [128, 256], [0, 1]
-        out, ref = tmp_path / "abl", tmp_path / "ref"
+        out = tmp_path / "abl"
         assert main(["ablate", "--env", grid_env, "--mode", mode, "--epsilons", "0.01,0.05",
                      "--shot-counts", "128,256", "--iters", "5", "--seeds", "0,1",
                      "--out", str(out)]) == EXIT_OK
@@ -463,20 +489,20 @@ class TestStudies:
         cells = run_ablation(load_mdp(grid_env), epsilons, shot_counts, base, seeds)
         other = (0.05, 128) if mode == SHOT_SAMPLING else (0.01, 256)
         assert cells[other][0].records is cells[(0.01, 128)][0].records
-        summary = []
+        summary, expected = [], {}
         for (eps, shots), runs in sorted(cells.items()):
             arm = f"eps{eps:g}_shots{shots}"
             rows = [(r.iteration, r.bellman_error_max, r.bellman_error_mean, r.q_variance,
                      r.queries_iteration, r.queries_cumulative, run.seed)
                     for run in runs for r in run.records]
-            cli._write_csv(str(ref / f"arm_{arm}.csv"), cli.RUN_COLUMNS, cli._csv_text(rows))
+            expected[f"arm_{arm}.csv"] = _reference_csv(cli.RUN_COLUMNS, rows)
             series = [[r.bellman_error_max for r in run.records] for run in runs]
             summary += [(arm, i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)
                         for i, st in enumerate(summarize(cli._pad_series(series)))]
-        cli._write_csv(str(ref / "summary.csv"), cli.SUMMARY_COLUMNS, cli._csv_text(summary))
-        assert sorted(p.name for p in out.glob("*.csv")) == sorted(p.name for p in ref.iterdir())
-        for p in ref.iterdir():
-            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
+        expected["summary.csv"] = _reference_csv(cli.SUMMARY_COLUMNS, summary)
+        assert sorted(p.name for p in out.glob("*.csv")) == sorted(expected)
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text, name
 
     def test_compare_queries_table(self, grid_env, tmp_path):
         out = tmp_path / "cmp"
@@ -528,6 +554,117 @@ class TestStudies:
             "qubits": 6, "sparsity_d": 4, "gates_per_bellman_update": 50,
             "gates_per_read": 5600, "queries_per_iteration": 6000,
             "gates_per_iteration": 336000, "seconds_per_iteration_at_1khz": 336.0}
+
+
+class TestCsvBytes:
+    """Every CSV table against _reference_csv, fed rows that hold each of
+    SPECIAL: the row formats write what csv.writer and format(v, ".17g")
+    write, whatever the float."""
+
+    @staticmethod
+    def _records():
+        # the cumulative count passes 2**53, where %.17g would round an integer
+        return [IterationRecord(k, v, SPECIAL[-1 - k], SPECIAL[k - 3], 240, 240 * 10 ** (3 * k))
+                for k, v in enumerate(SPECIAL)]
+
+    @staticmethod
+    def _run_rows(records, seeds):
+        return [(r.iteration, r.bellman_error_max, r.bellman_error_mean, r.q_variance,
+                 r.queries_iteration, r.queries_cumulative, seed)
+                for seed in seeds for r in records]
+
+    def test_records(self, grid_env, tmp_path, monkeypatch):
+        records = self._records()
+        monkeypatch.setattr("qpolicy.cli.run_qpolicy_lockstep",
+                            lambda mdp, configs: [(records, None) for _ in configs])
+        out = tmp_path / "o"
+        assert main(["run", "--env", grid_env, "--seeds=-9,4", "--out", str(out)]) == EXIT_OK
+        assert (out / "records.csv").read_bytes() == _reference_csv(
+            cli.RUN_COLUMNS, self._run_rows(records, [-9, 4]))
+
+    def test_arms_and_summary(self, grid_env, tmp_path, monkeypatch):
+        # two cells share one run, as shot mode makes them
+        runs = [StudyRun(seed, self._records()) for seed in (0, 1)]
+        cells = {(0.01, 16): runs, (0.05, 16): runs}
+        stats = [SummaryStats(v, SPECIAL[-1 - i], SPECIAL[i - 3], SPECIAL[i - 5], 2)
+                 for i, v in enumerate(SPECIAL)]
+        monkeypatch.setattr("qpolicy.cli.run_ablation", lambda *args: cells)
+        monkeypatch.setattr("qpolicy.cli.summarize", lambda series: stats)
+        out = tmp_path / "o"
+        assert main(["ablate", "--env", grid_env, "--epsilons", "0.01,0.05", "--shots", "16",
+                     "--seeds", "0,1", "--out", str(out)]) == EXIT_OK
+        arm_text = _reference_csv(cli.RUN_COLUMNS, self._run_rows(runs[0].records, [0]) +
+                                  self._run_rows(runs[1].records, [1]))
+        for arm in ("eps0.01_shots16", "eps0.05_shots16"):
+            assert (out / f"arm_{arm}.csv").read_bytes() == arm_text
+        assert (out / "summary.csv").read_bytes() == _reference_csv(
+            cli.SUMMARY_COLUMNS,
+            [(arm, i, st.mean, st.std, st.ci95_low, st.ci95_high, st.n)
+             for arm in ("eps0.01_shots16", "eps0.05_shots16") for i, st in enumerate(stats)])
+
+    def test_comparison_tables(self, grid_env, tmp_path, monkeypatch):
+        results = [MethodResult(("qpolicy", "monte_carlo")[k % 2], k, 240, 240 * 50, v, [])
+                   for k, v in enumerate(SPECIAL)]
+        points = [ScalingPoint(v, 4, SPECIAL[-1 - k], 2 ** k, SPECIAL[k - 3])
+                  for k, v in enumerate(SPECIAL)]
+        # a mean over seeds would turn most of SPECIAL into nan or inf
+        summary = {m: {"queries_per_iteration": 240.0, "total_queries": 12000.0,
+                       "final_bellman_error": v, "n": 4}
+                   for m, v in (("qpolicy", 0.1 + 0.2), ("monte_carlo", 5e-324))}
+        monkeypatch.setattr("qpolicy.cli.run_query_complexity_study", lambda *args: results)
+        monkeypatch.setattr("qpolicy.cli.query_summary", lambda rows: summary)
+        monkeypatch.setattr("qpolicy.cli.matched_accuracy_scaling", lambda *args, **kw: points)
+        out = tmp_path / "o"
+        assert main(["compare-queries", "--env", grid_env, "--seeds", "7", "--scaling",
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "comparison_runs.csv").read_bytes() == _reference_csv(
+            ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
+            [(r.method, r.seed, r.queries_per_iteration, r.total_queries, r.final_bellman_error)
+             for r in results])
+        assert (out / "comparison.csv").read_bytes() == _reference_csv(
+            ("method", "queries_per_iteration", "total_queries", "final_bellman_error", "n"),
+            [(m, round(v["queries_per_iteration"]), round(v["total_queries"]),
+              v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())])
+        assert (out / "scaling.csv").read_bytes() == _reference_csv(
+            ("epsilon", "ae_queries", "ae_rmse", "mc_budget", "mc_rmse"),
+            [(p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse) for p in points])
+
+
+class TestCollector:
+    """main freezes the objects alive before the command and unfreezes them
+    after it, whatever its exit code; the collector is left as it was."""
+
+    @pytest.mark.parametrize("argv, failure, code", [
+        (["--epsilon", "0.01"], None, EXIT_OK),
+        (["--epsilon", "0"], None, EXIT_CONFIG),
+        (["--epsilon", "0.01"], RuntimeError("no resources"), EXIT_RUNTIME),
+    ], ids=["exit0", "exit2", "exit1"])
+    def test_main_leaves_the_collector_as_it_found_it(self, grid_env, monkeypatch, argv,
+                                                      failure, code):
+        during, estimate = [], cli.estimate_resources
+
+        def traced(mdp, config):
+            during.append(gc.get_freeze_count())
+            if failure is not None:
+                raise failure
+            return estimate(mdp, config)
+        monkeypatch.setattr("qpolicy.cli.estimate_resources", traced)
+        before = (gc.get_freeze_count(), gc.isenabled())
+        assert main(["resources", "--env", grid_env] + argv) == code
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+        # the command ran with the objects of before it frozen
+        assert all(count > before[0] for count in during)
+
+    def test_a_callers_freeze_is_kept(self, grid_env):
+        # unfreezing would empty the permanent generation; the count may
+        # still drift as frozen objects die
+        gc.freeze()
+        try:
+            assert gc.get_freeze_count() > 0
+            assert main(["resources", "--env", grid_env, "--epsilon", "0.01"]) == EXIT_OK
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
 
 
 class TestDiscount:

@@ -11,6 +11,9 @@ from qpolicy.emulator import (
     AE_ORACLE,
     SHOT_SAMPLING,
     EstimatorConfig,
+    query_cost,
+    readout_batch,
+    readout_variance,
 )
 from qpolicy.engine import (
     _READOUT,
@@ -226,6 +229,58 @@ class TestReadoutVariance:
                 targets, np.ones(8, dtype=bool), est, np.random.default_rng(1))
             assert (queries, closed) == (0, 0.0)
             assert np.array_equal(q_tilde, targets)
+
+
+class TestReadOutBatch:
+    """engine._read_out on one (members, S, A) batch: every member's table,
+    queries and q_variance are bit for bit those of the per-member formula,
+    readout_batch on the member's row from its own stream, then
+    span * (span * readout_variance(row).sum() / size)."""
+
+    SEEDS = (11, 12, 13, 14, 15)
+
+    @staticmethod
+    def _estimators():
+        return [
+            EstimatorConfig(mode=SHOT_SAMPLING, shots=256),
+            EstimatorConfig(mode=AE_ORACLE, epsilon=0.4),  # the clip acts
+            EstimatorConfig(mode=SHOT_SAMPLING, shots=64),  # constant targets
+            EstimatorConfig(mode=SHOT_SAMPLING, shots=256, noise_p=0.1),
+            EstimatorConfig(mode=SHOT_SAMPLING, shots=256),  # equal to the first
+        ]
+
+    @staticmethod
+    def _member(flat, mask, estimator, seed):
+        """The per-member formula: (table, queries, q_variance)."""
+        lo = flat.min()
+        span = flat.max() - lo
+        table = flat.copy()
+        if span == 0.0:
+            return table, 0, 0.0
+        row = (flat[mask] - lo) / span
+        table[mask] = lo + span * readout_batch(row, estimator, stream(seed, _READOUT, 0))
+        variance = span * (span * readout_variance(row, estimator).sum() / mask.size)
+        return table, row.size * query_cost(estimator), float(variance)
+
+    def test_each_member_is_its_own_formula(self, grid4):
+        estimators = self._estimators()
+        assert estimators[0] == estimators[4] and estimators[0] is not estimators[4]
+        targets = np.random.default_rng(7).uniform(-1.0, 2.0, size=(5, 16, 4))
+        targets[2] = 0.75
+        mask = _readout_mask(grid4)
+        q_tilde, queries, q_variance = engine._read_out(
+            targets, mask, estimators, [stream(s, _READOUT, 0) for s in self.SEEDS], 0,
+            list(self.SEEDS))
+        for i, (estimator, seed) in enumerate(zip(estimators, self.SEEDS)):
+            table, cost, variance = self._member(targets[i].reshape(-1), mask, estimator, seed)
+            assert q_tilde[i].tobytes() == table.tobytes(), i
+            assert (queries[i], q_variance[i].hex()) == (cost, variance.hex()), i
+        assert queries[2] == 0 and q_variance[2] == 0.0
+        # the clip acts: some entry of the oracle member reads with less
+        # variance than an unclipped uniform error's epsilon^2 / 3
+        flat = targets[1].reshape(-1)
+        row = (flat[mask] - flat.min()) / (flat.max() - flat.min())
+        assert readout_variance(row, estimators[1]).min() < 0.4 ** 2 / 3
 
 
 class TestPolicyImprove:

@@ -9,8 +9,8 @@ DEFAULT_ENGINE, calibrated_query_config (compare-queries) or QPolicyConfig() (re
 
 Numbers are written with 17 significant digits so reruns are
 byte-comparable. Every CSV table goes through the one writer _write_csv,
-with its row format stated once (RUN_LINE, SUMMARY_LINE and the three
-compare-queries tables). Files are written to a temp name and renamed, so
+its lines built by _lines from a row format that _row_format makes from
+the column types. Files are written to a temp name and renamed, so
 partial runs never corrupt artifacts. Exit codes: 0 success, 2
 configuration error, 1 runtime failure. A multi-run command runs each
 distinct effective config once (see experiments.run_ablation), all of them
@@ -20,11 +20,9 @@ equal those of running each alone.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
 import os
-import shutil
 import sys
 from dataclasses import asdict
 from typing import Callable, NamedTuple
@@ -47,11 +45,18 @@ from .rng import SEED_MASK
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
 
+
+def _row_format(*types) -> str:
+    """The CSV line format of columns of these types: an int as %d, a float
+    with 17 significant digits, a name as %s; the line ends in \\r\\n."""
+    return ",".join({int: "%d", float: "%.17g", str: "%s"}[t] for t in types) + "\r\n"
+
+
 RUN_COLUMNS = ("iteration", "bellman_error_max", "bellman_error_mean",
                "q_variance", "queries_iteration", "queries_cumulative", "seed")
-RUN_LINE = "%d,%.17g,%.17g,%.17g,%d,%d,%d\r\n"
+RUN_LINE = _row_format(int, float, float, float, int, int, int)
 SUMMARY_COLUMNS = ("arm", "iteration", "mean", "std", "ci95_low", "ci95_high", "n")
-SUMMARY_LINE = "%s,%d,%.17g,%.17g,%.17g,%.17g,%d\r\n"
+SUMMARY_LINE = _row_format(str, int, float, float, float, float, int)
 
 
 class ConfigError(Exception):
@@ -65,15 +70,19 @@ def _temp_path(path: str) -> str:
     return f"{path}.tmp"
 
 
-def _write_csv(path: str, header, line: str, rows) -> None:
-    """The header, then line % row for each row: line is the table's row
-    format, %d for an integer column, %.17g for a float one and %s for a
-    name, each line ending in \\r\\n. Names hold no comma, quote or line
-    break, so these are the bytes csv.writer writes for the same values."""
+def _lines(line: str, rows) -> str:
+    """line % row for each row, line being a _row_format. Names hold no
+    comma, quote or line break, so these are the bytes csv.writer writes
+    for the same values."""
+    return "".join(line % row for row in rows)
+
+
+def _write_csv(path: str, header, body: str) -> None:
+    """The header line, then body: rows from _lines."""
     tmp = _temp_path(path)
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(line % row for row in rows))
+        fh.write(body)
     os.replace(tmp, path)
 
 
@@ -298,24 +307,20 @@ def _records_rows(records, seed: int):
 def _write_arms(out_dir: str, arms) -> None:
     """arm_<name>.csv per (name, runs) pair; summary.csv over arms of >= 2
     seeds. Arms whose runs hold the same records lists at the same seeds
-    (cells that share a run) get one file and one summary, made once: the
-    later arms copy the first one's file."""
-    made = {}  # (id of records, seed) per run -> (first arm file, summary rows)
+    (cells that share a run) get one body and one summary, made once."""
+    made = {}  # (id of records, seed) per run -> (arm file body, summary rows)
     summary_rows = []
     for arm, runs in arms:
-        path = os.path.join(out_dir, f"arm_{arm}.csv")
         key = tuple((id(run.records), run.seed) for run in runs)
-        if key in made:
-            tmp = _temp_path(path)
-            shutil.copyfile(made[key][0], tmp)
-            os.replace(tmp, path)
-        else:
-            _write_csv(path, RUN_COLUMNS, RUN_LINE,
-                       [row for run in runs for row in _records_rows(run.records, run.seed)])
-            made[key] = path, _summary_rows(runs)
-        summary_rows.extend((arm, *row) for row in made[key][1])
-    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, SUMMARY_LINE,
-               summary_rows)
+        if key not in made:
+            made[key] = (_lines(RUN_LINE, (row for run in runs
+                                           for row in _records_rows(run.records, run.seed))),
+                         _summary_rows(runs))
+        body, stats = made[key]
+        _write_csv(os.path.join(out_dir, f"arm_{arm}.csv"), RUN_COLUMNS, body)
+        summary_rows.extend((arm, *row) for row in stats)
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,
+               _lines(SUMMARY_LINE, summary_rows))
 
 
 def _summary_rows(runs) -> list:
@@ -361,7 +366,7 @@ def _cmd_run(args, s: dict, mdp: TabularMDP) -> None:
     rows = [row for seed, (records, _) in zip(s["seeds"], runs)
             for row in _records_rows(records, seed)]
     path = os.path.join(s["out"], "records.csv")
-    _write_csv(path, RUN_COLUMNS, RUN_LINE, rows)
+    _write_csv(path, RUN_COLUMNS, _lines(RUN_LINE, rows))
     _write_json(os.path.join(s["out"], "manifest.json"),
                 _manifest("run", mdp, configs[-1], s["seeds"]))
     print(f"wrote {len(rows)} rows to {path}")
@@ -400,25 +405,26 @@ def _cmd_compare_queries(args, s: dict, mdp: TabularMDP) -> None:
     _write_csv(
         os.path.join(out_dir, "comparison_runs.csv"),
         ("method", "seed", "queries_per_iteration", "total_queries", "final_bellman_error"),
-        "%s,%d,%d,%d,%.17g\r\n",
-        [(r.method, r.seed, r.queries_per_iteration, r.total_queries, r.final_bellman_error)
-         for r in results],
+        _lines(_row_format(str, int, int, int, float),
+               ((r.method, r.seed, r.queries_per_iteration, r.total_queries,
+                 r.final_bellman_error) for r in results)),
     )
     summary = query_summary(results)
     _write_csv(
         os.path.join(out_dir, "comparison.csv"),
         ("method", "queries_per_iteration", "total_queries", "final_bellman_error", "n"),
-        "%s,%d,%d,%.17g,%d\r\n",
-        [(m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
-          v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items())],
+        _lines(_row_format(str, int, int, float, int),
+               ((m, int(round(v["queries_per_iteration"])), int(round(v["total_queries"])),
+                 v["final_bellman_error"], v["n"]) for m, v in sorted(summary.items()))),
     )
     if args.scaling:
         points = matched_accuracy_scaling([0.1, 0.05, 0.02, 0.01], seed=seeds[0])
         _write_csv(
             os.path.join(out_dir, "scaling.csv"),
             ("epsilon", "ae_queries", "ae_rmse", "mc_budget", "mc_rmse"),
-            "%.17g,%d,%.17g,%d,%.17g\r\n",
-            [(p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse) for p in points],
+            _lines(_row_format(float, int, float, int, float),
+                   ((p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse)
+                    for p in points)),
         )
     _write_json(os.path.join(out_dir, "manifest.json"),
                 _manifest("query_complexity", mdp, qp_config, seeds))
@@ -507,18 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns its exit code.
-
-    Past argument parsing, every object alive is frozen (gc.freeze), so the
-    collector's passes during the command scan only what the command makes,
-    not the thousands of objects that imports and set-up left; they are
-    unfrozen when the command ends, however it ends. A caller that froze
-    objects itself keeps them frozen: the command then freezes nothing.
-    """
     args = build_parser().parse_args(argv)
-    thaw = gc.get_freeze_count() == 0
-    if thaw:
-        gc.freeze()
     try:
         if args.command == "gen-env":
             _cmd_gen_env(args)
@@ -533,9 +528,6 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    finally:
-        if thaw:
-            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
 import csv
-import gc
 import io
 import json
 import math
@@ -628,43 +627,6 @@ class TestCsvBytes:
         assert (out / "scaling.csv").read_bytes() == _reference_csv(
             ("epsilon", "ae_queries", "ae_rmse", "mc_budget", "mc_rmse"),
             [(p.epsilon, p.ae_queries, p.ae_rmse, p.mc_budget, p.mc_rmse) for p in points])
-
-
-class TestCollector:
-    """main freezes the objects alive before the command and unfreezes them
-    after it, whatever its exit code; the collector is left as it was."""
-
-    @pytest.mark.parametrize("argv, failure, code", [
-        (["--epsilon", "0.01"], None, EXIT_OK),
-        (["--epsilon", "0"], None, EXIT_CONFIG),
-        (["--epsilon", "0.01"], RuntimeError("no resources"), EXIT_RUNTIME),
-    ], ids=["exit0", "exit2", "exit1"])
-    def test_main_leaves_the_collector_as_it_found_it(self, grid_env, monkeypatch, argv,
-                                                      failure, code):
-        during, estimate = [], cli.estimate_resources
-
-        def traced(mdp, config):
-            during.append(gc.get_freeze_count())
-            if failure is not None:
-                raise failure
-            return estimate(mdp, config)
-        monkeypatch.setattr("qpolicy.cli.estimate_resources", traced)
-        before = (gc.get_freeze_count(), gc.isenabled())
-        assert main(["resources", "--env", grid_env] + argv) == code
-        assert (gc.get_freeze_count(), gc.isenabled()) == before
-        # the command ran with the objects of before it frozen
-        assert all(count > before[0] for count in during)
-
-    def test_a_callers_freeze_is_kept(self, grid_env):
-        # unfreezing would empty the permanent generation; the count may
-        # still drift as frozen objects die
-        gc.freeze()
-        try:
-            assert gc.get_freeze_count() > 0
-            assert main(["resources", "--env", grid_env, "--epsilon", "0.01"]) == EXIT_OK
-            assert gc.get_freeze_count() > 0
-        finally:
-            gc.unfreeze()
 
 
 class TestDiscount:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -74,8 +75,11 @@ class EstimatorConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.noise_p <= 1.0:
             raise ValueError("noise_p must lie in [0, 1]")
-        if self.mode == SHOT_SAMPLING and not self.shots >= 1:
-            raise ValueError("shot_sampling requires shots >= 1")
+        if self.mode == SHOT_SAMPLING and (type(self.shots) is bool
+                                           or not isinstance(self.shots, Integral)
+                                           or not self.shots >= 1):
+            raise ValueError(f"shot_sampling requires shots >= 1, a whole number, "
+                             f"got {self.shots!r}")
         if self.mode == AE_ORACLE and not 0.0 < self.epsilon < 1.0:
             raise ValueError("ae_oracle requires 0 < epsilon < 1")
         if not self.c_ae > 0:

@@ -16,7 +16,7 @@ loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -293,8 +293,8 @@ def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
     """Run keyed configs; keys whose configs differ only in fields their
     estimator's mode ignores (EstimatorConfig.effective) share one run, and
     the distinct runs go through one run_qpolicy_lockstep call."""
-    effective = {key: astuple(replace(cfg, estimator=cfg.estimator.effective()))
-                 for key, cfg in jobs.items()}
+    effective = {key: (cfg.estimator.effective(), cfg.max_iterations, cfg.convergence_tol,
+                       cfg.seed) for key, cfg in jobs.items()}
     distinct = {}  # effective config -> the first config that has it
     for key, cfg in jobs.items():
         distinct.setdefault(effective[key], cfg)

@@ -8,8 +8,7 @@ tensor; rewards are expected immediate rewards r(s, a). JSON files keep
 ragged (next_state, probability) rows, derived from the arrays by mdp_to_dict.
 Terminal states self-loop with zero reward so value recursions need no
 special casing. The exact solvers sweep the value vector, S entries a
-sweep, and build the (S, A) table only to confirm their stop and return
-it; the table is that of sweeping whole tables, bit for bit (see _sweep).
+sweep, and build the (S, A) table once, from the last (see _sweep).
 Everything here is deterministic given its inputs; the only random
 operation, Monte Carlo evaluation, takes an explicit seed.
 """
@@ -21,6 +20,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -94,8 +94,10 @@ class TabularMDP:
         terminals = np.asarray(sorted(self.terminal_states), dtype=float)
         if not _is_index(terminals, s_count).all():
             raise ValueError(f"terminal states must be integers in [0, {s_count})")
-        if not 0 <= self.start_state < s_count:
-            raise ValueError("start_state out of range")
+        start = self.start_state
+        if type(start) is bool or not isinstance(start, Integral) or not 0 <= start < s_count:
+            raise ValueError(f"start_state must be an integer in [0, {s_count}), got {start!r}")
+        self.start_state = int(start)
         self.next_states, self.next_probs = _padded_operator(states.astype(np.intp), probs)
         terminals = terminals.astype(np.intp)
         targets = self.next_states.reshape(s_count, a_count, -1)[terminals]
@@ -402,11 +404,6 @@ def build_frozenlake(size: int, slippery: bool, gamma: float = 0.95) -> TabularM
 # ---------------------------------------------------------------------------
 
 _MAX_SWEEPS = 10_000_000
-# Rewards with max |r| / (1 - gamma) below this keep every iterate from 0,
-# and every change between two, finite: a quarter of the float range leaves
-# room for the PROB_TOL slack in each row's sum and the rounding of
-# _MAX_SWEEPS sweeps, which together grow the bound by under 2%.
-_FINITE_SCALE = np.finfo(float).max / 4
 
 
 def bellman_backup(mdp: TabularMDP, q: QTable, policy: Policy) -> QTable:
@@ -420,55 +417,38 @@ def _backup(mdp: TabularMDP, v: np.ndarray) -> QTable:
         return mdp.rewards + mdp.gamma * mdp.expect(v)
 
 
-def _sweep(mdp: TabularMDP, tol: float, what: str, values, value_step) -> QTable:
-    """The table of iterating q <- _backup(mdp, values(q)) from q = 0 until
-    successive tables differ by less than tol * (1 - gamma) / gamma, which
-    bounds the remaining distance to the fixed point of a gamma-contraction
-    by tol.
+def _sweep(mdp: TabularMDP, tol: float, what: str, value_step) -> QTable:
+    """The table _backup(mdp, v) of the value vector v that iterating
+    v <- value_step(v) from v = 0 reaches once successive vectors differ by
+    less than tol * (1 - gamma) / gamma.
 
-    values(q) is the value vector a table feeds the next backup, and
-    value_step(v) must equal values(_backup(mdp, v)) bit for bit. The sweeps
-    run on the value vector, v_{k+1} = value_step(v_k), so each carries and
-    compares S values rather than S*A entries. The change of the values is a
-    lower bound on the change of the tables: values takes one entry of each
-    row, or each row's max, and |max q' - max q| <= max |q' - q| holds after
-    rounding too, since rounding is monotone. So while the values change by
-    at least the threshold, sweeping tables would go on as well. Once they
-    change by less, the table of the sweep before, q_k = _backup(v_{k-1}),
-    is rebuilt and table sweeps take over from sweep k until their own
-    stop, usually 1 to 3 of them. The returned table, and the sweep a
-    divergence names, are those of sweeping tables from the start.
+    value_step must be a gamma-contraction in the max norm, as both
+    solvers' steps are. Then a change below the threshold puts the last v
+    within tol of the fixed point, and the table, one backup on, within
+    gamma * tol of its own.
 
     A change that is not finite means the values overflowed, and no later
-    sweep can converge: that raises RuntimeError naming the sweep. It is
-    checked only once a sweep has failed the threshold. An entry that no
-    value reads can overflow alone, so the value sweeps run only when the
-    rewards keep every table finite (_FINITE_SCALE); otherwise the table
-    sweeps run from sweep 0.
+    sweep can converge. With finite values the table can still leave the
+    float range, at an entry that no value reads. Either raises
+    RuntimeError naming the sweep.
     """
     if not tol > 0:  # so that a NaN tol fails too
         raise ValueError("tol must be positive")
     threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    sweep, v_before, v = 0, None, np.zeros(mdp.num_states)
+    v = np.zeros(mdp.num_states)
     with np.errstate(over="ignore", invalid="ignore"):  # see _column_sums
-        if np.max(np.abs(mdp.rewards)) <= _FINITE_SCALE * (1.0 - mdp.gamma):
-            while sweep < _MAX_SWEEPS:
-                v_next = value_step(v)
-                if np.max(np.abs(v_next - v)) < threshold:
-                    break
-                v_before, v = v, v_next
-                sweep += 1
-        # the table of this sweep's start, whose values are v
-        q = np.zeros((mdp.num_states, mdp.num_actions)) if v_before is None \
-            else _backup(mdp, v_before)
-        for sweep in range(sweep, _MAX_SWEEPS):
-            q_next = _backup(mdp, values(q))
-            delta = np.max(np.abs(q_next - q))
-            q = q_next
+        for sweep in range(_MAX_SWEEPS):
+            v_next = value_step(v)
+            delta = np.max(np.abs(v_next - v))
+            v = v_next
             if delta < threshold:
+                q = _backup(mdp, v)
+                if not np.isfinite(q).all():
+                    raise RuntimeError(f"{what} diverged: the table after sweep {sweep} "
+                                       "left the float range")
                 return q
             if not math.isfinite(delta):
-                raise RuntimeError(f"{what} diverged: sweep {sweep} changed the table by "
+                raise RuntimeError(f"{what} diverged: sweep {sweep} changed the values by "
                                    f"{float(delta)!r}")
     raise RuntimeError(f"{what} failed to converge")
 
@@ -481,27 +461,25 @@ def _operator_rows(mdp: TabularMDP, rows: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def exact_policy_evaluation(mdp: TabularMDP, policy: Policy, tol: float = 1e-8) -> QTable:
-    """Fixed point of T_pi to within tol in the infinity norm: the table of
-    synchronous backups, swept on V_pi (see _sweep).
+    """Fixed point of T_pi to within gamma * tol in the infinity norm: the
+    backup of V_pi swept to its stop (see _sweep).
 
     The policy's rows of the operator and its rewards are taken once, and
     each sweep sets v <- r_pi + gamma * sum_k p_k v(s_k), summed as
     TabularMDP.expect sums, so v_{k+1} is the backup's q_{k+1}[s, pi(s)]
-    bit for bit and the table equals that of sweeping whole backups.
+    bit for bit.
     """
     check_policy(mdp, policy)
-    # V_pi(q) as policy_values gives it, the gather built once for all sweeps
     chosen = _chosen(mdp, policy)
     states, probs = _operator_rows(mdp, chosen)
     r_pi = mdp.rewards.take(chosen)
-    return _sweep(mdp, tol, "policy evaluation", lambda q: q.take(chosen),
+    return _sweep(mdp, tol, "policy evaluation",
                   lambda v: r_pi + mdp.gamma * _column_sums(states, probs, v))
 
 
 def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]:
-    """Optimal Q within tol plus the greedy policy (ties to lowest index):
-    the table of synchronous optimal backups, swept on V = max_a Q (see
-    _sweep), so table and policy equal those of sweeping whole tables.
+    """Optimal Q within gamma * tol plus its greedy policy (ties to lowest
+    index): the backup of V = max_a Q swept to its stop (see _sweep).
 
     Each sweep backs up every pair with the operator's rows taken once
     action by action, a copy the size of the operator, so that the max
@@ -517,7 +495,7 @@ def value_iteration(mdp: TabularMDP, tol: float = 1e-8) -> tuple[QTable, Policy]
         sums = _column_sums(states, probs, v).reshape(a_count, s_count)
         return action_max((rewards_by_action + mdp.gamma * sums).T)
 
-    q = _sweep(mdp, tol, "value iteration", action_max, value_step)
+    q = _sweep(mdp, tol, "value iteration", value_step)
     return q, Policy(greedy(q)[1])
 
 

@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's iterative code paths
 and its sparse transition operator: transition tensors are accumulated
 densely from raw rows that the oracles or the tests write themselves,
-policy values come from a direct linear solve, Monte Carlo rollouts from
-CDFs over all S columns, channel statistics from a density matrix, optimal
-policies from exhaustive enumeration, and grid and lake transition rows
-from explicit enumeration of the moves against the walls.
+policy values come from a direct linear solve, optimal values from policy
+iteration on those solves, Monte Carlo rollouts from CDFs over all S
+columns, channel statistics from a density matrix, optimal policies from
+exhaustive enumeration, and grid and lake transition rows from explicit
+enumeration of the moves against the walls.
 
 Raw rows are nested lists, rows[s][a] holding (next_state, probability)
 pairs, the form TabularMDP.from_rows takes.
@@ -41,6 +42,20 @@ def linear_solve_q(mdp: TabularMDP, policy: Policy, rows: list) -> np.ndarray:
     r_pi = (w * mdp.rewards).sum(axis=1)
     v = np.linalg.solve(np.eye(mdp.num_states) - mdp.gamma * p_pi, r_pi)
     return mdp.rewards + mdp.gamma * p.dot(v)
+
+
+def policy_iteration_q(mdp: TabularMDP, rows: list) -> np.ndarray:
+    """Q* by Howard's policy iteration on linear_solve_q. A state moves to
+    its first best action only where that beats its current one by more
+    than 1e-12, so rounding noise between tied actions cannot cycle."""
+    actions = np.zeros(mdp.num_states, dtype=int)
+    states = np.arange(mdp.num_states)
+    while True:
+        q = linear_solve_q(mdp, Policy(actions), rows)
+        better = q.max(axis=1) > q[states, actions] + 1e-12
+        if not better.any():
+            return q
+        actions = np.where(better, q.argmax(axis=1), actions)
 
 
 def dense_cdf_mc_policy_evaluation(mdp: TabularMDP, rows: list, policy: Policy,

@@ -177,3 +177,11 @@ class TestAmplitudeEstimate:
                                  ("shots", "shots >= 1"), ("noise_p", "noise_p")]:
             with pytest.raises(ValueError, match=message):
                 EstimatorConfig(mode=SHOT_SAMPLING, **{setting: math.nan})
+
+    @pytest.mark.parametrize("shots", [2.5, 4.0, True])
+    def test_rejects_shots_that_are_not_a_whole_number(self, shots):
+        # the binomial draw would truncate 2.5 to 2 shots while the mean
+        # divides by 2.5, and a bool is not a count
+        with pytest.raises(ValueError, match=f"shots >= 1, a whole number, got {shots!r}$"):
+            EstimatorConfig(mode=SHOT_SAMPLING, shots=shots)
+        assert EstimatorConfig(mode=SHOT_SAMPLING, shots=np.int64(4)).shots == 4

@@ -40,6 +40,7 @@ from oracles import (
     lake_row_oracle,
     lake_rows,
     linear_solve_q,
+    policy_iteration_q,
     random_mdp,
     random_rows,
     two_state_chain,
@@ -391,21 +392,14 @@ class TestExactEvaluation:
     def test_checks_once_and_equals_the_backup_sweep(self, name, request, monkeypatch):
         mdp = request.getfixturevalue(name)
         policy = Policy(np.random.default_rng(4).integers(0, 4, mdp.num_states))
-        # the sweep of full backups, each checking the policy afresh
-        tol = 1e-10
-        threshold = tol * (1.0 - mdp.gamma) / mdp.gamma
-        q = np.zeros((mdp.num_states, 4))
-        while True:
-            q_next = bellman_backup(mdp, q, policy)
-            delta, q = np.max(np.abs(q_next - q)), q_next
-            if delta < threshold:
-                break
+        chosen = np.arange(mdp.num_states) * 4 + policy.actions
+        want = value_sweep(mdp, 1e-10, lambda q: q.ravel()[chosen])
         original, checks = mdp_module.check_policy, []
         monkeypatch.setattr(mdp_module, "check_policy",
                             lambda *args: checks.append(args) or original(*args))
-        got = exact_policy_evaluation(mdp, policy, tol)
+        got = exact_policy_evaluation(mdp, policy, 1e-10)
         assert len(checks) == 1
-        assert got.tobytes() == q.tobytes()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestValueIteration:
@@ -447,16 +441,22 @@ SOLVERS = {
 }
 
 
-def table_sweep(mdp: TabularMDP, tol: float, values) -> np.ndarray:
-    """The solvers' stop rule on whole tables: q <- r + gamma * E[values(q)]
-    from q = 0 until the table changes by less than tol * (1 - gamma) / gamma."""
+def value_sweep(mdp: TabularMDP, tol: float, values) -> np.ndarray:
+    """The solvers' procedure in plain numpy: v <- values(r + gamma * E[v])
+    from v = 0 until v changes by less than tol * (1 - gamma) / gamma, then
+    the table r + gamma * E[v]. E[v] sums each operator row left to right,
+    as numpy sums a row of up to 7 entries."""
     threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
-    q = np.zeros((mdp.num_states, mdp.num_actions))
+
+    def table(v):
+        expected = (mdp.next_probs * v[mdp.next_states]).sum(axis=1)
+        return mdp.rewards + mdp.gamma * expected.reshape(mdp.num_states, mdp.num_actions)
+    v = np.zeros(mdp.num_states)
     while True:
-        q_next = mdp.rewards + mdp.gamma * mdp.expect(values(q))
-        delta, q = np.max(np.abs(q_next - q)), q_next
+        v_next = values(table(v))
+        delta, v = np.max(np.abs(v_next - v)), v_next
         if delta < threshold:
-            return q
+            return table(v)
 
 
 # name -> a built MDP, or a random one with rewards of both signs
@@ -466,24 +466,47 @@ TABLE_SWEEP_MDPS = {
     "random9": lambda: random_mdp(9, 3, 0.9, 5),
     "random20_wide": lambda: random_mdp(20, 4, 0.9, 6, branching=7),
 }
+# name -> the raw rows of that model, from the oracles
+TABLE_SWEEP_ROWS = {
+    "grid4": lambda: grid_rows(4, 4, 0.2, (3, 3)),
+    "frozen8": lambda: lake_rows(8, True),
+    "random9": lambda: random_rows(9, 3, 5)[0],
+    "random20_wide": lambda: random_rows(20, 4, 6, branching=7)[0],
+}
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13])
 @pytest.mark.parametrize("gamma", [None, 0.0, 0.99])
 @pytest.mark.parametrize("name", TABLE_SWEEP_MDPS)
 def test_solvers_equal_the_table_sweep(name, gamma, tol):
-    # both sweep the value vector and rebuild the table only at the stop;
+    # both sweep the value vector and build the table once, at the stop;
     # a stop one sweep early or late changes the bytes
     mdp = TABLE_SWEEP_MDPS[name]()
     mdp = mdp if gamma is None else mdp.with_gamma(gamma)
     q_star, policy = value_iteration(mdp, tol)
-    want = table_sweep(mdp, tol, lambda q: q.max(axis=1))
+    want = value_sweep(mdp, tol, lambda q: q.max(axis=1))
     assert q_star.tobytes() == want.tobytes()
     assert policy == Policy(greedy(want)[1])
     for pi in (policy, Policy(np.arange(mdp.num_states) % mdp.num_actions)):
         got = exact_policy_evaluation(mdp, pi, tol)
         chosen = np.arange(mdp.num_states) * mdp.num_actions + pi.actions
-        assert got.tobytes() == table_sweep(mdp, tol, lambda q: q.ravel()[chosen]).tobytes()
+        assert got.tobytes() == value_sweep(mdp, tol, lambda q: q.ravel()[chosen]).tobytes()
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("gamma", [None, 0.99])
+@pytest.mark.parametrize("name", TABLE_SWEEP_MDPS)
+def test_solvers_are_within_gamma_tol_of_the_linear_solve(name, gamma, tol):
+    # the stop on the values bounds each table's distance to its fixed
+    # point by gamma * tol; 1e-12 covers the linear solve's own rounding
+    mdp, rows = TABLE_SWEEP_MDPS[name](), TABLE_SWEEP_ROWS[name]()
+    mdp = mdp if gamma is None else mdp.with_gamma(gamma)
+    bound = mdp.gamma * tol + 1e-12
+    q_star, policy = value_iteration(mdp, tol)
+    assert np.abs(q_star - policy_iteration_q(mdp, rows)).max() <= bound
+    for pi in (policy, Policy(np.arange(mdp.num_states) % mdp.num_actions)):
+        got = exact_policy_evaluation(mdp, pi, tol)
+        assert np.abs(got - linear_solve_q(mdp, pi, rows)).max() <= bound
 
 
 @pytest.mark.filterwarnings("error")
@@ -493,12 +516,12 @@ def test_solvers_equal_the_table_sweep(name, gamma, tol):
 ])
 def test_solver_raises_when_an_unread_entry_overflows(solver, rewards):
     # one state, two self-loop actions. The value settles at 2e307 (-2e307),
-    # finite, but action 1's entry r + 0.5 * v leaves the float range at
-    # sweep 6, which a sweep that watched only the values would not see
+    # finite, by sweep 52, but action 1's entry r + 0.5 * v in the table
+    # built from it leaves the float range, which the values do not show
     mdp = TabularMDP(1, 2, [[0], [0]], [[1.0], [1.0]], [rewards], 0.5)
     message = "policy evaluation" if solver == "exact_policy_evaluation" else "value iteration"
-    with pytest.raises(RuntimeError,
-                       match=f"^{message} diverged: sweep 6 changed the table by inf$"):
+    with pytest.raises(RuntimeError, match=f"^{message} diverged: the table after sweep 52 "
+                                           "left the float range$"):
         SOLVERS[solver](mdp, 1e-8)
 
 
@@ -508,7 +531,9 @@ def test_solver_raises_once_the_values_overflow(solver):
     # 1e308 + 0.99 * 1e308 is inf, so the second sweep's change is not
     # finite, and no later sweep can converge: from there on it is nan
     start = time.perf_counter()
-    with pytest.raises(RuntimeError, match="diverged: sweep 1 changed the table by inf"):
+    message = "policy evaluation" if solver == "exact_policy_evaluation" else "value iteration"
+    with pytest.raises(RuntimeError,
+                       match=f"^{message} diverged: sweep 1 changed the values by inf$"):
         SOLVERS[solver](absorbing_single(reward=1e308, gamma=0.99))
     assert time.perf_counter() - start < 1.0
 
@@ -1011,6 +1036,21 @@ class TestSerialization:
             assert np.array_equal(loaded.rewards, mdp.rewards)
             assert loaded.next_states.tobytes() == mdp.next_states.tobytes()
             assert loaded.next_probs.tobytes() == mdp.next_probs.tobytes()
+
+    @pytest.mark.parametrize("start", [0.5, 1.0, True, -1, 2])
+    def test_rejects_a_start_state_that_is_not_an_index(self, start):
+        with pytest.raises(ValueError, match=r"start_state must be an integer in \[0, 2\), "
+                                             f"got {start!r}$"):
+            TabularMDP(2, 1, [[1], [1]], [[1.0], [1.0]], [[0.5], [0.0]], 0.9,
+                       terminal_states=frozenset({1}), start_state=start)
+
+    def test_start_state_round_trips(self):
+        # a numpy integer is kept as an int, so the written document loads
+        mdp = TabularMDP(2, 1, [[1], [1]], [[1.0], [1.0]], [[0.5], [0.0]], 0.9,
+                         terminal_states=frozenset({1}), start_state=np.int64(1))
+        doc = mdp_to_dict(mdp)
+        assert type(doc["start"]) is int
+        assert mdp_from_dict(doc).start_state == 1
 
     def test_roundtrip_irrational_probs(self, tmp_path):
         rows, rewards = random_rows(12, 3, seed=11)

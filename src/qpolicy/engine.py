@@ -26,6 +26,7 @@ readout variance is the estimator's expected variance, in closed form.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -79,8 +80,10 @@ class QPolicyConfig:
     seed: int = 0
 
     def __post_init__(self, epsilon):
-        if not self.max_iterations >= 1:  # NaN fails every check written this way
-            raise ValueError("max_iterations must be >= 1")
+        if (type(self.max_iterations) is bool or not isinstance(self.max_iterations, Integral)
+                or not self.max_iterations >= 1):
+            raise ValueError(f"max_iterations must be >= 1, a whole number, "
+                             f"got {self.max_iterations!r}")
         if not self.convergence_tol > 0:
             raise ValueError("convergence_tol must be positive")
         if self.estimator is None:

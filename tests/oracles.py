@@ -6,8 +6,9 @@ densely from raw rows that the oracles or the tests write themselves,
 policy values come from a direct linear solve, optimal values from policy
 iteration on those solves, Monte Carlo rollouts from CDFs over all S
 columns, channel statistics from a density matrix, optimal policies from
-exhaustive enumeration, and grid and lake transition rows from explicit
-enumeration of the moves against the walls.
+exhaustive enumeration, grid and lake transition rows from explicit
+enumeration of the moves against the walls, and sums over operator rows
+one Python float at a time.
 
 Raw rows are nested lists, rows[s][a] holding (next_state, probability)
 pairs, the form TabularMDP.from_rows takes.
@@ -31,6 +32,24 @@ def dense_transitions(rows: list) -> np.ndarray:
             for s_next, p in rows[s][a]:
                 dense[s, a, s_next] += p
     return dense
+
+
+def left_to_right_column_sums(states: np.ndarray, probs: np.ndarray,
+                              v: np.ndarray) -> np.ndarray:
+    """sum_k probs[k, j] * v[..., states[k, j]] for each column j of (d, n)
+    operator columns, added one Python float at a time from +0.0 in the
+    order k = 0, 1, ..., d - 1; shape v.shape[:-1] + (n,)."""
+    depth, width = states.shape
+    states, probs = states.tolist(), probs.tolist()
+    out = np.empty(v.shape[:-1] + (width,))
+    for index in np.ndindex(v.shape[:-1]):
+        values = v[index].tolist()
+        for j in range(width):
+            total = 0.0
+            for k in range(depth):
+                total += probs[k][j] * values[states[k][j]]
+            out[index + (j,)] = total
+    return out
 
 
 def linear_solve_q(mdp: TabularMDP, policy: Policy, rows: list) -> np.ndarray:

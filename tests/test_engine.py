@@ -469,6 +469,14 @@ class TestRunQPolicy:
         with pytest.raises(ValueError, match="max_iterations must be >= 1"):
             QPolicyConfig(max_iterations=math.nan)
 
+    @pytest.mark.parametrize("iterations", [2.5, True, np.True_, 3.0, 0])
+    def test_rejects_max_iterations_that_are_not_a_whole_number(self, iterations):
+        # a run would fail inside range() on 2.5, and a bool is not a count
+        with pytest.raises(ValueError, match=f"^max_iterations must be >= 1, a whole number, "
+                                             f"got {iterations!r}$"):
+            QPolicyConfig(max_iterations=iterations)
+        assert QPolicyConfig(max_iterations=np.int64(3)).max_iterations == 3
+
 
 def test_each_setting_has_one_field():
     # the estimator holds every readout setting, the run config the rest

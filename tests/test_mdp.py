@@ -39,6 +39,7 @@ from oracles import (
     grid_rows,
     lake_row_oracle,
     lake_rows,
+    left_to_right_column_sums,
     linear_solve_q,
     policy_iteration_q,
     random_mdp,
@@ -432,6 +433,26 @@ class TestValueIteration:
         assert greedy(np.array([[2.0, 2.0, 0.0, 2.0]]))[1][0] == 0
         assert greedy(np.array([[0.0, 5.0, 3.0, 1.0]]))[1][0] == 1
 
+    @pytest.mark.parametrize("name", ["near_tie", "grid20"])
+    def test_stops_where_actions_tie_within_the_greedy_tolerance(self, name, monkeypatch):
+        # improving by greedy's 1e-9 tie tolerance, the on-policy sweeps
+        # would follow an action up to 1e-9 below the max, and the full
+        # sweep's change would stall above the stop threshold: at 4.9e-10
+        # against 1.1e-11 on the one-state model, whose two self-loop
+        # actions pay 5e-10 apart, and at 9.3e-10 against 5.3e-10 on the
+        # grid. A cap on the sweeps makes a stall fail fast
+        if name == "near_tie":
+            mdp = TabularMDP(1, 2, [[0], [0]], [[1.0], [1.0]], [[1 - 5e-10, 1.0]], 0.9)
+            tol, q_star = 1e-10, mdp.rewards + 0.9 / (1 - 0.9)
+        else:
+            mdp = build_gridworld(20, 20, 0.2, (19, 19), 0.95)
+            tol, q_star = 1e-8, policy_iteration_q(mdp, grid_rows(20, 20, 0.2, (19, 19)))
+        monkeypatch.setattr(mdp_module, "_MAX_SWEEPS", 20_000)
+        start = time.perf_counter()
+        q, _ = value_iteration(mdp, tol)
+        assert time.perf_counter() - start < 1.0
+        assert np.abs(q - q_star).max() <= mdp.gamma * tol + 1e-12
+
 
 # each solver at its default tol or a given one, with policy 0 to evaluate
 SOLVERS = {
@@ -441,22 +462,44 @@ SOLVERS = {
 }
 
 
-def value_sweep(mdp: TabularMDP, tol: float, values) -> np.ndarray:
-    """The solvers' procedure in plain numpy: v <- values(r + gamma * E[v])
-    from v = 0 until v changes by less than tol * (1 - gamma) / gamma, then
-    the table r + gamma * E[v]. E[v] sums each operator row left to right,
-    as numpy sums a row of up to 7 entries."""
-    threshold = math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
+def table_of(mdp: TabularMDP, v: np.ndarray) -> np.ndarray:
+    """r + gamma * E[v], E[v] summing each operator row left to right, as
+    numpy sums a row of up to 7 entries."""
+    expected = (mdp.next_probs * v[mdp.next_states]).sum(axis=1)
+    return mdp.rewards + mdp.gamma * expected.reshape(mdp.num_states, mdp.num_actions)
 
-    def table(v):
-        expected = (mdp.next_probs * v[mdp.next_states]).sum(axis=1)
-        return mdp.rewards + mdp.gamma * expected.reshape(mdp.num_states, mdp.num_actions)
+
+def stop_threshold(mdp: TabularMDP, tol: float) -> float:
+    return math.inf if mdp.gamma == 0 else tol * (1.0 - mdp.gamma) / mdp.gamma
+
+
+def value_sweep(mdp: TabularMDP, tol: float, values) -> np.ndarray:
+    """exact_policy_evaluation's procedure in plain numpy: v <- values(r +
+    gamma * E[v]) from v = 0 until v changes by less than tol * (1 - gamma)
+    / gamma, then the table r + gamma * E[v]."""
     v = np.zeros(mdp.num_states)
     while True:
-        v_next = values(table(v))
+        v_next = values(table_of(mdp, v))
         delta, v = np.max(np.abs(v_next - v)), v_next
-        if delta < threshold:
-            return table(v)
+        if delta < stop_threshold(mdp, tol):
+            return table_of(mdp, v)
+
+
+def mpi_value_sweep(mdp: TabularMDP, tol: float) -> np.ndarray:
+    """value_iteration's procedure in plain numpy: from v = 0, a full sweep
+    v <- max_a (r + gamma * E[v]), and unless its change is below tol * (1 -
+    gamma) / gamma, 16 sweeps v <- (r + gamma * E[v])[s, pi(s)] under pi, the
+    argmax of the full sweep's table; at the stop, the table r + gamma * E[v]."""
+    v = np.zeros(mdp.num_states)
+    while True:
+        q = table_of(mdp, v)
+        v_next = q.max(axis=1)
+        delta, v = np.max(np.abs(v_next - v)), v_next
+        if delta < stop_threshold(mdp, tol):
+            return table_of(mdp, v)
+        chosen = np.arange(mdp.num_states) * mdp.num_actions + q.argmax(axis=1)
+        for _ in range(16):
+            v = table_of(mdp, v).ravel()[chosen]
 
 
 # name -> a built MDP, or a random one with rewards of both signs
@@ -484,7 +527,7 @@ def test_solvers_equal_the_table_sweep(name, gamma, tol):
     mdp = TABLE_SWEEP_MDPS[name]()
     mdp = mdp if gamma is None else mdp.with_gamma(gamma)
     q_star, policy = value_iteration(mdp, tol)
-    want = value_sweep(mdp, tol, lambda q: q.max(axis=1))
+    want = mpi_value_sweep(mdp, tol)
     assert q_star.tobytes() == want.tobytes()
     assert policy == Policy(greedy(want)[1])
     for pi in (policy, Policy(np.arange(mdp.num_states) % mdp.num_actions)):
@@ -516,11 +559,14 @@ def test_solvers_are_within_gamma_tol_of_the_linear_solve(name, gamma, tol):
 ])
 def test_solver_raises_when_an_unread_entry_overflows(solver, rewards):
     # one state, two self-loop actions. The value settles at 2e307 (-2e307),
-    # finite, by sweep 52, but action 1's entry r + 0.5 * v in the table
-    # built from it leaves the float range, which the values do not show
+    # finite, by the stop, but action 1's entry r + 0.5 * v in the table
+    # built from it leaves the float range, which the values do not show.
+    # value_iteration stops at its fifth full sweep, after four runs of 16
+    # on-policy sweeps
     mdp = TabularMDP(1, 2, [[0], [0]], [[1.0], [1.0]], [rewards], 0.5)
     message = "policy evaluation" if solver == "exact_policy_evaluation" else "value iteration"
-    with pytest.raises(RuntimeError, match=f"^{message} diverged: the table after sweep 52 "
+    stop = 52 if solver == "exact_policy_evaluation" else 68
+    with pytest.raises(RuntimeError, match=f"^{message} diverged: the table after sweep {stop} "
                                            "left the float range$"):
         SOLVERS[solver](mdp, 1e-8)
 
@@ -723,6 +769,30 @@ class TestOperator:
                 bound = 9 * np.finfo(float).eps * np.abs(terms).sum(axis=-1)
                 assert np.all(np.abs(out.reshape(rows.shape) - rows) <= bound)
         assert mdp.expect(v)[0, 0] == 0.0 and not np.signbit(mdp.expect(v)[0, 0])
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_column_sums_add_left_to_right(self, width):
+        # values over six decades, so another order of the sum changes last
+        # bits. From 8 entries numpy sums a row in 8 lanes; the column sums
+        # keep the left-to-right order there too
+        num_states, num_actions = 20, 3
+        rows, rewards = random_rows(num_states, num_actions, seed=width, branching=width)
+        rows[0][1] = [(2, 1.0)]  # one narrow row, padded on state 2
+        mdp = TabularMDP.from_rows(num_states, num_actions, rows, rewards, 0.9)
+        assert mdp.sparsity_d == width
+        rng = np.random.default_rng(width)
+        v = rng.normal(size=num_states) * 10.0 ** rng.uniform(-3, 3, size=num_states)
+        zero_row = mdp.next_states[0]
+        v[zero_row] = -0.0  # row (0, 0) adds only -0.0 products
+        # infinite where neither row (0, 0) nor the padding of row (0, 1) reads
+        v[np.setdiff1d(np.arange(3, num_states), zero_row)[0]] = np.inf
+        states, probs = mdp.next_states.T, mdp.next_probs.T
+        for values in (v, np.stack([v, -v, 2.0 * v]), np.stack([[v, -v], [v / 3.0, 0.5 * v]])):
+            out = mdp_module._column_sums(states, probs, values)
+            assert out.tobytes() == left_to_right_column_sums(states, probs, values).tobytes()
+            assert np.isinf(out).any() and not np.isnan(out).any()
+        zero_sum = mdp_module._column_sums(states, probs, v)[0]
+        assert zero_sum == 0.0 and not np.signbit(zero_sum)
 
     @pytest.mark.parametrize("name", ["grid4", "frozen8"])
     def test_matches_dense_oracle(self, name, request):
@@ -1043,6 +1113,23 @@ class TestSerialization:
                                              f"got {start!r}$"):
             TabularMDP(2, 1, [[1], [1]], [[1.0], [1.0]], [[0.5], [0.0]], 0.9,
                        terminal_states=frozenset({1}), start_state=start)
+
+    @pytest.mark.parametrize("terminal", [True, np.True_])
+    def test_rejects_a_bool_terminal_state(self, terminal):
+        # read as a float, True would be state 1
+        with pytest.raises(ValueError, match=r"^terminal states must be integers in \[0, 2\)$"):
+            TabularMDP(2, 1, [[1], [1]], [[1.0], [1.0]], [[0.5], [0.0]], 0.9,
+                       terminal_states=frozenset({terminal}))
+        with pytest.raises(ValueError, match=r"^terminal states must be integers in \[0, 2\)$"):
+            TabularMDP.from_rows(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]], [[0.5], [0.0]], 0.9,
+                                 terminal_states=frozenset({terminal}))
+
+    def test_whole_float_terminal_states_are_accepted(self):
+        # mdp_from_dict passes JSON numbers through, and 1.0 names state 1
+        for terminal in (1, 1.0, np.int64(1)):
+            mdp = TabularMDP.from_rows(2, 1, [[[(1, 1.0)]], [[(1, 1.0)]]], [[0.5], [0.0]], 0.9,
+                                       terminal_states=frozenset({terminal}))
+            assert mdp.terminal_states == frozenset({1})
 
     def test_start_state_round_trips(self):
         # a numpy integer is kept as an int, so the written document loads

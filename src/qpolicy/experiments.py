@@ -16,6 +16,10 @@ loads it.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -186,19 +190,134 @@ def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
     every seed's policy; seed i's at iteration k draws from
     child_seed(seeds[i], 6, k) alone. Estimates that are not finite (the
     returns overflowed) raise DivergenceError naming the iteration and the
-    first such seed."""
-    def evaluate(k, q, actions, active):
-        tables = mc_policy_evaluation_lockstep(
-            mdp, [Policy(a) for a in actions], budget, _MC_HORIZON,
-            [child_seed(seeds[i], 6, k) for i in active])
-        bad = np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))
-        if bad.size:
-            raise DivergenceError(f"iteration {k}: the Monte Carlo estimates of seed "
-                                  f"{seeds[active[bad[0]]]} are not finite")
-        return tables, [budget] * len(active), [0.0] * len(active)
+    first such seed.
 
-    runs = policy_iteration_lockstep(mdp, [(iterations, 0.0)] * len(seeds), evaluate)
-    return [records for records, _ in runs]
+    The seeds run in up to one process per usable CPU (_in_chunks), each
+    chunk of them as one policy_iteration_lockstep. A seed's records are
+    its own run's bit for bit, whatever runs beside it, so they do not
+    depend on the CPU count, and neither does the error raised."""
+    def run_chunk(chunk, at):
+        def evaluate(k, q, actions, active):
+            at(k)
+            tables = mc_policy_evaluation_lockstep(
+                mdp, [Policy(a) for a in actions], budget, _MC_HORIZON,
+                [child_seed(chunk[i], 6, k) for i in active])
+            bad = np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))
+            if bad.size:
+                raise DivergenceError(f"iteration {k}: the Monte Carlo estimates of seed "
+                                      f"{chunk[active[bad[0]]]} are not finite")
+            return tables, [budget] * len(active), [0.0] * len(active)
+
+        runs = policy_iteration_lockstep(mdp, [(iterations, 0.0)] * len(chunk), evaluate)
+        return [records for records, _ in runs]
+
+    return _in_chunks(run_chunk, list(seeds))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, 1 where os.fork is missing."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _attempt(run_chunk, chunk) -> tuple:
+    """(None, results) of run_chunk(chunk, at), or (k, error) if it raised
+    error after its last call at(k); k is -1 if it raised before any."""
+    reached = -1
+
+    def at(k):
+        nonlocal reached
+        reached = k
+    try:
+        return None, run_chunk(chunk, at)
+    except Exception as error:  # noqa: BLE001 - _in_chunks re-raises it
+        return reached, error
+
+
+# Python 3.12 and later warn on os.fork in a process with more than one
+# thread, which importing numpy makes (OpenBLAS starts its pool): the child
+# could inherit a lock another thread holds. The child of _fork_chunk makes
+# no BLAS call and leaves by os._exit, so it takes no such lock.
+_FORK_WARNING = (r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) "
+                 r"may lead to deadlocks in the child\.")
+
+
+def _fork_chunk(run_chunk, chunk) -> tuple[int, int]:
+    """Start a child that writes the pickled _attempt(run_chunk, chunk) to a
+    pipe and leaves by os._exit, status 0 once it has written; returns
+    (pid, the pipe's read end)."""
+    read_end, write_end = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        # never returns into the caller's stack: no inherited stdio buffer
+        # is flushed, no atexit hook runs and no traceback is printed
+        status = 1
+        try:
+            os.close(read_end)
+            data = pickle.dumps(_attempt(run_chunk, chunk))
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _in_chunks(run_chunk, seeds: list) -> list:
+    """The concatenated results of run_chunk(chunk, at) over the seeds split
+    into k = min(_usable_cpus(), len(seeds)) contiguous chunks, in order,
+    whose sizes differ by at most one. Chunks 1 to k - 1 run in forked
+    children (_fork_chunk) while this process runs chunk 0; with k = 1 that
+    is the whole call, in this process.
+
+    run_chunk(chunk, at) calls at(k) as it starts iteration k. If chunks
+    raise, the error raised is that of the lowest such iteration, and of
+    its first chunk there: the error of one run_chunk over all the seeds,
+    when each seed's run is independent of the others. A child that leaves
+    without writing its outcome raises RuntimeError naming its seeds. Every
+    child is reaped before the call returns or raises; an exception other
+    than a chunk's own (KeyboardInterrupt, say) kills them first.
+    """
+    k = max(1, min(_usable_cpus(), len(seeds)))
+    size, extra = divmod(len(seeds), k)
+    bounds = [i * size + min(i, extra) for i in range(k + 1)]
+    chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    children, received, statuses = [], [], []  # per child
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(run_chunk, chunk))
+        outcomes = [_attempt(run_chunk, chunks[0])]
+        for _, read_end in children:
+            with open(read_end, "rb", closefd=False) as pipe:
+                received.append(pipe.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read_end in children:
+            os.close(read_end)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for chunk, data, status in zip(chunks[1:], received, statuses):
+        if status != 0 or not data:
+            raise RuntimeError(f"the process running seeds {chunk} left without a "
+                               f"result, wait status {status}")
+        outcomes.append(pickle.loads(data))
+    failed = [outcome for outcome in outcomes if outcome[0] is not None]
+    if failed:
+        raise min(failed, key=lambda outcome: outcome[0])[1]
+    return [result for _, results in outcomes for result in results]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +345,9 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig, mc_bud
     seed's run in lockstep (run_qpolicy_lockstep, run_mc_policy_iteration).
     The engine arm stops at qp_config.max_iterations or once a run's table
     moves less than qp_config.convergence_tol; the MC arm always runs
-    qp_config.max_iterations iterations."""
+    qp_config.max_iterations iterations. The MC arm runs its seeds in up to
+    one process per usable CPU, the engine arm in this process; neither
+    arm's results depend on the CPU count."""
     mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config.max_iterations, seeds)
     engine_runs = run_qpolicy_lockstep(mdp, [qp_config.with_settings(seed) for seed in seeds])
     results = []

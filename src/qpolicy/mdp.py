@@ -139,7 +139,10 @@ class TabularMDP:
     def expect(self, v: np.ndarray) -> np.ndarray:
         """(S, A) table of E[v(s') | s, a] = sum_s' P(s' | s, a) v(s'); a
         stack of value vectors, shape (..., S), gives a (..., S, A) stack."""
-        rows = _column_sums(self.next_states.T, self.next_probs.T, v)
+        # a diverging caller reports the overflow itself, so numpy stays
+        # quiet about it
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _column_sums(self.next_states.T, self.next_probs.T, v)
         return rows.reshape(v.shape[:-1] + (self.num_states, self.num_actions))
 
     def transition_matrix(self) -> np.ndarray:
@@ -176,14 +179,16 @@ def _column_sums(states: np.ndarray, probs: np.ndarray, v: np.ndarray) -> np.nda
     +0.0, whatever d is: for d <= 7 that is the order in which numpy sums a
     row, so this is (next_probs * v[..., next_states]).sum(axis=-1) bit for
     bit there, an all -0.0 row giving +0.0 as there.
+
+    Its callers hold np.errstate(over="ignore", invalid="ignore"), which
+    is not entered here on each call: TabularMDP.expect, and _sweep around
+    the solvers' sweeps.
     """
     # padding reads the row's own last next state, so an infinite value
-    # elsewhere in v cannot turn a row into 0 * inf; a diverging caller
-    # reports the overflow itself, so numpy stays quiet about it
+    # elsewhere in v cannot turn a row into 0 * inf
     terms = v.take(states.reshape(-1), axis=-1).reshape(v.shape[:-1] + states.shape)
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms *= probs
-        return np.add.reduce(terms, axis=-2, initial=0.0)
+    terms *= probs
+    return np.add.reduce(terms, axis=-2, initial=0.0)
 
 
 def _is_index(values: np.ndarray, bound: int) -> np.ndarray:

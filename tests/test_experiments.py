@@ -1,4 +1,6 @@
+import os
 import re
+import time
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -291,6 +293,142 @@ class TestQueryStudy:
         mc_slope = np.polyfit(np.log(eps), np.log([p.mc_budget for p in points]), 1)[0]
         assert -1.2 <= ae_slope <= -0.8
         assert -2.3 <= mc_slope <= -1.7
+
+
+def no_child_left():
+    """Whether this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """Set the usable CPU count the Monte Carlo arm splits its seeds by."""
+    return lambda k: monkeypatch.setattr(experiments, "_usable_cpus", lambda: k)
+
+
+def failing_at(fail_at, iterations=4):
+    """A chunk runner whose seed s raises ValueError at iteration
+    fail_at[s], -1 meaning before its first iteration; each seed's result
+    is a string naming it."""
+    def run_chunk(chunk, at):
+        for k in range(-1, iterations):
+            if k >= 0:
+                at(k)
+            for seed in chunk:
+                if fail_at.get(seed) == k:
+                    raise ValueError(f"seed {seed} failed at iteration {k}")
+        return [f"records of seed {seed}" for seed in chunk]
+    return run_chunk
+
+
+class TestMonteCarloChunks:
+    SEEDS = [4, 0, 9, 2, 7, 11, 5]  # 7 seeds, which 2 and 3 do not divide
+
+    @pytest.mark.parametrize("model", ["grid4", "frozen8"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 9])
+    def test_records_do_not_depend_on_the_cpu_count(self, model, k, cpus, monkeypatch,
+                                                    request):
+        mdp = request.getfixturevalue(model)
+        own = [experiments.run_mc_policy_iteration(mdp, 60, 4, [seed])[0]
+               for seed in self.SEEDS]
+        forks = []
+        fork_chunk = experiments._fork_chunk
+        monkeypatch.setattr(experiments, "_fork_chunk",
+                            lambda run, chunk: forks.append(chunk) or fork_chunk(run, chunk))
+        cpus(k)
+        runs = experiments.run_mc_policy_iteration(mdp, 60, 4, self.SEEDS)
+        # repr writes each float's shortest round trip: equal reprs, equal bits
+        assert repr(runs) == repr(own)
+        sizes = [len(chunk) for chunk in forks]
+        assert len(forks) == min(k, 7) - 1
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+        assert sum(forks, []) == self.SEEDS[7 - sum(sizes):]
+        assert no_child_left()
+
+    @pytest.mark.parametrize("fail_at", [
+        {}, {4: 2}, {5: 1, 2: 1, 0: 3}, {9: 0, 5: 0}, {5: 3, 4: 3}, {7: 2, 11: -1},
+        {4: 1, 5: 0}, {0: 3, 11: 3},
+    ])
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_the_serial_runs_error_is_raised(self, fail_at, k, cpus):
+        cpus(1)
+        try:
+            serial = experiments._in_chunks(failing_at(fail_at), self.SEEDS)
+        except ValueError as error:
+            serial = error
+        cpus(k)
+        if isinstance(serial, list):
+            assert experiments._in_chunks(failing_at(fail_at), self.SEEDS) == serial
+        else:
+            with pytest.raises(ValueError, match=f"^{serial}$"):
+                experiments._in_chunks(failing_at(fail_at), self.SEEDS)
+        assert no_child_left()
+
+    def test_an_overflowing_run_names_the_serial_runs_seed(self, grid4, cpus):
+        # a reward of 1.5e308 on entering the goal overflows the returns of
+        # every seed in its first evaluation; the error names the first seed
+        huge = replace(grid4, rewards=np.where(grid4.rewards > 0, 1.5e308, grid4.rewards))
+        cpus(3)
+        with pytest.raises(experiments.DivergenceError, match=re.escape(
+                "iteration 0: the Monte Carlo estimates of seed 4 are not finite")):
+            experiments.run_mc_policy_iteration(huge, 20, 3, self.SEEDS)
+        assert no_child_left()
+
+    def test_a_child_that_leaves_without_a_result_raises(self, cpus):
+        parent = os.getpid()
+
+        def run_chunk(chunk, at):
+            if os.getpid() != parent and 3 in chunk:
+                os._exit(3)
+            return list(chunk)
+        cpus(3)
+        with pytest.raises(RuntimeError, match=re.escape(
+                "the process running seeds [2, 3] left without a result, wait status 768")):
+            experiments._in_chunks(run_chunk, [0, 1, 2, 3, 4])
+        assert no_child_left()
+
+    def test_an_interrupt_kills_the_children(self, cpus):
+        parent = os.getpid()
+
+        def run_chunk(chunk, at):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+        cpus(2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            experiments._in_chunks(run_chunk, [0, 1])
+        assert time.monotonic() - start < 30
+        assert no_child_left()
+
+    def test_children_write_nothing(self, cpus, capfd):
+        # a byte left in this process's stdout buffer, and a chunk that raises
+        # in a child: neither the buffer nor a traceback reaches the fds twice
+        print("kept", end="")
+        cpus(3)
+        with pytest.raises(ValueError, match="seed 5 failed at iteration 0"):
+            experiments._in_chunks(failing_at({5: 0}), self.SEEDS)
+        assert experiments._in_chunks(failing_at({}), self.SEEDS) == [
+            f"records of seed {seed}" for seed in self.SEEDS]
+        assert capfd.readouterr() == ("kept", "")
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
+            monkeypatch.delattr(os, "sched_getaffinity")
+        assert experiments._usable_cpus() == (os.cpu_count() or 1)
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert experiments._usable_cpus() == 1
+
+    def test_the_fork_warning_filter_matches_the_warning(self):
+        # the message Python 3.12 and later give; 3.11 does not warn
+        message = ("This process (pid=4242) is multi-threaded, use of fork() may lead "
+                   "to deadlocks in the child.")
+        assert re.match(experiments._FORK_WARNING, message)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,13 @@ its lines built by _lines from a row format that _row_format makes from
 the column types. Files are written to a temp name and renamed, so
 partial runs never corrupt artifacts. Exit codes: 0 success, 2
 configuration error, 1 runtime failure. A multi-run command runs each
-distinct effective config once (see experiments.run_ablation), all of them
-in one lockstep engine loop (engine.run_qpolicy_lockstep) whose records
-equal those of running each alone.
+distinct effective config once (see experiments.run_ablation). run and the
+engine arm of compare-queries step their seeds in one lockstep engine loop
+(engine.run_qpolicy_lockstep); ablate and noise-study split their distinct
+runs into up to one such loop per usable CPU, each in a process of its
+own (experiments._run_jobs). Each run's records equal those of running it
+alone, so no artifact depends on the CPU count. main adds flags only to
+the parser of the command it runs.
 """
 from __future__ import annotations
 
@@ -480,7 +484,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. Given only, a command, only its
+    subparser gets its flags: parsing that command, its help and its errors
+    never read another's."""
     parser = argparse.ArgumentParser(
         prog="qpolicy",
         description="Quantum-emulated policy iteration experiments on tabular MDPs",
@@ -488,18 +495,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-env", help="build an environment JSON file")
-    gen.add_argument("builder", choices=["gridworld", "frozenlake"])
-    gen.add_argument("--width", type=int)
-    gen.add_argument("--height", type=int)
-    gen.add_argument("--slip", type=float, help="slip probability (default 0.2)")
-    gen.add_argument("--goal", type=str, help="row,col (default bottom-right)")
-    gen.add_argument("--size", type=int, choices=[4, 8, 10])
-    gen.add_argument("--slippery", action=argparse.BooleanOptionalAction, help="default on")
-    gen.add_argument("--gamma", type=float, help="discount (default 0.95)")
-    gen.add_argument("--out", type=str, default="env.json")
+    if only in (None, "gen-env"):
+        gen.add_argument("builder", choices=["gridworld", "frozenlake"])
+        gen.add_argument("--width", type=int)
+        gen.add_argument("--height", type=int)
+        gen.add_argument("--slip", type=float, help="slip probability (default 0.2)")
+        gen.add_argument("--goal", type=str, help="row,col (default bottom-right)")
+        gen.add_argument("--size", type=int, choices=[4, 8, 10])
+        gen.add_argument("--slippery", action=argparse.BooleanOptionalAction, help="default on")
+        gen.add_argument("--gamma", type=float, help="discount (default 0.95)")
+        gen.add_argument("--out", type=str, default="env.json")
 
     for command, (_, help_text, defaults) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        if only not in (None, command):
+            continue
         p.add_argument("--env", type=str, help="path to an environment JSON file")
         p.add_argument("--config", type=str, help="JSON config file")
         for name in defaults:
@@ -513,7 +523,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no flag with a value, so the first token
+    # that is not a flag names the command
+    command = next((token for token in argv if not token.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         if args.command == "gen-env":
             _cmd_gen_env(args)

@@ -61,7 +61,16 @@ _BOUND_RTOL = 1e-9
 class DivergenceError(RuntimeError):
     """An iteration's backup targets left the finite float range, or its
     read-out table left the reward bound over 1 - gamma, or its Monte Carlo
-    estimates (experiments.run_mc_policy_iteration) are not finite."""
+    estimates (experiments.run_mc_policy_iteration) are not finite.
+
+    at is (iteration, check), where it was raised: check 0 is the targets
+    check of _read_out, or the Monte Carlo estimates' check, and 1 the
+    reward-bound check that follows _read_out in the same iteration. It is
+    (-1, 0) where not given."""
+
+    def __init__(self, message: str, at: tuple[int, int] = (-1, 0)):
+        super().__init__(message)
+        self.at = at
 
 
 @dataclass
@@ -114,6 +123,13 @@ class IterationRecord:
     q_variance: float
     queries_iteration: int
     queries_cumulative: int
+
+    def __reduce__(self):
+        # the fields in order: a chunk's records cross a pipe
+        # (experiments._in_chunks) in half the time of the slots' state dict
+        return IterationRecord, (self.iteration, self.bellman_error_max,
+                                 self.bellman_error_mean, self.q_variance,
+                                 self.queries_iteration, self.queries_cumulative)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +209,7 @@ def _read_out(targets: np.ndarray, mask: np.ndarray, estimators, rngs,
         raise DivergenceError(
             f"iteration {iteration}: the backup targets of seed {seeds[i]} are not "
             f"finite or span more than the float range (min {float(lo[i])!r}, "
-            f"span {float(span[i])!r})")
+            f"span {float(span[i])!r})", (iteration, 0))
     q_tilde = flat.copy()
     queries, q_variance = [0] * len(flat), [0.0] * len(flat)
     live = span > 0.0
@@ -334,7 +350,7 @@ def run_qpolicy_lockstep(mdp: TabularMDP, configs) -> list:
             raise DivergenceError(
                 f"iteration {k}: the read-out table of seed {seeds[j]} spans "
                 f"[{float(q_min[j])!r}, {float(q_max[j])!r}], outside the reward "
-                f"bound [{lo!r}, {hi!r}]")
+                f"bound [{lo!r}, {hi!r}]", (k, 1))
         return q_tilde, queries, q_vars
 
     return policy_iteration_lockstep(

@@ -205,7 +205,7 @@ def run_mc_policy_iteration(mdp: TabularMDP, budget: int, iterations: int,
             bad = np.flatnonzero(~np.isfinite(tables).all(axis=(1, 2)))
             if bad.size:
                 raise DivergenceError(f"iteration {k}: the Monte Carlo estimates of seed "
-                                      f"{chunk[active[bad[0]]]} are not finite")
+                                      f"{chunk[active[bad[0]]]} are not finite", (k, 0))
             return tables, [budget] * len(active), [0.0] * len(active)
 
         runs = policy_iteration_lockstep(mdp, [(iterations, 0.0)] * len(chunk), evaluate)
@@ -224,13 +224,14 @@ def _usable_cpus() -> int:
 
 
 def _attempt(run_chunk, chunk) -> tuple:
-    """(None, results) of run_chunk(chunk, at), or (k, error) if it raised
-    error after its last call at(k); k is -1 if it raised before any."""
-    reached = -1
+    """(None, results) of run_chunk(chunk, at), or ((k, check), error) if it
+    raised error after its last call at(k, check); (-1, 0) if it raised
+    before any."""
+    reached = (-1, 0)
 
-    def at(k):
+    def at(k, check=0):
         nonlocal reached
-        reached = k
+        reached = (k, check)
     try:
         return None, run_chunk(chunk, at)
     except Exception as error:  # noqa: BLE001 - _in_chunks re-raises it
@@ -274,25 +275,27 @@ def _fork_chunk(run_chunk, chunk) -> tuple[int, int]:
     return pid, read_end
 
 
-def _in_chunks(run_chunk, seeds: list) -> list:
-    """The concatenated results of run_chunk(chunk, at) over the seeds split
-    into k = min(_usable_cpus(), len(seeds)) contiguous chunks, in order,
+def _in_chunks(run_chunk, items: list, seed_of=lambda item: item) -> list:
+    """The concatenated results of run_chunk(chunk, at) over the items split
+    into k = min(_usable_cpus(), len(items)) contiguous chunks, in order,
     whose sizes differ by at most one. Chunks 1 to k - 1 run in forked
     children (_fork_chunk) while this process runs chunk 0; with k = 1 that
     is the whole call, in this process.
 
-    run_chunk(chunk, at) calls at(k) as it starts iteration k. If chunks
-    raise, the error raised is that of the lowest such iteration, and of
-    its first chunk there: the error of one run_chunk over all the seeds,
-    when each seed's run is independent of the others. A child that leaves
-    without writing its outcome raises RuntimeError naming its seeds. Every
-    child is reaped before the call returns or raises; an exception other
-    than a chunk's own (KeyboardInterrupt, say) kills them first.
+    run_chunk(chunk, at) calls at(k) as it starts iteration k, or at(k,
+    check) as it reaches check number check of iteration k. If chunks
+    raise, the error raised is that of the lowest such (k, check), and of
+    its first chunk there: the error of one run_chunk over all the items,
+    when each item's run is independent of the others. A child that leaves
+    without writing its outcome raises RuntimeError naming the seeds of its
+    items (seed_of). Every child is reaped before the call returns or
+    raises; an exception other than a chunk's own (KeyboardInterrupt, say)
+    kills them first.
     """
-    k = max(1, min(_usable_cpus(), len(seeds)))
-    size, extra = divmod(len(seeds), k)
+    k = max(1, min(_usable_cpus(), len(items)))
+    size, extra = divmod(len(items), k)
     bounds = [i * size + min(i, extra) for i in range(k + 1)]
-    chunks = [seeds[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    chunks = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     children, received, statuses = [], [], []  # per child
     try:
         for chunk in chunks[1:]:
@@ -311,7 +314,8 @@ def _in_chunks(run_chunk, seeds: list) -> list:
             statuses.append(os.waitpid(pid, 0)[1])
     for chunk, data, status in zip(chunks[1:], received, statuses):
         if status != 0 or not data:
-            raise RuntimeError(f"the process running seeds {chunk} left without a "
+            seeds = [seed_of(item) for item in chunk]
+            raise RuntimeError(f"the process running seeds {seeds} left without a "
                                f"result, wait status {status}")
         outcomes.append(pickle.loads(data))
     failed = [outcome for outcome in outcomes if outcome[0] is not None]
@@ -346,8 +350,9 @@ def run_query_complexity_study(mdp: TabularMDP, qp_config: QPolicyConfig, mc_bud
     The engine arm stops at qp_config.max_iterations or once a run's table
     moves less than qp_config.convergence_tol; the MC arm always runs
     qp_config.max_iterations iterations. The MC arm runs its seeds in up to
-    one process per usable CPU, the engine arm in this process; neither
-    arm's results depend on the CPU count."""
+    one process per usable CPU, the engine arm in this process (unlike the
+    sweeps' engine runs, _run_jobs); neither arm's results depend on the
+    CPU count."""
     mc_runs = run_mc_policy_iteration(mdp, mc_budget, qp_config.max_iterations, seeds)
     engine_runs = run_qpolicy_lockstep(mdp, [qp_config.with_settings(seed) for seed in seeds])
     results = []
@@ -412,21 +417,38 @@ def matched_accuracy_scaling(epsilons: Sequence[float], seed: int) -> list[Scali
 
 def _run_jobs(mdp: TabularMDP, jobs: dict) -> dict:
     """Run keyed configs; keys whose configs differ only in fields their
-    estimator's mode ignores (EstimatorConfig.effective) share one run, and
-    the distinct runs go through one run_qpolicy_lockstep call."""
+    estimator's mode ignores (EstimatorConfig.effective) share one run.
+
+    The distinct runs, in order, go through _in_chunks: in up to one
+    process per usable CPU, each chunk of them as one run_qpolicy_lockstep
+    call. A run's records are its own run's bit for bit, whatever runs
+    beside it, so they do not depend on the CPU count. Neither does the
+    error raised: a chunk reports the iteration and check of its
+    DivergenceError (DivergenceError.at), so the one raised is the one
+    lockstep call over every run would raise. Another error reports no
+    iteration; none is known to arise inside a run."""
     effective = {key: (cfg.estimator.effective(), cfg.max_iterations, cfg.convergence_tol,
                        cfg.seed) for key, cfg in jobs.items()}
     distinct = {}  # effective config -> the first config that has it
     for key, cfg in jobs.items():
         distinct.setdefault(effective[key], cfg)
-    results = run_qpolicy_lockstep(mdp, list(distinct.values()))
-    runs = {eff: records for eff, (records, _) in zip(distinct, results)}
+
+    def run_chunk(chunk, at):
+        try:
+            return [records for records, _ in run_qpolicy_lockstep(mdp, chunk)]
+        except DivergenceError as error:
+            at(*error.at)
+            raise
+
+    runs = dict(zip(distinct, _in_chunks(run_chunk, list(distinct.values()),
+                                         lambda cfg: cfg.seed)))
     return {key: runs[effective[key]] for key in jobs}
 
 
 def _sweep(mdp: TabularMDP, config: QPolicyConfig, cells: dict, seeds: Sequence[int]) -> dict:
     """cell -> one StudyRun per seed of config.with_settings(seed, **settings),
-    with the cell's settings; every run goes through one _run_jobs call."""
+    with the cell's settings; every run goes through one _run_jobs call, so
+    the distinct runs run in up to one process per usable CPU."""
     done = _run_jobs(mdp, {(cell, seed): config.with_settings(seed, **settings)
                            for cell, settings in cells.items() for seed in seeds})
     return {cell: [StudyRun(seed=seed, records=done[(cell, seed)]) for seed in seeds]

@@ -40,9 +40,17 @@ def subprocess_env():
 
 
 @pytest.fixture()
-def one_config_per_call(monkeypatch):
+def cpus(monkeypatch):
+    """Set the usable CPU count that experiments._in_chunks splits runs by."""
+    return lambda k: monkeypatch.setattr(experiments, "_usable_cpus", lambda: k)
+
+
+@pytest.fixture()
+def one_config_per_call(monkeypatch, cpus):
     """Make the sweeps run each engine config through a lockstep call of its
-    own; the list holds the member count of each call the sweeps make."""
+    own; the list holds the member count of each call the sweeps make. The
+    sweeps run in this process (one usable CPU), where the list is kept."""
+    cpus(1)
     lockstep, sizes = experiments.run_qpolicy_lockstep, []
 
     def one_per_call(mdp, configs):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -816,3 +817,53 @@ def test_small_studies_leave_scipy_out(grid_env, tmp_path, subprocess_env):
     )
     assert _scipy_modules_after(code, subprocess_env) == "[]"
     assert len((out / "ab" / "summary.csv").read_text().splitlines()) == 1 + 3
+
+
+class TestParser:
+    """main adds flags to the parser of the command it runs only; what it
+    prints and parses is what the parser of every command gives."""
+
+    ARGV = [[], ["--help"], ["-h", "run"], ["bogus"], ["run", "--bogus", "1"],
+            ["ablate", "--iters", "x"], ["ablate", "--shots"], ["gen-env"],
+            ["gen-env", "gridworld", "--size", "5"], ["gen-env", "lake"],
+            ["compare-queries", "--scaling", "--mc-budget"], ["resources", "--iters", "3"],
+            ["noise-study", "--p-values", "0", "extra"], ["--", "run", "--bogus"]]
+    ARGV += [[command, "--help"] for command in ["gen-env", *cli.COMMANDS]]
+
+    @staticmethod
+    def _outcome(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        return exit_info.value.code, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_help_and_errors_match_the_full_parser(self, argv, capsys):
+        full = self._outcome(cli.build_parser().parse_args, argv, capsys)
+        assert self._outcome(main, argv, capsys) == full
+        assert full[1].out or full[1].err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-env", "frozenlake", "--size", "8", "--no-slippery"],
+        ["run", "--env", "e.json", "--iters", "3", "--seeds=-5,3", "--mode", "ae_oracle"],
+        ["ablate", "--shots", "64,128", "--epsilons", "0.01"],
+        ["compare-queries", "--scaling", "--mc-budget", "20"],
+        ["noise-study", "--p-values", "0,0.01"],
+        ["resources", "--c-ae", "0.04"],
+    ])
+    def test_arguments_parse_as_in_the_full_parser(self, argv):
+        lean = cli.build_parser(argv[0])
+        assert vars(lean.parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+        # every other command's parser is left without flags
+        sub = next(a for a in lean._actions if isinstance(a, argparse._SubParsersAction))
+        for name, parser in sub.choices.items():
+            flags = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+            assert bool(flags) == (name == argv[0])
+
+    def test_main_builds_the_flags_of_its_command_only(self, monkeypatch, capsys, tmp_path):
+        built, build = [], cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda only=None: built.append(only) or build(only))
+        missing = str(tmp_path / "missing.json")
+        assert main(["resources", "--env", missing]) == EXIT_CONFIG
+        assert built == ["resources"]
+        assert capsys.readouterr().err.startswith(f"error: cannot load environment {missing}")

@@ -1,6 +1,7 @@
 import math
+import pickle
 import re
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, replace
 
 import numpy as np
 import pytest
@@ -431,8 +432,9 @@ class TestRunQPolicy:
     def test_overflowing_backup_raises_divergence(self, grid4, estimator):
         # rewards near the float maximum overflow the second backup, quietly
         huge = replace(grid4, rewards=np.where(grid4.rewards > 0, 1.7e308, 0.0))
-        with pytest.raises(DivergenceError, match="iteration 1:"):
+        with pytest.raises(DivergenceError, match="iteration 1:") as info:
             run_qpolicy(huge, QPolicyConfig(estimator=estimator, max_iterations=5))
+        assert info.value.at == (1, 0)  # the targets check of _read_out
 
     def test_table_leaving_the_reward_bound_raises_divergence(self, grid4, monkeypatch):
         # clipped reads cannot leave the bound, so a readout that doubles its
@@ -443,7 +445,7 @@ class TestRunQPolicy:
         with pytest.raises(DivergenceError, match="outside the reward bound") as info:
             run_qpolicy(grid4, cfg)
         k = int(re.match(r"iteration (\d+):", str(info.value)).group(1))
-        assert k >= 1
+        assert k >= 1 and info.value.at == (k, 1)  # the check after _read_out
         # the iterations before the named one stay within [0, 20]
         records, _ = run_qpolicy(grid4, replace(cfg, max_iterations=k))
         assert len(records) == k
@@ -612,6 +614,16 @@ def _same_run(got, want):
                 a.queries_iteration, a.queries_cumulative) == \
             (b.iteration, b.bellman_error_max, b.bellman_error_mean, b.q_variance,
              b.queries_iteration, b.queries_cumulative)
+
+
+def test_records_and_errors_pickle_as_they_are(grid4):
+    # a chunk of sweep runs in another process sends both through a pipe
+    records, _ = run_qpolicy(grid4, QPolicyConfig(max_iterations=3))
+    assert pickle.loads(pickle.dumps(records)) == records
+    assert records[1].__reduce__() == (engine.IterationRecord, astuple(records[1]))
+    error = pickle.loads(pickle.dumps(DivergenceError("iteration 2: out", (2, 1))))
+    assert (type(error), str(error), error.at) == (DivergenceError, "iteration 2: out", (2, 1))
+    assert DivergenceError("no iteration").at == (-1, 0)
 
 
 class TestRunQPolicyLockstep:

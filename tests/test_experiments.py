@@ -9,7 +9,7 @@ import pytest
 from scipy import stats as scipy_stats
 from scipy.special import stdtrit
 
-from qpolicy import experiments
+from qpolicy import cli, engine, experiments
 from qpolicy.emulator import AE_ORACLE, SHOT_SAMPLING, EstimatorConfig
 from qpolicy.engine import QPolicyConfig, policy_improve, run_qpolicy, run_qpolicy_lockstep
 from qpolicy.experiments import (
@@ -304,12 +304,6 @@ def no_child_left():
     return False
 
 
-@pytest.fixture()
-def cpus(monkeypatch):
-    """Set the usable CPU count the Monte Carlo arm splits its seeds by."""
-    return lambda k: monkeypatch.setattr(experiments, "_usable_cpus", lambda: k)
-
-
 def failing_at(fail_at, iterations=4):
     """A chunk runner whose seed s raises ValueError at iteration
     fail_at[s], -1 meaning before its first iteration; each seed's result
@@ -374,8 +368,9 @@ class TestMonteCarloChunks:
         huge = replace(grid4, rewards=np.where(grid4.rewards > 0, 1.5e308, grid4.rewards))
         cpus(3)
         with pytest.raises(experiments.DivergenceError, match=re.escape(
-                "iteration 0: the Monte Carlo estimates of seed 4 are not finite")):
+                "iteration 0: the Monte Carlo estimates of seed 4 are not finite")) as info:
             experiments.run_mc_policy_iteration(huge, 20, 3, self.SEEDS)
+        assert info.value.at == (0, 0)
         assert no_child_left()
 
     def test_a_child_that_leaves_without_a_result_raises(self, cpus):
@@ -478,9 +473,11 @@ class TestAblation:
 
 
 @pytest.fixture()
-def engine_calls(monkeypatch):
+def engine_calls(monkeypatch, cpus):
     """The runs the sweeps start, through the name they call: members holds
-    one config per lockstep member, batches one member list per call."""
+    one config per lockstep member, batches one member list per call. The
+    sweeps run in this process (one usable CPU), where the lists are kept."""
+    cpus(1)
     calls = SimpleNamespace(members=[], batches=[])
 
     def counting(mdp, configs):
@@ -571,6 +568,156 @@ class TestEffectiveConfigRuns:
         assert len(engine_calls.batches) == 1
         assert records_equal(done["a"], run_qpolicy(grid4, config)[0])
         assert records_equal(done["b"], run_qpolicy(grid4, other)[0])
+
+
+def diverging(plan):
+    """An engine._read_out for members told apart by their shot count:
+    member m (shots 100 + m) diverges at iteration k of plan[m] = (k,
+    check). For check 0 its backup targets are made inf, which the targets
+    check of _read_out rejects; for check 1 its read-out table is made -1,
+    below the reward bound, which the check after _read_out rejects."""
+    read_out = engine._read_out
+
+    def stub(targets, mask, estimators, rngs, iteration, seeds):
+        planned = [plan.get(est.shots - 100) for est in estimators]
+        targets = targets.copy()
+        for j, at in enumerate(planned):
+            if at == (iteration, 0):
+                targets[j] = np.inf
+        q, queries, variances = read_out(targets, mask, estimators, rngs, iteration, seeds)
+        for j, at in enumerate(planned):
+            if at == (iteration, 1):
+                q[j] = -1.0
+        return q, queries, variances
+    return stub
+
+
+class TestSweepChunks:
+    """The sweeps' distinct runs go through _in_chunks, in up to one
+    process per usable CPU, with the one-process results and errors."""
+
+    @pytest.mark.parametrize("model", ["grid4", "frozen8"])
+    @pytest.mark.parametrize("sweep, runs", [("ablation", 9), ("noise", 10)])
+    def test_records_do_not_depend_on_the_cpu_count(self, model, sweep, runs, cpus,
+                                                    monkeypatch, request):
+        mdp = request.getfixturevalue(model)
+        base = shot_config(iters=5)
+        if sweep == "ablation":  # shot mode: 3 shot counts x 3 seeds, each twice
+            cells = {(eps, shots): {"epsilon": eps, "shots": shots}
+                     for eps in (0.01, 0.05) for shots in (64, 256, 1024)}
+            seeds = [0, 4, 1]
+        else:  # 5 arms x 2 seeds
+            cells = {p: {"noise_p": p} for p in (0.0, 0.01, 0.05, 0.1, 0.2)}
+            seeds = [3, 0]
+        own = {cell: [run_qpolicy(mdp, base.with_settings(seed, **settings))[0]
+                      for seed in seeds] for cell, settings in cells.items()}
+        forks = []
+        fork_chunk = experiments._fork_chunk
+        monkeypatch.setattr(experiments, "_fork_chunk",
+                            lambda run, chunk: forks.append(chunk) or fork_chunk(run, chunk))
+        # 2 and 4 do not divide 9 runs, 3 and 4 do not divide 10
+        for k in (1, 2, 3, 4, runs, runs + 2):
+            forks.clear()
+            cpus(k)
+            if sweep == "ablation":
+                done = run_ablation(mdp, [0.01, 0.05], [64, 256, 1024], base, seeds)
+            else:
+                done = run_noise_comparison(mdp, list(cells), base, seeds)
+            # repr writes each float's shortest round trip: equal reprs, equal bits
+            assert repr({cell: [run.records for run in done[cell]] for cell in cells}) == \
+                repr(own)
+            assert [run.seed for cell in cells for run in done[cell]] == seeds * len(cells)
+            assert len(forks) == min(k, runs) - 1
+            sizes = [len(chunk) for chunk in forks]
+            assert max(sizes, default=0) - min(sizes, default=0) <= 1
+            assert no_child_left()
+
+    def test_members_are_counted_across_chunks(self, grid4, cpus, monkeypatch, tmp_path):
+        # a count kept in memory would miss the child's chunk: each call
+        # appends its process and member count to a file
+        log = tmp_path / "calls"
+        lockstep = experiments.run_qpolicy_lockstep
+
+        def counting(mdp, configs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {len(configs)}\n")
+            return lockstep(mdp, configs)
+        monkeypatch.setattr(experiments, "run_qpolicy_lockstep", counting)
+        cpus(2)
+        run_ablation(grid4, [0.001, 0.01, 0.05], [128, 512, 1024, 2048, 4096],
+                     shot_config(iters=3), range(5))
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert sorted(int(size) for _, size in calls) == [12, 13]
+        assert len({pid for pid, _ in calls}) == 2 and str(os.getpid()) in dict(calls)
+        assert no_child_left()
+
+    MEMBERS = 7
+
+    @pytest.mark.parametrize("plan", [
+        {}, {0: (2, 1)}, {4: (1, 0), 1: (1, 1)}, {5: (2, 1), 2: (2, 1)},
+        {6: (1, 0), 0: (3, 1)}, {3: (2, 0), 5: (2, 0)}, {1: (3, 0), 6: (3, 1), 2: (4, 1)},
+        {6: (2, 1), 3: (2, 0)}, {2: (4, 0), 5: (3, 1)},
+    ])
+    def test_the_one_process_error_is_raised(self, grid4, plan, cpus, monkeypatch):
+        jobs = {m: replace(shot_config(shots=100 + m, iters=6), seed=m)
+                for m in range(self.MEMBERS)}
+        monkeypatch.setattr(engine, "_read_out", diverging(plan))
+
+        def outcome():
+            try:
+                return repr(_run_jobs(grid4, jobs))
+            except engine.DivergenceError as error:
+                return error
+        cpus(1)
+        serial = outcome()
+        if plan:
+            assert isinstance(serial, engine.DivergenceError)
+            first = min(plan, key=lambda m: (plan[m], m))  # member m has seed m
+            k, check = plan[first]
+            assert serial.at == (k, check) and str(serial).startswith(f"iteration {k}: ")
+            assert f" of seed {first} " in str(serial)
+        for k in (2, 3, self.MEMBERS):
+            cpus(k)
+            got = outcome()
+            assert type(got) is type(serial) and str(got) == str(serial)
+            assert no_child_left()
+
+    def test_a_child_that_leaves_without_a_result_raises(self, grid4, cpus, monkeypatch,
+                                                         tmp_path, capsys):
+        parent, lockstep = os.getpid(), experiments.run_qpolicy_lockstep
+
+        def leaving(mdp, configs):
+            if os.getpid() != parent and any(c.seed == 3 for c in configs):
+                os._exit(3)
+            return lockstep(mdp, configs)
+        monkeypatch.setattr(experiments, "run_qpolicy_lockstep", leaving)
+        cpus(3)
+        message = "the process running seeds [2, 3] left without a result, wait status 768"
+        with pytest.raises(RuntimeError, match=re.escape(message)):
+            _run_jobs(grid4, {seed: shot_config(iters=2, seed=seed) for seed in range(5)})
+        assert no_child_left()
+        env = tmp_path / "env.json"
+        assert cli.main(["gen-env", "gridworld", "--width", "4", "--height", "4",
+                         "--out", str(env)]) == cli.EXIT_OK
+        assert cli.main(["noise-study", "--env", str(env), "--iters", "2", "--seeds", "5",
+                         "--p-values", "0", "--out", str(tmp_path / "o")]) == cli.EXIT_RUNTIME
+        assert capsys.readouterr().err == f"runtime error: {message}\n"
+        assert no_child_left()
+
+    def test_children_write_nothing(self, grid4, cpus, capfd, monkeypatch):
+        # a byte left in this process's stdout buffer, and a run that
+        # diverges in a child: neither the buffer nor a traceback reaches
+        # the fds twice
+        print("kept", end="")
+        cpus(3)
+        assert run_noise_comparison(grid4, [0.0, 0.01, 0.05], shot_config(iters=3), [0, 1])
+        monkeypatch.setattr(engine, "_read_out", diverging({4: (1, 1)}))
+        jobs = {m: replace(shot_config(shots=100 + m, iters=3), seed=m) for m in range(6)}
+        with pytest.raises(engine.DivergenceError, match="^iteration 1: the read-out table "
+                                                         "of seed 4 "):
+            _run_jobs(grid4, jobs)
+        assert capfd.readouterr() == ("kept", "")
+        assert no_child_left()
 
 
 class TestNoiseComparison:
